@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: detect, verify, gen, stats. Exit codes: 0 = no race found,
-1 = race(s) found, 2 = invalid input, 3 = verification divergence or an
-internal invariant failure.
+1 = race(s) found, 2 = invalid input, or a trace that needs more attached
+sets than the closure limit (``reachdag.MAX_NODES``, 2^17), 3 = verification
+divergence or an internal invariant failure.
 """
 
 from __future__ import annotations

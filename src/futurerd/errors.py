@@ -23,5 +23,16 @@ class ParseError(InputError):
         self.lineno = lineno
 
 
+class ClosureLimitError(InputError):
+    """The trace needs more attached sets than the closure dag may hold."""
+
+    def __init__(self, attached_sets: int, limit: int):
+        super().__init__(
+            f"trace needs {attached_sets} attached sets, over the closure limit "
+            f"of {limit} (the closure takes up to k^2/8 bytes for k attached sets)"
+        )
+        self.attached_sets = attached_sets
+
+
 class InvariantError(AssertionError):
     """An internal invariant broke; this is a bug in the detector, not bad input."""

@@ -33,6 +33,16 @@ brute-force dag at every step:
   (both sides unattached), or grafts the fork/join onto the one attached
   side and leaves the clean side a proxy pair, or (both sides attached)
   promotes the fork and join themselves to attached sets.
+
+Every edge of ``r`` enters the node just created, which costs one OR, except
+the two fork->source edges of a both-attached sync. Those enter older nodes,
+and they rely on the *spawn window* invariant. Every set that holds a strand
+run between a spawn and its sync was created in that window, so its dag node
+was created there too. Every edge added in the window ends at a node of the
+window. So the descendants of either source node all have ids of at least
+``len(r)`` at the spawn (``_SpawnRec.r_floor``), and the fork edges scan only
+those rows. The fork's own node is older or was just promoted, and it is
+never a descendant of a source.
 """
 
 from __future__ import annotations
@@ -48,6 +58,7 @@ from .trace import CREATE, SPAWN
 @dataclass
 class _SpawnRec:
     fork_elem: int
+    r_floor: int  # len(r) at the spawn: the lowest id a node of the window can get
     left_source_elem: int | None = None
     left_sink_elem: int | None = None
     right_source_elem: int | None = None
@@ -131,7 +142,7 @@ class MultiBagsPlus:
         frame = self._frames[-1]
         fork = self._cur
         if kind == SPAWN:
-            rec = _SpawnRec(fork_elem=fork)
+            rec = _SpawnRec(fork_elem=fork, r_floor=len(self.r))
             frame.spawn_stack.append(rec)
             frame.pending = ("spawn_cont", fork)
             child = _Frame(fn=fn, kind=SPAWN, pending=("child_unattached", fork))
@@ -242,8 +253,8 @@ class MultiBagsPlus:
             self.both_attached_syncs += 1
             self._attachify(fork_set)
             rf = self._rnode(nsp.find(rec.fork_elem))
-            self.r.add_edge(rf, self._rnode(left_src))
-            self.r.add_edge(rf, self._rnode(right_src))
+            self.r.add_fork_edge(rf, self._rnode(left_src), rec.r_floor)
+            self.r.add_fork_edge(rf, self._rnode(right_src), rec.r_floor)
             r_join = self.r.add_node()
             self.r.add_edge(self._rnode(left_sink), r_join)
             self.r.add_edge(self._rnode(right_sink), r_join)
@@ -308,8 +319,6 @@ class MultiBagsPlus:
         if a1 == a2:
             return uu != vv
         return self.r.reach(self._rnode(a1), self._rnode(a2))
-
-    query = precedes
 
     # -- accounting ---------------------------------------------------------
 

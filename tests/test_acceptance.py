@@ -319,3 +319,20 @@ def test_criterion_9_near_linear_scaling():
     ratio = mb / ms
     _line(9, ratio <= 2.5, f"doubling events scales time by {ratio:.2f} "
                            f"({ms:.3f}s -> {mb:.3f}s, median of 5; <= 2.5)")
+
+
+def test_criterion_10_plus_scaling():
+    # lcs-general grows k (the stats' count of create/get) by 1.99x from n=32
+    # to n=45; the k^2 closure model predicts about 4x the time, and a closure
+    # that visits every row on every edge (cubic in k) about 8x.
+    def median_elapsed(seq):
+        times = []
+        for _ in range(5):
+            times.append(engine.detect(seq, "plus", MODE_GENERAL).stats.elapsed)
+        return statistics.median(times)
+
+    small, big = gen_lcs_general(32, seed=0), gen_lcs_general(45, seed=0)
+    ms, mb = median_elapsed(small), median_elapsed(big)
+    ratio = mb / ms
+    _line(10, ratio <= 4.5, f"doubling k scales plus time by {ratio:.2f} "
+                            f"({ms:.3f}s -> {mb:.3f}s, median of 5; <= 4.5)")

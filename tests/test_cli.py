@@ -1,6 +1,6 @@
 import json
 
-from futurerd import cli, trace
+from futurerd import cli, reachdag, trace
 from futurerd.multibags_plus import MultiBagsPlus
 from helpers import seq_of, sp
 
@@ -54,6 +54,25 @@ def test_invalid_input_exit_codes(tmp_path, capsys):
                 "--trace", str(multi)]) == cli.EXIT_BAD_INPUT
     assert run(["detect", "--algo", "plus", "--mode", "general",
                 "--trace", str(tmp_path / "missing.jsonl")]) == cli.EXIT_BAD_INPUT
+
+
+def test_closure_limit_exits_2_and_names_the_attached_sets(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "t.jsonl"
+    run(["gen", "lcs-general", "--n", "3", "-o", str(out)])  # 31 attached sets
+    monkeypatch.setattr(reachdag, "MAX_NODES", 5)
+    capsys.readouterr()
+    assert run(["detect", "--algo", "plus", "--mode", "general",
+                "--trace", str(out), "--json"]) == cli.EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(
+        "error: trace needs 6 attached sets, over the closure limit of 5")
+    # a fork-join trace keeps a single attached set, the root's
+    fj = tmp_path / "fj.jsonl"
+    run(["gen", "random", "--events", "300", "--p-create", "0", "--p-get", "0",
+         "-o", str(fj)])
+    assert run(["detect", "--algo", "plus", "--mode", "general",
+                "--trace", str(fj)]) == cli.EXIT_OK
 
 
 def test_verify_clean_and_faulty(tmp_path, capsys, monkeypatch):

@@ -2,13 +2,14 @@ import random
 
 import pytest
 
-from futurerd import engine, oracle
+from futurerd import engine, oracle, reachdag
 from futurerd.dsu import SetRecord
 from futurerd.errors import InputError, InvariantError
 from futurerd.generators import gen_lcs_general, gen_random
 from futurerd.multibags import MultiBags
 from futurerd.multibags_plus import MultiBagsPlus
-from helpers import cr, gt, oracle_answers, replay_collect, rt, seq_of, sp, sp_reaches, sy
+from helpers import (cr, gt, oracle_answers, rd, replay_collect, rt, seq_of, sp, sp_reaches,
+                     sy, wr)
 
 
 def drive(events, after=None):
@@ -196,6 +197,66 @@ def test_sync_both_attached_adds_at_most_two_nodes():
     assert added_at_sync <= 2
     assert mbp.both_attached_syncs == 1
     assert replay_collect(seq, MultiBagsPlus()) == oracle_answers(seq)
+
+
+def test_nested_both_attached_sync_under_a_promoted_fork(monkeypatch):
+    # Child X runs a both-attached sync whose left side, child Y, runs one of
+    # its own. Both forks (the first strands of X and Y) are unattached until
+    # their syncs promote them, so Y's fork gets a node above its children's
+    # nodes, and X's fork edge into it must reach those lower-id descendants.
+    events = [
+        sp(1),                                              # X, strand 1: outer fork
+        wr(0x100),
+        sp(2),                                              # Y, strand 2: inner fork
+        sp(3), cr(4, 4), wr(0x104), rt(), gt(4), rt(),      # inner left: attached
+        cr(5, 5), rd(0x100), rt(), gt(5),                   # inner right: attached
+        sy(), wr(0x108), rt(),
+        cr(6, 6), rd(0x108), rt(), gt(6),                   # outer right: attached
+        sy(), rd(0x104), rt(),
+        sy(),                                               # one side attached
+    ]
+    seq = seq_of(*events)
+    mbp = MultiBagsPlus()
+    fork_edges = []
+    inner = reachdag.ReachDag.add_fork_edge
+
+    def spy(dag, src, dst, lo):
+        fork_edges.append((src, dst, lo, dag.row(dst)))
+        inner(dag, src, dst, lo)
+
+    monkeypatch.setattr(reachdag.ReachDag, "add_fork_edge", spy)
+    assert replay_collect(seq, mbp) == oracle_answers(seq)
+    assert mbp.both_attached_syncs == 2
+    assert len(fork_edges) == 4
+    (y_fork, y_left, _, _), (_, y_right, _, _) = fork_edges[:2]
+    x_fork, x_left, x_lo, desc = fork_edges[2]
+    assert x_left == y_fork
+    assert y_left < y_fork and y_right < y_fork  # descendants below their ancestor
+    assert desc >> x_lo << x_lo == desc  # but none below the spawn's floor
+    for node in (y_fork, y_left, y_right):
+        assert mbp.r.reach(x_fork, node)
+    races = {(r.addr, r.kind, r.prior, r.current)
+             for r in engine.detect(seq, "plus", "general").races}
+    assert races == oracle.naive_races(oracle.build(seq)) and len(races) == 1
+
+
+def test_fork_edge_scan_bound_holds_on_random_traces(monkeypatch):
+    # The spawn window: at a both-attached sync every descendant of a source
+    # node was created after the spawn, so the fork edges may skip older rows.
+    checked = []
+    inner = reachdag.ReachDag.add_fork_edge
+
+    def spy(dag, src, dst, lo):
+        desc = dag.row(dst)
+        assert desc >> lo << lo == desc, (src, dst, lo)
+        checked.append(desc & ((1 << dst) - 1) != 0)
+        inner(dag, src, dst, lo)
+
+    monkeypatch.setattr(reachdag.ReachDag, "add_fork_edge", spy)
+    for seed in range(40):
+        seq = gen_random(n_events=220, p_spawn=0.18, p_create=0.1, p_get=0.12, seed=seed)
+        assert replay_collect(seq, MultiBagsPlus()) == oracle_answers(seq), seed
+    assert len(checked) > 50 and any(checked)  # some targets have lower-id descendants
 
 
 def test_sync_without_outstanding_child():

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from futurerd.errors import InvariantError, UsageError
+from futurerd import reachdag
+from futurerd.errors import ClosureLimitError, InputError, InvariantError, UsageError
 from futurerd.reachdag import ReachDag
 
 
@@ -44,6 +45,69 @@ def assert_matches_fw(dag, n, edges):
     for i in range(n):
         for j in range(n):
             assert dag.reach(i, j) == fw[i][j], (i, j)
+        assert dag.row(i) == sum(1 << j for j in range(n) if fw[i][j]), i
+
+
+def windowed_dag_ops(seed, depth=2):
+    """Random dag grown the way ``MultiBagsPlus`` grows its closure.
+
+    Every edge enters the newest node, except the fork->source edges that
+    close a window. A window is the nodes created since it opened. Each of
+    its two sides starts at a source node: a new node, or the fork of a
+    window nested first on that side and promoted there. A fork is an older
+    node or one created once both sides are done, so a source's descendants
+    can have lower ids than the source or its fork. Every descendant of a
+    source lies in the window, which is the bound ``add_fork_edge`` is given.
+    """
+    rng = random.Random(seed)
+    dag = ReachDag()
+    edges = []
+    bounded = []  # (dst, lo) of every fork edge
+
+    def node(n_preds, lo, hi=None):
+        """A new node with up to ``n_preds`` in-edges from nodes ``lo..hi-1``."""
+        v = dag.add_node()
+        hi = v if hi is None else hi
+        for u in sorted({rng.randrange(lo, hi) for _ in range(n_preds)}):
+            dag.add_edge(u, v)
+            edges.append((u, v))
+        return v
+
+    def window(level):
+        """Open a window, close it with its fork edges; (fork, join)."""
+        lo = len(dag)
+        sources, sinks = [], []
+        for _ in range(2):
+            src = None
+            if level and rng.random() < 0.4:
+                fork, last = window(level - 1)
+                if fork >= lo:
+                    src = fork  # promoted above the nested window's nodes
+            if src is None:
+                src = last = node(1, 0, lo)
+            for _ in range(rng.randrange(4)):
+                if level and rng.random() < 0.4:
+                    last = window(level - 1)[1]
+                else:
+                    last = node(rng.randrange(1, 3), src)
+            sources.append(src)
+            sinks.append(last)
+        # an older fork, or one promoted now, above its window's nodes
+        fork = rng.randrange(lo) if rng.random() < 0.3 else node(1, 0, lo)
+        for src in sources:
+            dag.add_fork_edge(fork, src, lo)
+            edges.append((fork, src))
+            bounded.append((src, lo))
+        join = dag.add_node()
+        for u in sorted(set(sinks)):
+            dag.add_edge(u, join)
+            edges.append((u, join))
+        return fork, join
+
+    dag.add_node()
+    for _ in range(rng.randrange(1, 4)):
+        window(depth)
+    return dag, edges, bounded
 
 
 def test_node_indices_are_dense():
@@ -121,3 +185,97 @@ def test_unknown_node_is_usage_error():
 def test_closure_property(n, seed):
     dag, edges = random_dag_ops(n, min(2 * n, n * (n - 1) // 2), seed)
     assert_matches_fw(dag, n, edges)
+
+
+# -- edges that do not enter the newest node ------------------------------------
+
+
+def test_promoted_fork_above_its_descendants_matches_floyd_warshall():
+    # Sources and their bodies come first; the fork is promoted to the newest
+    # node and only then wired to the sources, so its descendants have lower
+    # ids. The join then takes edges from both sinks.
+    dag = ReachDag()
+    pred, s1, s2 = (dag.add_node() for _ in range(3))
+    edges = [(pred, s1), (pred, s2)]
+    x = dag.add_node()
+    edges.append((s1, x))
+    y = dag.add_node()
+    edges.append((s2, y))
+    for u, v in edges:
+        dag.add_edge(u, v)
+    fork = dag.add_node()
+    dag.add_edge(pred, fork)
+    dag.add_edge(fork, s1)
+    dag.add_edge(fork, s2)
+    join = dag.add_node()
+    dag.add_edge(x, join)
+    dag.add_edge(y, join)
+    edges += [(pred, fork), (fork, s1), (fork, s2), (x, join), (y, join)]
+    assert dag.reach(fork, x) and dag.reach(fork, join) and x < fork
+    assert not dag.reach(s1, y) and not dag.reach(fork, pred)
+    assert_matches_fw(dag, len(dag), edges)
+
+
+def test_edge_already_implied_is_a_no_op():
+    dag = ReachDag()
+    p, x, f = (dag.add_node() for _ in range(3))
+    dag.add_edge(p, f)
+    dag.add_edge(f, x)  # x, a descendant of f, has a lower id than f
+    dag.add_edge(p, x)  # p already reaches x through f
+    rows = [dag.row(i) for i in range(3)]
+    # p already reaches f, so the edge returns before any scan: a bound that
+    # would skip x (id 1 < 2) changes nothing
+    dag.add_fork_edge(p, f, f)
+    assert [dag.row(i) for i in range(3)] == rows
+    assert_matches_fw(dag, 3, [(p, f), (f, x), (p, x)])
+
+
+def test_bounded_scan_matches_floyd_warshall():
+    out_of_order = 0
+    for seed in range(60):
+        dag, edges, bounded = windowed_dag_ops(seed)
+        n = len(dag)
+        assert_matches_fw(dag, n, edges)
+        fw = floyd_warshall(n, edges)
+        for dst, lo in bounded:
+            assert all(j >= lo for j in range(n) if fw[dst][j]), (seed, dst, lo)
+        out_of_order += sum(fw[u][v] and v < u for u in range(n) for v in range(n))
+    assert out_of_order > 0  # the corpus does wire nodes to lower-id descendants
+
+
+def test_fork_edge_bound_must_admit_its_target():
+    dag = ReachDag()
+    a, b = dag.add_node(), dag.add_node()
+    with pytest.raises(UsageError):
+        dag.add_fork_edge(a, b, b + 1)
+    dag.add_fork_edge(a, b, b)
+    assert dag.reach(a, b)
+
+
+# -- closure-memory guard ---------------------------------------------------------
+
+
+def test_add_node_refuses_to_grow_past_the_limit(monkeypatch):
+    monkeypatch.setattr(reachdag, "MAX_NODES", 3)
+    dag = ReachDag()
+    assert [dag.add_node() for _ in range(3)] == [0, 1, 2]
+    with pytest.raises(ClosureLimitError, match="4 attached sets") as info:
+        dag.add_node()
+    assert isinstance(info.value, InputError)
+    assert info.value.attached_sets == 4
+    assert len(dag) == 3
+
+
+def test_default_limit_is_two_to_the_seventeen():
+    assert reachdag.MAX_NODES == 1 << 17
+
+
+def test_edge_into_newest_node_that_has_descendants():
+    # The newest node already reaches an older one, so an edge into it is not
+    # a single OR: the older descendant must learn the new ancestor too.
+    dag = ReachDag()
+    w, x, y = (dag.add_node() for _ in range(3))
+    dag.add_edge(y, x)
+    dag.add_edge(w, y)
+    assert dag.reach(w, x)
+    assert_matches_fw(dag, 3, [(y, x), (w, y)])
