@@ -1,6 +1,6 @@
 """On-the-fly determinacy-race detection for task-parallel traces with futures."""
 
-from .dsu import LABEL_P, LABEL_S, DisjointSets, SetRecord
+from .dsu import LABEL_P, LABEL_S, BagRecord, DisjointSets
 from .engine import (
     ALGO_MULTIBAGS,
     ALGO_PLUS,
@@ -15,7 +15,7 @@ from .engine import (
 from .errors import InputError, InvariantError, ParseError, UsageError
 from .generators import gen_lcs_general, gen_lcs_structured, gen_random
 from .multibags import MultiBags
-from .multibags_plus import MultiBagsPlus
+from .multibags_plus import MultiBagsPlus, NspRecord
 from .oracle import OracleDag, build, longest_path, naive_races, to_dot
 from .reachdag import ReachDag
 from .shadow import RaceReport, ShadowTable
@@ -38,6 +38,7 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGO_MULTIBAGS",
     "ALGO_PLUS",
+    "BagRecord",
     "DetectReport",
     "DisjointSets",
     "Event",
@@ -50,11 +51,11 @@ __all__ = [
     "MODE_STRUCTURED",
     "MultiBags",
     "MultiBagsPlus",
+    "NspRecord",
     "OracleDag",
     "ParseError",
     "RaceReport",
     "ReachDag",
-    "SetRecord",
     "ShadowTable",
     "Stats",
     "UsageError",

@@ -3,7 +3,7 @@
 Subcommands: detect, verify, gen, stats. Exit codes: 0 = no race found,
 1 = race(s) found, 2 = invalid input, or a trace that needs more attached
 sets than the closure limit (``reachdag.MAX_NODES``, 2^17), 3 = verification
-divergence or an internal invariant failure.
+divergence, a broken race contract, or an internal invariant failure.
 """
 
 from __future__ import annotations
@@ -82,14 +82,13 @@ def _cmd_verify(args) -> int:
     if report.divergence is not None:
         print(f"DIVERGENCE {report.divergence.describe()}", file=sys.stderr)
         return EXIT_BROKEN
-    if not report.races_match:
-        missing = report.oracle_races - report.detector_races
-        extra = report.detector_races - report.oracle_races
-        print(f"RACE SET MISMATCH missing={sorted(missing)} extra={sorted(extra)}",
-              file=sys.stderr)
+    if not report.ok:
+        print(f"RACE CONTRACT BROKEN unsound={sorted(report.unsound_races)} "
+              f"missed_words={sorted(report.missed_words)}", file=sys.stderr)
         return EXIT_BROKEN
-    print(f"verified: {report.checked} reachability answers, "
-          f"{len(report.oracle_races)} race(s), no divergence")
+    print(f"verified: {report.checked} reachability answers, no divergence; "
+          f"{len(report.detector_races)} of {len(report.oracle_races)} racing pair(s) "
+          f"reported, all real, on every racy word")
     return EXIT_OK
 
 

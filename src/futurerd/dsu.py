@@ -1,13 +1,15 @@
 """Tagged disjoint-set forest with directional unions.
 
 A classic union-find (union by rank, path compression) where every live set
-carries a metadata record. ``union_into(a, b)`` merges b into a and keeps a's
-record no matter which physical root survives the link, so the logical
-direction of a union is independent of the physical one.
+carries a caller-owned metadata record. ``union_into(a, b)`` merges b into a
+and keeps a's record no matter which physical root survives the link, so the
+logical direction of a union is independent of the physical one.
 
 Sets and elements share one id space: ``make_set`` allocates a fresh element
-and the returned set id *is* that element's id. ``find(e)`` maps any element
-to the id of the live set containing it.
+and the returned set id *is* that element's id. ``add_element(sid)`` allocates
+a fresh element straight into a live set; it is the paper's MakeSet followed
+by Union, without the throwaway record, and counts as one of each. ``find(e)``
+maps any element to the id of the live set containing it.
 """
 
 from __future__ import annotations
@@ -20,23 +22,11 @@ LABEL_S = "S"
 LABEL_P = "P"
 
 
-@dataclass
-class SetRecord:
-    """Metadata carried by a live set.
-
-    ``label`` is the S/P bag tag. ``attached``/``att_pred``/``att_succ``/
-    ``r_node`` support the cross-dag reachability bookkeeping: attached sets
-    mirror a node of the reachability dag (``r_node``), and unattached sets
-    hold proxies (ids of attached sets). ``owner`` is a free-form function
-    instance id for debugging.
-    """
+@dataclass(slots=True)
+class BagRecord:
+    """Metadata of an S/P bag: ``label`` is LABEL_S or LABEL_P."""
 
     label: str | None = None
-    attached: bool = False
-    att_pred: int | None = None
-    att_succ: int | None = None
-    owner: int | None = None
-    r_node: int | None = None
 
 
 class DisjointSets:
@@ -47,8 +37,7 @@ class DisjointSets:
         self._rank: list[int] = []
         self._sid_at: list[int] = []  # physical root -> live set id
         self._root_of: dict[int, int] = {}  # live set id -> physical root
-        self._records: dict[int, SetRecord] = {}
-        self._destroyed: set[int] = set()
+        self._records: dict[int, object] = {}
         self.make_count = 0
         self.find_count = 0
         self.union_count = 0
@@ -58,14 +47,10 @@ class DisjointSets:
     def __len__(self) -> int:
         return len(self._records)
 
-    @property
-    def n_elements(self) -> int:
-        return len(self._parent)
-
     def is_live(self, sid: int) -> bool:
         return sid in self._records
 
-    def record(self, sid: int) -> SetRecord:
+    def record(self, sid: int):
         """Mutable metadata record of a live set."""
         rec = self._records.get(sid)
         if rec is None:
@@ -90,7 +75,7 @@ class DisjointSets:
 
     # -- updates ----------------------------------------------------------
 
-    def make_set(self, record: SetRecord) -> int:
+    def make_set(self, record) -> int:
         """Create a singleton set holding one fresh element.
 
         The returned id doubles as the new element's id.
@@ -102,6 +87,25 @@ class DisjointSets:
         self._root_of[e] = e
         self._records[e] = record
         self.make_count += 1
+        return e
+
+    def add_element(self, sid: int) -> int:
+        """Add a fresh element to live set ``sid`` and return its id.
+
+        Same result, counts and physical link as ``union_into(sid,
+        make_set(...))``: the new element hangs under ``sid``'s root.
+        """
+        root = self._root_of.get(sid)
+        if root is None:
+            self._reject(sid)
+        e = len(self._parent)
+        self._parent.append(root)
+        self._rank.append(0)
+        self._sid_at.append(e)
+        if self._rank[root] == 0:
+            self._rank[root] = 1
+        self.make_count += 1
+        self.union_count += 1
         return e
 
     def union_into(self, a: int, b: int) -> int:
@@ -127,7 +131,6 @@ class DisjointSets:
         self._root_of[a] = ra
         del self._root_of[b]
         del self._records[b]
-        self._destroyed.add(b)
         self.union_count += 1
         return a
 
@@ -135,6 +138,4 @@ class DisjointSets:
         self.record(sid).label = label
 
     def _reject(self, sid: int):
-        if sid in self._destroyed:
-            raise UsageError(f"set {sid} was destroyed by a union")
-        raise UsageError(f"unknown set {sid}")
+        raise UsageError(f"unknown or destroyed set {sid}")

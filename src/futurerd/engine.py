@@ -115,6 +115,15 @@ class Divergence:
 
 @dataclass
 class VerifyReport:
+    """Outcome of ``verify``.
+
+    The race contract is the shadow memory's: every reported pair is a race
+    of the brute-force dag (soundness), and every word with a race there has
+    at least one report (per-word completeness). The detector may report
+    fewer pairs than the dag holds, because a write replaces the last writer
+    and clears the readers.
+    """
+
     algo: str
     strands: int
     checked: int = 0
@@ -123,12 +132,18 @@ class VerifyReport:
     oracle_races: set = field(default_factory=set)
 
     @property
-    def races_match(self) -> bool:
-        return self.detector_races == self.oracle_races
+    def unsound_races(self) -> set:
+        """Reported pairs that are not races of the brute-force dag."""
+        return self.detector_races - self.oracle_races
+
+    @property
+    def missed_words(self) -> set:
+        """Addresses with a race in the brute-force dag but no report."""
+        return {r[0] for r in self.oracle_races} - {r[0] for r in self.detector_races}
 
     @property
     def ok(self) -> bool:
-        return self.divergence is None and self.races_match
+        return self.divergence is None and not self.unsound_races and not self.missed_words
 
 
 def make_reachability(algo: str):
@@ -252,7 +267,8 @@ def verify(seq: EventSequence, algo: str, sample: int | None = None, seed: int =
 
     Below EXHAUSTIVE_LIMIT strands (and when ``sample`` is unset) every
     (executed strand, current strand) pair is checked; larger traces check a
-    seeded sample per step. Final race sets are compared either way.
+    seeded sample per step. Either way the final race sets are checked
+    against the race contract (see ``VerifyReport``).
     """
     _setup_logging()
     mode = MODE_STRUCTURED if algo == ALGO_MULTIBAGS else MODE_GENERAL

@@ -20,14 +20,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dsu import LABEL_P, LABEL_S, DisjointSets, SetRecord
+from .dsu import LABEL_P, LABEL_S, BagRecord, DisjointSets
 from .errors import InputError, InvariantError, UsageError
 from .trace import CREATE, SPAWN
 
 
 @dataclass
 class _Frame:
-    fn: int | None
     kind: str  # root|spawn|create
     handle: int | None = None
     bag: int | None = None
@@ -44,7 +43,7 @@ class _Handle:
 class MultiBags:
     def __init__(self) -> None:
         self.forest = DisjointSets()
-        self._frames: list[_Frame] = [_Frame(fn=None, kind="root")]
+        self._frames: list[_Frame] = [_Frame(kind="root")]
         self._handles: dict[int, _Handle] = {}
         self._cur = -1
 
@@ -57,19 +56,17 @@ class MultiBags:
             if handle in self._handles:
                 raise InputError(f"duplicate future handle {handle}")
             self._handles[handle] = _Handle(creator=self._cur)
-        self._frames.append(_Frame(fn=fn, kind=kind, handle=handle))
+        self._frames.append(_Frame(kind=kind, handle=handle))
 
     def on_strand_begin(self, s: int) -> None:
         frame = self._frames[-1]
         if frame.bag is None:
-            sid = self.forest.make_set(SetRecord(label=LABEL_S, owner=frame.fn))
+            sid = self.forest.make_set(BagRecord(label=LABEL_S))
             frame.bag = sid
             if frame.kind == CREATE:
                 self._handles[frame.handle].bag = sid
         else:
-            e = self.forest.make_set(SetRecord())
-            self.forest.union_into(frame.bag, e)
-            sid = e
+            sid = self.forest.add_element(frame.bag)
         if sid != s:
             raise InvariantError(f"strand {s} allocated element {sid}")
         self._cur = s

@@ -9,12 +9,15 @@ may be multi-touch and may be joined by logically parallel strands.
   S-labeled bag still certifies precedence, but a P-labeled bag is no longer
   conclusive: the path may run through get edges.
 * ``d_nsp`` partitions strands into sets that each cover a chunk of a single
-  fork-join region. A set is *attached* when it mirrors a node of the
-  reachability dag ``r``; it is *unattached* when it covers a completed
-  fork-join subdag that no create/get edge touches. Unattached sets carry two
-  proxies into ``r``: ``att_pred`` (an attached set wholly before them, fixed
-  at creation) and ``att_succ`` (an attached set containing their eventual
-  join point, set at most once).
+  fork-join region. Each set carries an ``NspRecord``. A set is *attached*
+  when it mirrors a node of the reachability dag ``r``: its ``r_node`` is
+  that node, and its ``att_pred`` and ``att_succ`` are the set itself. It is
+  *unattached* (``r_node`` is None) when it covers a completed fork-join
+  subdag that no create/get edge touches. Its two proxies into ``r`` are then
+  ``att_pred`` (an attached set wholly before it, fixed at creation) and
+  ``att_succ`` (an attached set containing its eventual join point, set at
+  most once). Either way, a query reads ``att_succ`` of the earlier strand's
+  set and ``att_pred`` of the current one.
 * ``r`` records, with a full transitive closure, every ordering that crosses
   create or get edges between attached sets.
 
@@ -49,10 +52,19 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dsu import LABEL_P, LABEL_S, DisjointSets, SetRecord
+from .dsu import LABEL_P, LABEL_S, BagRecord, DisjointSets
 from .errors import InputError, InvariantError, UsageError
 from .reachdag import ReachDag
 from .trace import CREATE, SPAWN
+
+
+@dataclass(slots=True)
+class NspRecord:
+    """Metadata of a ``d_nsp`` set; see the module docstring."""
+
+    r_node: int | None = None  # dag node; None while the set is unattached
+    att_pred: int | None = None
+    att_succ: int | None = None
 
 
 @dataclass
@@ -67,7 +79,6 @@ class _SpawnRec:
 
 @dataclass
 class _Frame:
-    fn: int | None
     kind: str  # root|spawn|create
     handle: int | None = None
     dsp_bag: int | None = None
@@ -87,7 +98,7 @@ class MultiBagsPlus:
         self.d_sp = DisjointSets()
         self.d_nsp = DisjointSets()
         self.r = ReachDag()
-        self._frames: list[_Frame] = [_Frame(fn=None, kind="root", pending=("root",))]
+        self._frames: list[_Frame] = [_Frame(kind="root", pending=("root",))]
         self._handles: dict[int, _Handle] = {}
         self._cur = -1
         self.both_attached_syncs = 0
@@ -95,11 +106,11 @@ class MultiBagsPlus:
     # -- d_nsp helpers ------------------------------------------------------
 
     def _nsp_union(self, into: int, other: int) -> int:
-        a = self.d_nsp.record(into).attached
+        into_attached = self.d_nsp.record(into).r_node is not None
         other_rec = self.d_nsp.record(other)
-        if a and other_rec.attached:
+        if into_attached and other_rec.r_node is not None:
             raise InvariantError(f"union of two attached sets {into} and {other}")
-        if other_rec.attached:  # attached side must survive
+        if other_rec.r_node is not None:  # attached side must survive
             raise InvariantError(f"attached set {other} unioned into unattached {into}")
         if other_rec.att_succ is not None:
             # a set with a join proxy is sealed; absorbing it would drop
@@ -110,29 +121,20 @@ class MultiBagsPlus:
     def _attachify(self, sid: int) -> int:
         """Ensure the set is attached; return its dag node. Idempotent."""
         rec = self.d_nsp.record(sid)
-        if rec.attached:
+        if rec.r_node is not None:
             return rec.r_node
-        pred = rec.att_pred
-        pred_rec = self.d_nsp.record(pred)
-        if not pred_rec.attached:
-            raise InvariantError(f"att_pred {pred} of set {sid} is not attached")
+        pred_node = self._rnode(rec.att_pred)
         node = self.r.add_node()
-        self.r.add_edge(pred_rec.r_node, node)
-        rec.attached = True
+        self.r.add_edge(pred_node, node)
         rec.r_node = node
-        rec.att_pred = sid
-        rec.att_succ = sid
+        rec.att_pred = rec.att_succ = sid
         return node
 
-    def _att_pred_of(self, sid: int) -> int:
-        rec = self.d_nsp.record(sid)
-        return sid if rec.attached else rec.att_pred
-
     def _rnode(self, sid: int) -> int:
-        rec = self.d_nsp.record(sid)
-        if not rec.attached:
+        node = self.d_nsp.record(sid).r_node
+        if node is None:
             raise InvariantError(f"set {sid} has no dag node (unattached)")
-        return rec.r_node
+        return node
 
     # -- replay hooks -------------------------------------------------------
 
@@ -145,7 +147,7 @@ class MultiBagsPlus:
             rec = _SpawnRec(fork_elem=fork, r_floor=len(self.r))
             frame.spawn_stack.append(rec)
             frame.pending = ("spawn_cont", fork)
-            child = _Frame(fn=fn, kind=SPAWN, pending=("child_unattached", fork))
+            child = _Frame(kind=SPAWN, pending=("child_unattached", fork))
             child.spawn_rec = rec
         else:
             if handle in self._handles:
@@ -158,19 +160,17 @@ class MultiBagsPlus:
             self.r.add_edge(rn, r_cont)
             self._handles[handle] = _Handle(creator_elem=fork)
             frame.pending = ("fresh_attached", r_cont)
-            child = _Frame(fn=fn, kind=CREATE, handle=handle,
-                           pending=("fresh_attached", r_future))
+            child = _Frame(kind=CREATE, handle=handle, pending=("fresh_attached", r_future))
         self._frames.append(child)
 
     def on_strand_begin(self, s: int) -> None:
         frame = self._frames[-1]
         # S/P bag side: identical treatment for spawned and created children.
         if frame.dsp_bag is None:
-            sid = self.d_sp.make_set(SetRecord(label=LABEL_S, owner=frame.fn))
+            sid = self.d_sp.make_set(BagRecord(label=LABEL_S))
             frame.dsp_bag = sid
         else:
-            sid = self.d_sp.make_set(SetRecord())
-            self.d_sp.union_into(frame.dsp_bag, sid)
+            sid = self.d_sp.add_element(frame.dsp_bag)
         if sid != s:
             raise InvariantError(f"strand {s} allocated d_sp element {sid}")
 
@@ -179,27 +179,20 @@ class MultiBagsPlus:
         if directive is None:
             raise InvariantError(f"no placement directive for strand {s}")
         tag = directive[0]
+        # An attached set is its own proxy both ways; its id will be s.
         if tag == "root":
-            nid = self.d_nsp.make_set(SetRecord(attached=True))
-            rec = self.d_nsp.record(nid)
-            rec.r_node = self.r.add_node()
-            rec.att_pred = rec.att_succ = nid
+            nid = self.d_nsp.make_set(NspRecord(self.r.add_node(), att_pred=s, att_succ=s))
         elif tag == "child_unattached" or tag == "spawn_cont":
             pred_set = self.d_nsp.find(directive[1])
-            nid = self.d_nsp.make_set(
-                SetRecord(attached=False, att_pred=self._att_pred_of(pred_set))
-            )
+            nid = self.d_nsp.make_set(NspRecord(att_pred=self.d_nsp.record(pred_set).att_pred))
             if tag == "child_unattached":
                 frame.spawn_rec.left_source_elem = nid
             else:
                 frame.spawn_stack[-1].right_source_elem = nid
         elif tag == "fresh_attached":
-            nid = self.d_nsp.make_set(SetRecord(attached=True, r_node=directive[1]))
-            rec = self.d_nsp.record(nid)
-            rec.att_pred = rec.att_succ = nid
+            nid = self.d_nsp.make_set(NspRecord(directive[1], att_pred=s, att_succ=s))
         elif tag == "into":
-            nid = self.d_nsp.make_set(SetRecord())
-            self._nsp_union(self.d_nsp.find(directive[1]), nid)
+            nid = self.d_nsp.add_element(self.d_nsp.find(directive[1]))
         else:
             raise InvariantError(f"unknown directive {directive!r}")
         if nid != s:
@@ -237,8 +230,8 @@ class MultiBagsPlus:
         left_sink = nsp.find(rec.left_sink_elem)
         right_src = nsp.find(rec.right_source_elem)
         right_sink = nsp.find(self._cur)
-        la = nsp.record(left_sink).attached
-        ra = nsp.record(right_sink).attached
+        la = nsp.record(left_sink).r_node is not None
+        ra = nsp.record(right_sink).r_node is not None
 
         if not la and not ra:
             # Both sides are clean completed subdags: the whole parallel
@@ -266,11 +259,11 @@ class MultiBagsPlus:
             else:
                 att_src, att_sink_elem = right_src, self._cur
                 unattached, un_src = left_sink, left_src
-            if not nsp.record(att_src).attached:
+            if nsp.record(att_src).r_node is None:
                 raise InvariantError("attached subdag has an unattached source set")
             if unattached != un_src or unattached == fork_set:
                 raise InvariantError("unattached subdag is split across sets")
-            if not nsp.record(fork_set).attached:
+            if nsp.record(fork_set).r_node is None:
                 # Grow the attached side backwards over the fork.
                 self._nsp_union(att_src, fork_set)
             # The clean side keeps its set; the join point is its proxy.
@@ -307,15 +300,13 @@ class MultiBagsPlus:
         if self.d_sp.record(self.d_sp.find(u)).label == LABEL_S:
             return True
         uu = self.d_nsp.find(u)
-        urec = self.d_nsp.record(uu)
-        a1 = uu if urec.attached else urec.att_succ
+        a1 = self.d_nsp.record(uu).att_succ
         if a1 is None:
             # No join point has sealed u's region yet, so nothing downstream
             # of it can be running.
             return False
         vv = self.d_nsp.find(self._cur)
-        vrec = self.d_nsp.record(vv)
-        a2 = vv if vrec.attached else vrec.att_pred
+        a2 = self.d_nsp.record(vv).att_pred
         if a1 == a2:
             return uu != vv
         return self.r.reach(self._rnode(a1), self._rnode(a2))

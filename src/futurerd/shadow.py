@@ -1,10 +1,11 @@
 """Access-history shadow memory.
 
 Per 4-byte word we keep the last writer strand and the list of reader strands
-since that write. The table is two-level and direct-mapped: address bits
-[63:22] select a lazily allocated leaf, bits [21:2] select the word's cell
-within it. Race checks go through a caller-supplied ``precedes`` callback so
-the table stays independent of the reachability algorithm in use.
+since that write. Cells live in one dict keyed by word (``addr >> 2``) and
+are created on first touch, so memory is proportional to the distinct words
+accessed, however sparse their addresses. Race checks go through a
+caller-supplied ``precedes`` callback so the table stays independent of the
+reachability algorithm in use.
 """
 
 from __future__ import annotations
@@ -14,10 +15,6 @@ from dataclasses import dataclass
 WRITE_READ = "write-read"
 READ_WRITE = "read-write"
 WRITE_WRITE = "write-write"
-
-_LEAF_BITS = 20
-_LEAF_SIZE = 1 << _LEAF_BITS
-_LEAF_MASK = _LEAF_SIZE - 1
 
 
 @dataclass(frozen=True)
@@ -41,20 +38,17 @@ class _Cell:
 
 class ShadowTable:
     def __init__(self) -> None:
-        self._top: dict[int, list] = {}
-        self.cells_touched = 0
+        self._cells: dict[int, _Cell] = {}
+
+    @property
+    def cells_touched(self) -> int:
+        """Number of distinct words accessed so far."""
+        return len(self._cells)
 
     def _cell(self, addr: int) -> _Cell:
-        word = addr >> 2
-        leaf = self._top.get(word >> _LEAF_BITS)
-        if leaf is None:
-            leaf = [None] * _LEAF_SIZE
-            self._top[word >> _LEAF_BITS] = leaf
-        cell = leaf[word & _LEAF_MASK]
+        cell = self._cells.get(addr >> 2)
         if cell is None:
-            cell = _Cell()
-            leaf[word & _LEAF_MASK] = cell
-            self.cells_touched += 1
+            cell = self._cells[addr >> 2] = _Cell()
         return cell
 
     def on_read(self, addr: int, strand: int, precedes) -> RaceReport | None:

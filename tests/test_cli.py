@@ -1,8 +1,9 @@
 import json
 
-from futurerd import cli, reachdag, trace
+from futurerd import cli, engine, reachdag, trace
 from futurerd.multibags_plus import MultiBagsPlus
-from helpers import seq_of, sp
+from futurerd.shadow import WRITE_WRITE, RaceReport, ShadowTable
+from helpers import rt, seq_of, sp, sy, wr
 
 
 def run(args):
@@ -89,6 +90,42 @@ def test_verify_clean_and_faulty(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(MultiBagsPlus, "precedes", lying)
     assert run(["verify", "--algo", "plus", "--trace", str(out)]) == cli.EXIT_BROKEN
     assert "DIVERGENCE" in capsys.readouterr().err
+
+
+def test_verify_holds_the_race_contract_on_repeated_writes(tmp_path, capsys, monkeypatch):
+    # The shadow keeps one last writer per word, so it reports two of the
+    # three write-write pairs here; every report is real and the word is
+    # covered, which is all it promises.
+    out = tmp_path / "w.jsonl"
+    trace.dump(seq_of(sp(1), wr(64), rt(), sp(2), wr(64), rt(), wr(64), sy(), sy()), str(out))
+    for algo in ("plus", "multibags"):
+        assert run(["verify", "--algo", algo, "--trace", str(out)]) == cli.EXIT_OK
+        assert "2 of 3 racing pair(s) reported" in capsys.readouterr().out
+
+    class Inventive(ShadowTable):
+        def on_write(self, addr, strand, precedes):
+            return super().on_write(addr, strand, precedes) + [
+                RaceReport(addr, WRITE_WRITE, 0, strand)]
+
+    monkeypatch.setattr(engine, "ShadowTable", Inventive)
+    assert run(["verify", "--algo", "plus", "--trace", str(out)]) == cli.EXIT_BROKEN
+    assert ("RACE CONTRACT BROKEN unsound=[(64, 'write-write', 0, 1), "
+            "(64, 'write-write', 0, 3), (64, 'write-write', 0, 4)] missed_words=[]"
+            in capsys.readouterr().err)
+
+
+def test_readme_json_example(tmp_path, capsys):
+    out = tmp_path / "race.jsonl"
+    run(["gen", "lcs-structured", "--n", "4", "--inject-race", "-o", str(out)])
+    capsys.readouterr()
+    assert run(["detect", "--algo", "multibags", "--mode", "structured",
+                "--trace", str(out), "--json"]) == cli.EXIT_RACES
+    assert capsys.readouterr().out == (
+        '{"algo":"multibags","mode":"structured",'
+        '"races":[{"addr":1098764,"kind":"write-write","prior":17,"current":20}],'
+        '"stats":{"t1_events":91,"m":47,"n":16,"k":28,"strands":45,"queries":31,'
+        '"union_ops":40,"find_ops":43,"attached_sets":0,'
+        '"both_attached_syncs":0}}\n')
 
 
 def test_stats_subcommand(tmp_path, capsys):

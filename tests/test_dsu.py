@@ -4,29 +4,30 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from futurerd.dsu import LABEL_P, LABEL_S, DisjointSets, SetRecord
+from futurerd.dsu import LABEL_P, LABEL_S, BagRecord, DisjointSets
 from futurerd.errors import UsageError
+from futurerd.multibags_plus import NspRecord
 
 
 def test_singleton_identity():
     d = DisjointSets()
-    a = d.make_set(SetRecord(label=LABEL_S))
+    a = d.make_set(BagRecord(label=LABEL_S))
     assert d.find(a) == a
     assert d.record(a).label == LABEL_S
 
 
 def test_make_sets_are_distinct():
     d = DisjointSets()
-    a = d.make_set(SetRecord())
-    b = d.make_set(SetRecord())
+    a = d.make_set(BagRecord())
+    b = d.make_set(BagRecord())
     assert a != b
     assert d.find(a) != d.find(b)
 
 
 def test_union_keeps_target_record_and_destroys_source():
     d = DisjointSets()
-    a = d.make_set(SetRecord(label=LABEL_S))
-    b = d.make_set(SetRecord(label=LABEL_P))
+    a = d.make_set(BagRecord(label=LABEL_S))
+    b = d.make_set(BagRecord(label=LABEL_P))
     survivor = d.union_into(a, b)
     assert survivor == a
     assert d.record(a).label == LABEL_S
@@ -38,9 +39,9 @@ def test_union_keeps_target_record_and_destroys_source():
 
 def test_union_chain_find():
     d = DisjointSets()
-    a = d.make_set(SetRecord())
-    b = d.make_set(SetRecord())
-    c = d.make_set(SetRecord())
+    a = d.make_set(BagRecord())
+    b = d.make_set(BagRecord())
+    c = d.make_set(BagRecord())
     d.union_into(a, b)
     d.union_into(a, c)
     assert d.find(b) == a
@@ -49,7 +50,7 @@ def test_union_chain_find():
 
 def test_n_minus_one_unions_leave_one_live_set():
     d = DisjointSets()
-    sids = [d.make_set(SetRecord()) for _ in range(40)]
+    sids = [d.make_set(BagRecord()) for _ in range(40)]
     for s in sids[1:]:
         d.union_into(sids[0], s)
     assert len(d) == 1
@@ -59,28 +60,33 @@ def test_n_minus_one_unions_leave_one_live_set():
 
 def test_relabel_and_attach_meta_roundtrip():
     d = DisjointSets()
-    a = d.make_set(SetRecord(label=LABEL_S))
+    a = d.make_set(BagRecord(label=LABEL_S))
     d.relabel(a, LABEL_P)
     assert d.record(d.find(a)).label == LABEL_P
     d.relabel(a, LABEL_S)
     assert d.record(a).label == LABEL_S
-    d.record(a).att_succ = 7
-    assert d.record(a).att_succ == 7
+    n = d.make_set(NspRecord())
+    d.record(n).att_succ = 7
+    assert d.record(n).att_succ == 7
 
 
 def test_usage_errors():
     d = DisjointSets()
-    a = d.make_set(SetRecord())
+    a = d.make_set(BagRecord())
     with pytest.raises(UsageError):
         d.find(99)
     with pytest.raises(UsageError):
         d.union_into(a, a)
-    b = d.make_set(SetRecord())
+    b = d.make_set(BagRecord())
     d.union_into(a, b)
     with pytest.raises(UsageError):
         d.union_into(a, b)  # b is dead
     with pytest.raises(UsageError):
         d.relabel(b, LABEL_S)
+    with pytest.raises(UsageError, match="unknown or destroyed set 1"):
+        d.add_element(b)
+    with pytest.raises(UsageError, match="unknown or destroyed set 99"):
+        d.record(99)
 
 
 class _NaiveSets:
@@ -116,12 +122,19 @@ def _run_random_ops(n_ops, seed):
     live = []
     for _ in range(n_ops):
         op = rng.random()
-        if op < 0.45 or len(live) < 2:
-            rec = SetRecord(label=rng.choice([LABEL_S, LABEL_P]))
+        if op < 0.3 or len(live) < 2:
+            rec = BagRecord(label=rng.choice([LABEL_S, LABEL_P]))
             a = real.make_set(rec)
             b = naive.make_set(rec)
             assert a == b
             live.append(a)
+        elif op < 0.45:
+            a = rng.choice(live)
+            makes, unions = real.make_count, real.union_count
+            e = real.add_element(a)
+            assert e == naive.make_set(BagRecord())
+            naive.union_into(a, e)
+            assert (real.make_count, real.union_count) == (makes + 1, unions + 1)
         elif op < 0.8:
             a, b = rng.sample(live, 2)
             real.union_into(a, b)

@@ -6,6 +6,7 @@ from futurerd import engine, oracle
 from futurerd.errors import InputError, UsageError
 from futurerd.generators import gen_lcs_general, gen_lcs_structured, gen_random
 from futurerd.multibags import MultiBags
+from futurerd.shadow import WRITE_WRITE, RaceReport, ShadowTable
 from helpers import cr, gt, rd, rt, seq_of, sp, sy, wr
 
 
@@ -97,7 +98,8 @@ def test_verify_ok_on_clean_traces():
     for seed in (0, 3, 7):
         seq = gen_random(n_events=120, p_spawn=0.15, p_create=0.1, p_get=0.08, seed=seed)
         rep = engine.verify(seq, "plus")
-        assert rep.ok and rep.divergence is None and rep.races_match
+        assert rep.ok and rep.divergence is None
+        assert rep.detector_races == rep.oracle_races
         assert rep.checked > 0
 
 
@@ -119,11 +121,12 @@ def test_verify_samples_large_traces():
     seq = gen_random(n_events=900, p_spawn=0.18, p_create=0.1, p_get=0.08, seed=4)
     assert seq.counts.strands > engine.EXHAUSTIVE_LIMIT
     rep = engine.verify(seq, "plus", seed=1)
-    assert rep.ok
+    assert rep.ok and rep.detector_races == rep.oracle_races
     # sampled: far fewer checks than the exhaustive quadratic count
     assert rep.checked < seq.counts.strands ** 2 / 4
     rep2 = engine.verify(seq, "plus", sample=4, seed=1)
     assert rep2.ok and rep2.checked <= 4 * seq.counts.strands
+    assert rep2.detector_races == rep2.oracle_races
 
 
 def test_verify_race_sets_compared():
@@ -132,6 +135,32 @@ def test_verify_race_sets_compared():
     rep = engine.verify(seq, "plus")
     assert rep.ok
     assert rep.detector_races == rep.oracle_races != set()
+
+
+def test_verify_fails_on_an_unsound_pair_or_a_missed_racy_word(monkeypatch):
+    # Three parallel writes of one word; strand 0 precedes them all.
+    seq = seq_of(sp(1), wr(64), rt(), sp(2), wr(64), rt(), wr(64), sy(), sy())
+
+    class Silent(ShadowTable):
+        def on_write(self, addr, strand, precedes):
+            super().on_write(addr, strand, precedes)
+            return []
+
+    class Inventive(ShadowTable):
+        def on_write(self, addr, strand, precedes):
+            made_up = RaceReport(addr, WRITE_WRITE, 0, strand)
+            return super().on_write(addr, strand, precedes) + [made_up]
+
+    monkeypatch.setattr(engine, "ShadowTable", Silent)
+    rep = engine.verify(seq, "plus")
+    assert rep.divergence is None and not rep.unsound_races
+    assert rep.missed_words == {64} and not rep.ok
+
+    monkeypatch.setattr(engine, "ShadowTable", Inventive)
+    rep = engine.verify(seq, "plus")
+    assert rep.divergence is None and not rep.missed_words
+    assert rep.unsound_races == {(64, "write-write", 0, s) for s in (1, 3, 4)}
+    assert not rep.ok
 
 
 def test_verify_refuses_oversized_traces():

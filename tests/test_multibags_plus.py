@@ -3,11 +3,10 @@ import random
 import pytest
 
 from futurerd import engine, oracle, reachdag
-from futurerd.dsu import SetRecord
 from futurerd.errors import InputError, InvariantError
 from futurerd.generators import gen_lcs_general, gen_random
 from futurerd.multibags import MultiBags
-from futurerd.multibags_plus import MultiBagsPlus
+from futurerd.multibags_plus import MultiBagsPlus, NspRecord
 from helpers import (cr, gt, oracle_answers, rd, replay_collect, rt, seq_of, sp, sp_reaches,
                      sy, wr)
 
@@ -52,7 +51,7 @@ def test_spawned_child_starts_fresh_set_with_inherited_pred():
     engine.replay(seq_of(sp(1), rt(), sy()), mbp, after_strand=after)
     assert info["child_set"] != 0
     assert info["att_pred"] == mbp.d_nsp.find(0)  # the root's attached set
-    assert mbp.d_nsp.record(info["att_pred"]).attached
+    assert mbp.d_nsp.record(info["att_pred"]).r_node is not None
 
 
 def test_attachify_is_idempotent():
@@ -68,11 +67,11 @@ def test_attachify_is_idempotent():
 
 def test_never_unions_two_attached_sets():
     mbp = MultiBagsPlus()
-    a = mbp.d_nsp.make_set(SetRecord(attached=True, r_node=mbp.r.add_node()))
-    b = mbp.d_nsp.make_set(SetRecord(attached=True, r_node=mbp.r.add_node()))
+    a = mbp.d_nsp.make_set(NspRecord(r_node=mbp.r.add_node()))
+    b = mbp.d_nsp.make_set(NspRecord(r_node=mbp.r.add_node()))
     with pytest.raises(InvariantError):
         mbp._nsp_union(a, b)
-    c = mbp.d_nsp.make_set(SetRecord(attached=False))
+    c = mbp.d_nsp.make_set(NspRecord())
     with pytest.raises(InvariantError):
         mbp._nsp_union(c, a)  # attached side must survive
 
@@ -88,7 +87,7 @@ def test_single_create_makes_exactly_three_attached_sets():
     s_cont = mbp.d_nsp.find(2)
     assert len({s_creator, s_future, s_cont}) == 3
     for sid in (s_creator, s_future, s_cont):
-        assert mbp.d_nsp.record(sid).attached
+        assert mbp.d_nsp.record(sid).r_node is not None
     rn = lambda sid: mbp.d_nsp.record(sid).r_node
     assert mbp.r.reach(rn(s_creator), rn(s_future))
     assert mbp.r.reach(rn(s_creator), rn(s_cont))
@@ -169,7 +168,7 @@ def test_sync_one_attached_side_sets_att_succ():
     assert seq.counts.strands == 7
     sid = right_set["sid"]
     rec = mbp.d_nsp.record(sid)
-    assert not rec.attached
+    assert rec.r_node is None
     assert rec.att_succ is not None
     join_set = mbp.d_nsp.find(6)
     assert rec.att_succ == join_set
@@ -334,7 +333,7 @@ def test_unattached_sets_have_no_incident_cross_edges():
             groups = {}
             for u in range(s + 1):
                 sid = mbp.d_nsp.find(u)
-                if not mbp.d_nsp.record(sid).attached:
+                if mbp.d_nsp.record(sid).r_node is None:
                     groups.setdefault(sid, set()).add(u)
             if not groups:
                 return
@@ -381,7 +380,7 @@ def test_att_pred_members_precede_set_members():
                 membership.setdefault(mbp.d_nsp.find(u), set()).add(u)
             for sid, members in membership.items():
                 rec = mbp.d_nsp.record(sid)
-                if rec.attached:
+                if rec.r_node is not None:
                     continue
                 pred_members = membership.get(rec.att_pred, set())
                 for a in pred_members:
@@ -405,7 +404,7 @@ def test_att_succ_contains_a_common_successor():
         checked = 0
         for sid, members in membership.items():
             rec = mbp.d_nsp.record(sid)
-            if rec.attached or rec.att_succ is None:
+            if rec.r_node is not None or rec.att_succ is None:
                 continue
             succ_members = membership.get(rec.att_succ, set())
             assert any(

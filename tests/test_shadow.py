@@ -1,3 +1,5 @@
+import tracemalloc
+
 from futurerd import oracle
 from futurerd.shadow import ShadowTable
 from helpers import cr, gt, rt, seq_of, sp, sy, wr
@@ -79,12 +81,29 @@ def test_bytes_of_one_word_share_a_cell():
     assert t._cell(4100) is not t._cell(4096)
 
 
-def test_far_apart_addresses_use_separate_leaves():
+def test_far_apart_addresses_get_separate_cells():
     t = ShadowTable()
     t.on_write(1 << 12, 1, NEVER)
     t.on_write(1 << 40, 2, NEVER)
-    assert len(t._top) == 2
+    assert t._cell(1 << 12) is not t._cell(1 << 40)
+    assert t._cell(1 << 12).last_writer == 1
+    assert t._cell(1 << 40).last_writer == 2
     assert t.cells_touched == 2
+
+
+def test_sparse_writes_cost_memory_per_word_not_per_region():
+    # One write in each of 40 separate 4 MiB regions: a table that allocates
+    # per region rather than per word peaks in the hundreds of megabytes.
+    tracemalloc.start()
+    try:
+        t = ShadowTable()
+        for i in range(40):
+            t.on_write(i << 22, i, NEVER)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert t.cells_touched == 40
+    assert peak < 1 << 20
 
 
 def test_reader_list_after_write_stays_small():
