@@ -158,25 +158,24 @@ def replay(seq: EventSequence, reach, on_access=None, after_strand=None) -> int:
     """Drive ``reach`` (and optionally access/strand hooks) over a trace.
 
     Returns the number of strands replayed. ``after_strand(s)`` runs once per
-    strand, right after it begins; ``on_access(event, strand)`` runs per
+    strand, right after it begins; ``on_access(kind, addr, strand)`` runs per
     read/write.
     """
     cur = 0
     reach.on_strand_begin(0)
     if after_strand is not None:
         after_strand(0)
-    for ev in seq.events:
-        k = ev.kind
+    for k, fn, h, a in seq.events:
         if k == READ or k == WRITE:
             if on_access is not None:
-                on_access(ev, cur)
+                on_access(k, a, cur)
             continue
         if k == SPAWN or k == CREATE:
-            reach.on_child_begin(k, ev.fn, ev.handle)
+            reach.on_child_begin(k, fn, h)
         elif k == SYNC:
             reach.on_sync()
         elif k == GET:
-            reach.on_get(ev.handle)
+            reach.on_get(h)
         else:
             reach.on_return()
         cur += 1
@@ -215,12 +214,12 @@ def detect(seq: EventSequence, algo: str, mode: str) -> DetectReport:
         queries += 1
         return reach.precedes(u)
 
-    def on_access(ev, strand):
-        if ev.kind == READ:
-            rep = shadow.on_read(ev.addr, strand, precedes)
+    def on_access(kind, addr, strand):
+        if kind == READ:
+            rep = shadow.on_read(addr, strand, precedes)
             reps = (rep,) if rep is not None else ()
         else:
-            reps = shadow.on_write(ev.addr, strand, precedes)
+            reps = shadow.on_write(addr, strand, precedes)
         for rep in reps:
             if rep.key() not in seen:
                 seen.add(rep.key())
@@ -288,13 +287,13 @@ def verify(seq: EventSequence, algo: str, sample: int | None = None, seed: int =
     report = VerifyReport(algo=algo, strands=strands)
     detector_races: set = set()
 
-    def on_access(ev, strand):
-        if ev.kind == READ:
-            rep = shadow.on_read(ev.addr, strand, reach.precedes)
+    def on_access(kind, addr, strand):
+        if kind == READ:
+            rep = shadow.on_read(addr, strand, reach.precedes)
             if rep is not None:
                 detector_races.add(rep.key())
         else:
-            for rep in shadow.on_write(ev.addr, strand, reach.precedes):
+            for rep in shadow.on_write(addr, strand, reach.precedes):
                 detector_races.add(rep.key())
 
     def after_strand(s):

@@ -98,7 +98,8 @@ def build(seq: EventSequence) -> OracleDag:
     for ev in seq.events:
         k = ev.kind
         if k == READ or k == WRITE:
-            dag.accesses[cur].append((ev.addr, "r" if k == READ else "w"))
+            # keyed by word, like the shadow memory and its race reports
+            dag.accesses[cur].append((ev.addr & ~3, "r" if k == READ else "w"))
         elif k == SPAWN or k == CREATE:
             dag.node_kinds[cur].add("spawn" if k == SPAWN else "creator")
             frames[-1][2] = cur
@@ -143,8 +144,9 @@ def build(seq: EventSequence) -> OracleDag:
 def naive_races(dag: OracleDag) -> set[tuple[int, str, int, int]]:
     """All conflicting logically parallel access pairs.
 
-    Returned as ``(addr, kind, prior, current)`` with ``prior`` the strand
-    that executed first; deduplicated per (addr, kind, pair).
+    Returned as ``(addr, kind, prior, current)`` with ``addr`` the byte
+    address of the 4-byte word and ``prior`` the strand that executed first;
+    deduplicated per (addr, kind, pair).
     """
     by_addr: dict[int, list[tuple[int, bool]]] = {}
     for s in range(dag.n):

@@ -25,7 +25,9 @@ from __future__ import annotations
 
 import io
 import json
+import re
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .errors import ParseError, UsageError
 
@@ -43,7 +45,6 @@ ACCESS_KINDS = (READ, WRITE)
 MODE_STRUCTURED = "structured"
 MODE_GENERAL = "general"
 
-_WIRE_OF_KIND = {READ: "r", WRITE: "w"}
 _KIND_OF_WIRE = {
     "spawn": SPAWN,
     "create": CREATE,
@@ -55,8 +56,9 @@ _KIND_OF_WIRE = {
 }
 
 
-@dataclass(slots=True)
-class Event:
+class Event(NamedTuple):
+    """One trace event; immutable, so identical lines can share one object."""
+
     kind: str
     fn: int | None = None
     handle: int | None = None
@@ -124,6 +126,39 @@ class EventSequence:
 
 # -- parse / serialize ------------------------------------------------------
 
+# The exact bytes ``serialize`` writes for one event, with an optional line
+# end. Each alternative has its own groups: r|w and address, spawn fn,
+# create fn and handle, get handle, sync|ret.
+_UINT = r"(0|[1-9][0-9]*)"
+_CANONICAL = re.compile(
+    r'\{"t":"(?:'
+    rf'([rw])","a":{_UINT}'
+    rf'|spawn","f":{_UINT}'
+    rf'|create","f":{_UINT},"h":{_UINT}'
+    rf'|get","h":{_UINT}'
+    r'|(sync|ret)"'
+    r')\}\n?'
+).fullmatch
+
+# Canonical lines already parsed, so that repeated lines share one Event.
+# Cleared when full, which bounds its memory on traces of distinct lines.
+_CACHE_LINES = 4096
+
+_new_tuple = tuple.__new__  # Event(...) without the Python-level __new__
+
+
+def _canonical_event(m: re.Match) -> Event:
+    rw, a, sf, cf, ch, gh, sr = m.groups()
+    if a is not None:
+        return _new_tuple(Event, (READ if rw == "r" else WRITE, None, None, int(a)))
+    if sf is not None:
+        return _new_tuple(Event, (SPAWN, int(sf), None, None))
+    if ch is not None:
+        return _new_tuple(Event, (CREATE, int(cf), int(ch), None))
+    if gh is not None:
+        return _new_tuple(Event, (GET, None, int(gh), None))
+    return _new_tuple(Event, (SYNC if sr == "sync" else RET, None, None, None))
+
 
 def _field(obj: dict, name: str, lineno: int) -> int:
     v = obj.get(name)
@@ -132,56 +167,75 @@ def _field(obj: dict, name: str, lineno: int) -> int:
     return v
 
 
+def _json_event(line: str, lineno: int) -> Event:
+    """Parse one stripped, non-blank line that is not in canonical form."""
+    try:
+        obj = json.loads(line)
+    except json.JSONDecodeError as exc:
+        raise ParseError(lineno, f"invalid JSON ({exc.msg})") from exc
+    if not isinstance(obj, dict):
+        raise ParseError(lineno, "event must be a JSON object")
+    kind = _KIND_OF_WIRE.get(obj.get("t"))
+    if kind is None:
+        raise ParseError(lineno, f"unknown event kind {obj.get('t')!r}")
+    if kind == SPAWN:
+        return Event(SPAWN, fn=_field(obj, "f", lineno))
+    if kind == CREATE:
+        return Event(CREATE, fn=_field(obj, "f", lineno), handle=_field(obj, "h", lineno))
+    if kind == GET:
+        return Event(GET, handle=_field(obj, "h", lineno))
+    if kind in ACCESS_KINDS:
+        return Event(kind, addr=_field(obj, "a", lineno))
+    return Event(kind)
+
+
 def parse(source) -> EventSequence:
     """Parse a JSON-Lines trace from a string or a text stream.
 
-    Blank lines are ignored. Any malformed line raises :class:`ParseError`
-    with its line number.
+    Lines in the canonical form that ``serialize`` writes take a regex fast
+    path; any other line goes through ``json.loads``. Blank lines are
+    ignored. Any malformed line raises :class:`ParseError` with its line
+    number.
     """
     if isinstance(source, str):
         source = io.StringIO(source)
     events: list[Event] = []
+    append = events.append
+    cache: dict[str, Event] = {}
     for lineno, raw in enumerate(source, start=1):
-        line = raw.strip()
-        if not line:
-            continue
-        try:
-            obj = json.loads(line)
-        except json.JSONDecodeError as exc:
-            raise ParseError(lineno, f"invalid JSON ({exc.msg})") from exc
-        if not isinstance(obj, dict):
-            raise ParseError(lineno, "event must be a JSON object")
-        kind = _KIND_OF_WIRE.get(obj.get("t"))
-        if kind is None:
-            raise ParseError(lineno, f"unknown event kind {obj.get('t')!r}")
-        if kind == SPAWN:
-            events.append(Event(SPAWN, fn=_field(obj, "f", lineno)))
-        elif kind == CREATE:
-            events.append(Event(CREATE, fn=_field(obj, "f", lineno), handle=_field(obj, "h", lineno)))
-        elif kind == GET:
-            events.append(Event(GET, handle=_field(obj, "h", lineno)))
-        elif kind in ACCESS_KINDS:
-            events.append(Event(kind, addr=_field(obj, "a", lineno)))
-        else:
-            events.append(Event(kind))
+        ev = cache.get(raw)
+        if ev is None:
+            m = _CANONICAL(raw)
+            if m is not None:
+                if len(cache) >= _CACHE_LINES:
+                    cache.clear()
+                ev = cache[raw] = _canonical_event(m)
+            else:
+                line = raw.strip()
+                if not line:
+                    continue
+                ev = _json_event(line, lineno)
+        append(ev)
     return EventSequence(events)
 
 
 def serialize(seq: EventSequence) -> str:
     """Render a trace back to its JSON-Lines form (one canonical line per event)."""
-    out = []
-    for ev in seq.events:
-        if ev.kind == SPAWN:
-            obj = {"t": "spawn", "f": ev.fn}
-        elif ev.kind == CREATE:
-            obj = {"t": "create", "f": ev.fn, "h": ev.handle}
-        elif ev.kind == GET:
-            obj = {"t": "get", "h": ev.handle}
-        elif ev.kind in ACCESS_KINDS:
-            obj = {"t": _WIRE_OF_KIND[ev.kind], "a": ev.addr}
+    out: list[str] = []
+    append = out.append
+    for k, fn, h, a in seq.events:
+        if k == READ:
+            append(f'{{"t":"r","a":{a}}}')
+        elif k == WRITE:
+            append(f'{{"t":"w","a":{a}}}')
+        elif k == SPAWN:
+            append(f'{{"t":"spawn","f":{fn}}}')
+        elif k == CREATE:
+            append(f'{{"t":"create","f":{fn},"h":{h}}}')
+        elif k == GET:
+            append(f'{{"t":"get","h":{h}}}')
         else:
-            obj = {"t": ev.kind}
-        out.append(json.dumps(obj, separators=(",", ":")))
+            append(f'{{"t":"{k}"}}')
     return "\n".join(out) + ("\n" if out else "")
 
 

@@ -114,6 +114,20 @@ def test_verify_holds_the_race_contract_on_repeated_writes(tmp_path, capsys, mon
             in capsys.readouterr().err)
 
 
+def test_verify_compares_unaligned_accesses_by_word(tmp_path, capsys):
+    # Bytes 64 and 65 lie in one 4-byte word: the shadow reports the word at
+    # 64, and the brute-force dag must key its races the same way.
+    out = tmp_path / "u.jsonl"
+    trace.dump(seq_of(sp(1), wr(64), rt(), wr(65), sy()), str(out))
+    for algo in ("plus", "multibags"):
+        assert run(["verify", "--algo", algo, "--trace", str(out)]) == cli.EXIT_OK
+        assert "1 of 1 racing pair(s) reported" in capsys.readouterr().out
+    assert run(["detect", "--algo", "plus", "--mode", "general",
+                "--trace", str(out), "--json"]) == cli.EXIT_RACES
+    races = json.loads(capsys.readouterr().out)["races"]
+    assert races == [{"addr": 64, "kind": "write-write", "prior": 1, "current": 2}]
+
+
 def test_readme_json_example(tmp_path, capsys):
     out = tmp_path / "race.jsonl"
     run(["gen", "lcs-structured", "--n", "4", "--inject-race", "-o", str(out)])

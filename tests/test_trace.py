@@ -1,9 +1,16 @@
-import pytest
+import json
 
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from futurerd import trace
 from futurerd.errors import ParseError, UsageError
 from futurerd.trace import (
     MODE_GENERAL,
     MODE_STRUCTURED,
+    READ,
+    WRITE,
     EventSequence,
     parse,
     serialize,
@@ -54,6 +61,96 @@ def test_malformed_lines(line):
     with pytest.raises(ParseError) as exc:
         parse(line + "\n")
     assert exc.value.lineno == 1
+
+
+_UINTS = st.integers(min_value=0, max_value=2**64)
+_EVENTS = st.one_of(
+    st.builds(sp, _UINTS),
+    st.builds(cr, _UINTS, _UINTS),
+    st.just(sy()),
+    st.builds(gt, _UINTS),
+    st.just(rt()),
+    st.builds(rd, _UINTS),
+    st.builds(wr, _UINTS),
+)
+
+
+def _dumps(ev):
+    """The line ``json.dumps`` renders for ``ev`` in canonical key order."""
+    obj = {"t": {READ: "r", WRITE: "w"}.get(ev.kind, ev.kind)}
+    obj.update((key, v) for key, v in zip("fha", ev[1:]) if v is not None)
+    return json.dumps(obj, separators=(",", ":"))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_EVENTS, max_size=40))
+def test_serialize_then_parse_is_the_identity(events):
+    seq = EventSequence(events)
+    text = serialize(seq)
+    assert text == "".join(_dumps(ev) + "\n" for ev in events)
+    assert all(trace._CANONICAL(line) for line in text.splitlines(keepends=True))
+    assert parse(text).events == events
+
+
+# Valid lines that are not in canonical form: they take the json.loads path
+# and must parse to the event that path gives.
+@pytest.mark.parametrize("line, event", [
+    ('{"t": "r", "a": 8}', rd(8)),
+    ('  {"t":"w","a":8}  ', wr(8)),
+    ('{"a":8,"t":"r"}', rd(8)),
+    ('{"h":2,"f":1,"t":"create"}', cr(1, 2)),
+    ('{"t":"sync"}\r', sy()),
+    ('{"t":"\\u0072","a":12}', rd(12)),
+    ('{"t":"r","a":4,"a":8}', rd(8)),
+    ('{"t":"get","h":-0}', gt(0)),
+    ('{"t":"ret","a":3}', rt()),
+])
+def test_non_canonical_lines_parse_like_json(line, event):
+    assert trace._CANONICAL(line + "\n") is None
+    assert trace._json_event(line.strip(), 1) == event
+    assert parse('{"t":"sync"}\n' + line + "\n").events == [sy(), event]
+
+
+def test_crlf_lines_parse():
+    text = '{"t":"spawn","f":1}\r\n{"t":"r","a":4}\r\n{"t":"ret"}\r\n{"t":"sync"}\r\n'
+    assert parse(text).events == [sp(1), rd(4), rt(), sy()]
+
+
+# Invalid lines, each with the message it has always raised (line 2 here).
+@pytest.mark.parametrize("line, message", [
+    ('{"t":"r","a":01}', "invalid JSON (Expecting ',' delimiter)"),
+    ('{"t":"spawn","f":01}', "invalid JSON (Expecting ',' delimiter)"),
+    ('{"t":"r","a":-1}', "field 'a' must be a non-negative integer"),
+    ('{"t":"r","a":1.0}', "field 'a' must be a non-negative integer"),
+    ('{"t":"r","a":1e3}', "field 'a' must be a non-negative integer"),
+    ('{"t":"w","a":true}', "field 'a' must be a non-negative integer"),
+    ('{"t":"r"}', "field 'a' must be a non-negative integer"),
+    ('{"t":"create","f":1}', "field 'h' must be a non-negative integer"),
+    ('{"t":"get"}', "field 'h' must be a non-negative integer"),
+    ('{"t":"sync"}x', "invalid JSON (Extra data)"),
+    ('{"t":"r","a":4}}', "invalid JSON (Extra data)"),
+    ('{"t":"ret"} {"t":"ret"}', "invalid JSON (Extra data)"),
+])
+def test_invalid_lines_raise_the_json_path_error(line, message):
+    with pytest.raises(ParseError) as exc:
+        parse('{"t":"sync"}\n' + line + "\n")
+    assert exc.value.lineno == 2
+    assert str(exc.value) == f"line 2: {message}"
+
+
+def test_events_are_immutable_and_repeated_lines_share_one():
+    seq = parse('{"t":"r","a":4}\n{"t":"r","a":4}\n')
+    first, second = seq.events
+    assert first is second
+    with pytest.raises(AttributeError):
+        first.addr = 8
+    assert first == rd(4)
+
+
+def test_more_distinct_lines_than_the_cache_holds():
+    n = 2 * trace._CACHE_LINES + 5
+    events = [wr(4 * i) for i in range(n)] + [rd(0)] * 3
+    assert parse(serialize(EventSequence(events))).events == events
 
 
 def test_counts():
