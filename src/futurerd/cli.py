@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: detect, verify, gen, stats. Exit codes: 0 = no race found,
-1 = race(s) found, 2 = invalid input, or a trace that needs more attached
-sets than the closure limit (``reachdag.MAX_NODES``, 2^17), 3 = verification
-divergence, a broken race contract, or an internal invariant failure.
+1 = race(s) found, 2 = invalid input (including a trace that cannot be read
+or is not UTF-8), or a trace that needs more attached sets than the closure
+limit (``reachdag.MAX_NODES``, 2^17), 3 = verification divergence, a broken
+race contract, or an internal invariant failure.
 """
 
 from __future__ import annotations
@@ -11,6 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+import time
 
 from . import engine, generators, oracle, trace
 from .errors import InputError, InvariantError, UsageError
@@ -56,8 +58,20 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
+def _load(path: str) -> trace.EventSequence:
+    """``trace.load``; a file that cannot be opened or decoded is bad input."""
+    try:
+        return trace.load(path)
+    except UnicodeDecodeError as exc:
+        raise InputError(f"trace is not UTF-8 text: {exc}") from exc
+    except OSError as exc:
+        raise InputError(str(exc)) from exc
+
+
 def _cmd_detect(args) -> int:
-    seq = trace.load(args.trace)
+    start = time.perf_counter()
+    seq = _load(args.trace)
+    load_s = time.perf_counter() - start
     report = engine.detect(seq, args.algo, args.mode)
     if args.dump_dag:
         with open(args.dump_dag, "w", encoding="utf-8") as fh:
@@ -70,14 +84,18 @@ def _cmd_detect(args) -> int:
                 print(f"race {r.kind} at 0x{r.addr:x}: strand {r.prior} vs strand {r.current}")
         print(f"{len(report.races)} race(s) found")
         if args.stats:
-            for key, val in report.stats.to_json_dict().items():
+            st = report.stats
+            for key, val in st.to_json_dict().items():
                 print(f"  {key}: {val}")
-            print(f"  elapsed: {report.stats.elapsed:.6f}s")
+            print(f"  load: {load_s:.6f}s")
+            print(f"  validate: {st.validate_s:.6f}s")
+            print(f"  replay: {st.elapsed:.6f}s")
+            print(f"  elapsed: {load_s + st.validate_s + st.elapsed:.6f}s")
     return EXIT_RACES if report.races else EXIT_OK
 
 
 def _cmd_verify(args) -> int:
-    seq = trace.load(args.trace)
+    seq = _load(args.trace)
     report = engine.verify(seq, args.algo, sample=args.sample, seed=args.seed)
     if report.divergence is not None:
         print(f"DIVERGENCE {report.divergence.describe()}", file=sys.stderr)
@@ -112,7 +130,7 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    seq = trace.load(args.trace)
+    seq = _load(args.trace)
     print(json.dumps(engine.stats_only(seq), indent=2))
     return EXIT_OK
 

@@ -9,7 +9,8 @@ Sets and elements share one id space: ``make_set`` allocates a fresh element
 and the returned set id *is* that element's id. ``add_element(sid)`` allocates
 a fresh element straight into a live set; it is the paper's MakeSet followed
 by Union, without the throwaway record, and counts as one of each. ``find(e)``
-maps any element to the id of the live set containing it.
+maps any element to the id of the live set containing it, and
+``find_record(e)`` to that set's record.
 """
 
 from __future__ import annotations
@@ -72,6 +73,19 @@ class DisjointSets:
         while parent[elem] != root:  # path compression
             parent[elem], elem = root, parent[elem]
         return self._sid_at[root]
+
+    def find_record(self, elem: int):
+        """``record(find(elem))`` in one call; counts as one find."""
+        if not 0 <= elem < len(self._parent):
+            raise UsageError(f"unknown element {elem}")
+        self.find_count += 1
+        parent = self._parent
+        root = elem
+        while parent[root] != root:
+            root = parent[root]
+        while parent[elem] != root:  # path compression
+            parent[elem], elem = root, parent[elem]
+        return self._records[self._sid_at[root]]  # a root's set is always live
 
     # -- updates ----------------------------------------------------------
 

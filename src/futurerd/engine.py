@@ -59,10 +59,11 @@ class Stats:
     find_ops: int = 0
     attached_sets: int = 0
     both_attached_syncs: int = 0
-    elapsed: float = 0.0
+    elapsed: float = 0.0  # seconds in replay
+    validate_s: float = 0.0
 
     def to_json_dict(self) -> dict:
-        # elapsed is a timestamp-like quantity; reports must be reproducible.
+        # Timings vary from run to run; reports must be reproducible.
         return {
             "t1_events": self.t1_events,
             "m": self.m,
@@ -96,7 +97,19 @@ class DetectReport:
         }
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), separators=(",", ":"))
+        """``to_json_dict()`` as compact JSON, byte for byte.
+
+        The race list can hold tens of thousands of entries, so it is
+        rendered with f-strings rather than one dict per race. Race kinds
+        are the shadow's ASCII constants, which JSON writes unescaped.
+        """
+        races = ",".join([
+            f'{{"addr":{r.addr},"kind":"{r.kind}","prior":{r.prior},"current":{r.current}}}'
+            for r in self.races
+        ])
+        stats = json.dumps(self.stats.to_json_dict(), separators=(",", ":"))
+        return (f'{{"algo":{json.dumps(self.algo)},"mode":{json.dumps(self.mode)},'
+                f'"races":[{races}],"stats":{stats}}}')
 
 
 @dataclass
@@ -154,21 +167,37 @@ def make_reachability(algo: str):
     raise UsageError(f"unknown algorithm {algo!r}")
 
 
-def replay(seq: EventSequence, reach, on_access=None, after_strand=None) -> int:
-    """Drive ``reach`` (and optionally access/strand hooks) over a trace.
+def replay(seq: EventSequence, reach, shadow=None, races=None, after_strand=None) -> int:
+    """Drive ``reach`` over a trace, with an optional shadow and strand hook.
 
-    Returns the number of strands replayed. ``after_strand(s)`` runs once per
-    strand, right after it begins; ``on_access(kind, addr, strand)`` runs per
-    read/write.
+    Returns the number of strands replayed. With a ``shadow``, every read and
+    write goes straight to its ``on_read``/``on_write`` with
+    ``reach.precedes``, and each race report is stored in the ``races`` dict
+    under its ``key()``, first occurrence only, in the order found.
+    ``after_strand(s)`` runs once per strand, right after it begins.
     """
+    on_read = on_write = precedes = None
+    if shadow is not None:
+        on_read, on_write, precedes = shadow.on_read, shadow.on_write, reach.precedes
     cur = 0
     reach.on_strand_begin(0)
     if after_strand is not None:
         after_strand(0)
     for k, fn, h, a in seq.events:
-        if k == READ or k == WRITE:
-            if on_access is not None:
-                on_access(k, a, cur)
+        if k == READ:
+            if on_read is not None:
+                rep = on_read(a, cur, precedes)
+                if rep is not None:
+                    key = rep.key()
+                    if key not in races:
+                        races[key] = rep
+            continue
+        if k == WRITE:
+            if on_write is not None:
+                for rep in on_write(a, cur, precedes):
+                    key = rep.key()
+                    if key not in races:
+                        races[key] = rep
             continue
         if k == SPAWN or k == CREATE:
             reach.on_child_begin(k, fn, h)
@@ -198,35 +227,18 @@ def detect(seq: EventSequence, algo: str, mode: str) -> DetectReport:
         raise UsageError(f"unknown mode {mode!r}")
     if algo == ALGO_MULTIBAGS and mode != MODE_STRUCTURED:
         raise InputError("the multibags algorithm requires structured mode")
+    start = time.perf_counter()
     report = validate(seq, mode)
+    validate_s = time.perf_counter() - start
     if not report.ok:
         lines = "; ".join(v.message for v in report.violations[:5])
         raise InputError(f"invalid trace ({len(report.violations)} violation(s)): {lines}")
 
     reach = make_reachability(algo)
     shadow = ShadowTable()
-    races: list[RaceReport] = []
-    seen: set = set()
-    queries = 0
-
-    def precedes(u: int) -> bool:
-        nonlocal queries
-        queries += 1
-        return reach.precedes(u)
-
-    def on_access(kind, addr, strand):
-        if kind == READ:
-            rep = shadow.on_read(addr, strand, precedes)
-            reps = (rep,) if rep is not None else ()
-        else:
-            reps = shadow.on_write(addr, strand, precedes)
-        for rep in reps:
-            if rep.key() not in seen:
-                seen.add(rep.key())
-                races.append(rep)
-
+    races: dict = {}
     start = time.perf_counter()
-    strands = replay(seq, reach, on_access=on_access)
+    strands = replay(seq, reach, shadow, races)
     elapsed = time.perf_counter() - start
 
     c = seq.counts
@@ -236,12 +248,13 @@ def detect(seq: EventSequence, algo: str, mode: str) -> DetectReport:
         n=c.fork_points,
         k=c.future_ops,
         strands=strands,
-        queries=queries,
+        queries=shadow.queries,
         union_ops=reach.union_ops,
         find_ops=reach.find_ops,
         attached_sets=reach.attached_sets,
         both_attached_syncs=reach.both_attached_syncs,
         elapsed=elapsed,
+        validate_s=validate_s,
     )
     if stats.m + c.spawns + c.creates + c.syncs + c.gets + c.rets != stats.t1_events:
         raise InvariantError("event accounting does not add up")
@@ -254,7 +267,7 @@ def detect(seq: EventSequence, algo: str, mode: str) -> DetectReport:
     log.info(
         "detect algo=%s mode=%s strands=%d races=%d", algo, mode, strands, len(races)
     )
-    return DetectReport(algo=algo, mode=mode, races=races, stats=stats)
+    return DetectReport(algo=algo, mode=mode, races=list(races.values()), stats=stats)
 
 
 class _Stop(Exception):
@@ -285,16 +298,7 @@ def verify(seq: EventSequence, algo: str, sample: int | None = None, seed: int =
     rng = random.Random(seed)
     exhaustive = sample is None and strands <= EXHAUSTIVE_LIMIT
     report = VerifyReport(algo=algo, strands=strands)
-    detector_races: set = set()
-
-    def on_access(kind, addr, strand):
-        if kind == READ:
-            rep = shadow.on_read(addr, strand, reach.precedes)
-            if rep is not None:
-                detector_races.add(rep.key())
-        else:
-            for rep in shadow.on_write(addr, strand, reach.precedes):
-                detector_races.add(rep.key())
+    races: dict = {}
 
     def after_strand(s):
         if s == 0:
@@ -313,11 +317,11 @@ def verify(seq: EventSequence, algo: str, sample: int | None = None, seed: int =
                 raise _Stop()
 
     try:
-        replay(seq, reach, on_access=on_access, after_strand=after_strand)
+        replay(seq, reach, shadow, races, after_strand)
     except _Stop:
         log.info("verify diverged: %s", report.divergence.describe())
         return report
-    report.detector_races = detector_races
+    report.detector_races = set(races)
     report.oracle_races = oracle_mod.naive_races(dag)
     return report
 

@@ -25,7 +25,7 @@ from .errors import InputError, InvariantError, UsageError
 from .trace import CREATE, SPAWN
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
     kind: str  # root|spawn|create
     handle: int | None = None
@@ -33,7 +33,7 @@ class _Frame:
     children: list[int] = field(default_factory=list)  # LIFO bags of unsynced spawns
 
 
-@dataclass
+@dataclass(slots=True)
 class _Handle:
     creator: int
     bag: int | None = None
@@ -96,7 +96,7 @@ class MultiBags:
             raise InputError(f"single-touch violated: handle {handle} gotten twice")
         if rec.bag is None:
             raise InputError(f"get of handle {handle} before its future returned")
-        if self.forest.record(self.forest.find(rec.creator)).label != LABEL_S:
+        if self.forest.find_record(rec.creator).label != LABEL_S:
             raise InputError(
                 f"unstructured future use: creator of handle {handle} "
                 "does not precede its get"
@@ -112,7 +112,7 @@ class MultiBags:
         """Did strand ``u`` happen before the current strand?"""
         if not 0 <= u <= self._cur:
             raise UsageError(f"strand {u} has not executed")
-        return self.forest.record(self.forest.find(u)).label == LABEL_S
+        return self.forest.find_record(u).label == LABEL_S
 
     # -- accounting ---------------------------------------------------------
 

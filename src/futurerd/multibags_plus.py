@@ -67,7 +67,7 @@ class NspRecord:
     att_succ: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _SpawnRec:
     fork_elem: int
     r_floor: int  # len(r) at the spawn: the lowest id a node of the window can get
@@ -77,7 +77,7 @@ class _SpawnRec:
     child_dsp_bag: int | None = None
 
 
-@dataclass
+@dataclass(slots=True)
 class _Frame:
     kind: str  # root|spawn|create
     handle: int | None = None
@@ -87,7 +87,7 @@ class _Frame:
     spawn_rec: _SpawnRec | None = None  # parent-side record, for spawned frames
 
 
-@dataclass
+@dataclass(slots=True)
 class _Handle:
     creator_elem: int
     sink_elem: int | None = None
@@ -297,7 +297,7 @@ class MultiBagsPlus:
         """Did strand ``u`` happen before the current strand?"""
         if not 0 <= u <= self._cur:
             raise UsageError(f"strand {u} has not executed")
-        if self.d_sp.record(self.d_sp.find(u)).label == LABEL_S:
+        if self.d_sp.find_record(u).label == LABEL_S:
             return True
         uu = self.d_nsp.find(u)
         a1 = self.d_nsp.record(uu).att_succ

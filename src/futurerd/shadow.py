@@ -5,7 +5,7 @@ since that write. Cells live in one dict keyed by word (``addr >> 2``) and
 are created on first touch, so memory is proportional to the distinct words
 accessed, however sparse their addresses. Race checks go through a
 caller-supplied ``precedes`` callback so the table stays independent of the
-reachability algorithm in use.
+reachability algorithm in use; ``queries`` counts the calls it makes.
 """
 
 from __future__ import annotations
@@ -39,25 +39,24 @@ class _Cell:
 class ShadowTable:
     def __init__(self) -> None:
         self._cells: dict[int, _Cell] = {}
+        self.queries = 0  # precedes calls made so far
 
     @property
     def cells_touched(self) -> int:
         """Number of distinct words accessed so far."""
         return len(self._cells)
 
-    def _cell(self, addr: int) -> _Cell:
+    def on_read(self, addr: int, strand: int, precedes) -> RaceReport | None:
+        """Record a read; report a race against an unordered last writer."""
         cell = self._cells.get(addr >> 2)
         if cell is None:
             cell = self._cells[addr >> 2] = _Cell()
-        return cell
-
-    def on_read(self, addr: int, strand: int, precedes) -> RaceReport | None:
-        """Record a read; report a race against an unordered last writer."""
-        cell = self._cell(addr)
         report = None
         w = cell.last_writer
-        if w is not None and w != strand and not precedes(w):
-            report = RaceReport(addr & ~3, WRITE_READ, w, strand)
+        if w is not None and w != strand:
+            self.queries += 1
+            if not precedes(w):
+                report = RaceReport(addr & ~3, WRITE_READ, w, strand)
         readers = cell.readers
         if not readers or readers[-1] != strand:
             readers.append(strand)
@@ -69,15 +68,22 @@ class ShadowTable:
         The reader list is emptied and the last writer replaced whether or
         not races were found.
         """
-        cell = self._cell(addr)
-        word = addr & ~3
+        cell = self._cells.get(addr >> 2)
+        if cell is None:
+            cell = self._cells[addr >> 2] = _Cell()
         reports = []
+        queries = 0
         for r in cell.readers:
-            if r != strand and not precedes(r):
-                reports.append(RaceReport(word, READ_WRITE, r, strand))
+            if r != strand:
+                queries += 1
+                if not precedes(r):
+                    reports.append(RaceReport(addr & ~3, READ_WRITE, r, strand))
         w = cell.last_writer
-        if w is not None and w != strand and not precedes(w):
-            reports.append(RaceReport(word, WRITE_WRITE, w, strand))
+        if w is not None and w != strand:
+            queries += 1
+            if not precedes(w):
+                reports.append(RaceReport(addr & ~3, WRITE_WRITE, w, strand))
+        self.queries += queries
         cell.readers = []
         cell.last_writer = strand
         return reports

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import random
+
 from futurerd import oracle
 from futurerd.trace import CREATE, GET, READ, RET, SPAWN, SYNC, WRITE, Event, EventSequence
 
@@ -36,6 +38,19 @@ def wr(a):
 
 def seq_of(*events) -> EventSequence:
     return EventSequence(list(events))
+
+
+def fold_words(seq, pool, seed):
+    """Map each distinct address of ``seq`` onto one of ``pool`` aligned words.
+
+    The map is seeded, so each word is written many times, often by
+    parallel strands.
+    """
+    rng = random.Random(seed)
+    word_of = {a: 4 * rng.randrange(pool)
+               for a in sorted({ev.addr for ev in seq.events if ev.addr is not None})}
+    return EventSequence([ev if ev.addr is None else ev._replace(addr=word_of[ev.addr])
+                          for ev in seq.events])
 
 
 def replay_collect(seq, reach):

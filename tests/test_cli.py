@@ -57,6 +57,44 @@ def test_invalid_input_exit_codes(tmp_path, capsys):
                 "--trace", str(tmp_path / "missing.jsonl")]) == cli.EXIT_BAD_INPUT
 
 
+def test_detect_stats_prints_the_phase_timings(tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    run(["gen", "lcs-structured", "--n", "3", "--inject-race", "-o", str(out)])
+    assert run(["detect", "--algo", "multibags", "--mode", "structured",
+                "--trace", str(out), "--stats"]) == cli.EXIT_RACES
+    lines = capsys.readouterr().out.splitlines()
+    secs = {}
+    for line in lines:
+        key, _, val = line.strip().partition(": ")
+        if val.endswith("s") and key in ("load", "validate", "replay", "elapsed"):
+            secs[key] = float(val[:-1])
+    assert set(secs) == {"load", "validate", "replay", "elapsed"}
+    assert min(secs.values()) >= 0
+    assert secs["elapsed"] >= max(secs["load"], secs["validate"], secs["replay"])
+    # The JSON report carries no timings and stays reproducible.
+    assert run(["detect", "--algo", "multibags", "--mode", "structured",
+                "--trace", str(out), "--json", "--stats"]) == cli.EXIT_RACES
+    first = capsys.readouterr().out
+    run(["detect", "--algo", "multibags", "--mode", "structured",
+         "--trace", str(out), "--json", "--stats"])
+    assert capsys.readouterr().out == first and "load" not in first
+
+
+def test_unreadable_trace_exits_2_without_a_traceback(tmp_path, capsys):
+    # A directory fails to open; a UTF-16 byte-order mark fails to decode.
+    utf16 = tmp_path / "utf16.jsonl"
+    utf16.write_bytes(b'\xff\xfe{"t":"w","a":4}\n')
+    commands = (["detect", "--algo", "plus", "--mode", "general"],
+                ["verify", "--algo", "plus"],
+                ["stats"])
+    for path, message in ((tmp_path, str(tmp_path)),
+                          (utf16, "trace is not UTF-8 text")):
+        for command in commands:
+            assert run(command + ["--trace", str(path)]) == cli.EXIT_BAD_INPUT
+            err = capsys.readouterr().err
+            assert err.startswith("error: ") and message in err
+
+
 def test_closure_limit_exits_2_and_names_the_attached_sets(tmp_path, capsys, monkeypatch):
     out = tmp_path / "t.jsonl"
     run(["gen", "lcs-general", "--n", "3", "-o", str(out)])  # 31 attached sets

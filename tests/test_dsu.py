@@ -116,6 +116,27 @@ class _NaiveSets:
         return a
 
 
+def test_find_record_is_record_of_find_and_counts_one_find():
+    rng = random.Random(7)
+    d = DisjointSets()
+    live = [d.make_set(BagRecord(label=LABEL_S)) for _ in range(40)]
+    for _ in range(30):
+        a, b = rng.sample(live, 2)
+        d.union_into(a, b)
+        live.remove(b)
+    for _ in range(20):
+        d.add_element(rng.choice(live))
+    for e in rng.sample(range(60), 60):
+        before = d.find_count
+        rec = d.find_record(e)
+        assert d.find_count == before + 1
+        assert rec is d.record(d.find(e))
+    with pytest.raises(UsageError):
+        d.find_record(60)
+    with pytest.raises(UsageError):
+        d.find_record(-1)
+
+
 def _run_random_ops(n_ops, seed):
     rng = random.Random(seed)
     real, naive = DisjointSets(), _NaiveSets()

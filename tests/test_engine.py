@@ -6,8 +6,9 @@ from futurerd import engine, oracle
 from futurerd.errors import InputError, UsageError
 from futurerd.generators import gen_lcs_general, gen_lcs_structured, gen_random
 from futurerd.multibags import MultiBags
+from futurerd.multibags_plus import MultiBagsPlus
 from futurerd.shadow import WRITE_WRITE, RaceReport, ShadowTable
-from helpers import cr, gt, rd, rt, seq_of, sp, sy, wr
+from helpers import cr, fold_words, gt, rd, rt, seq_of, sp, sy, wr
 
 
 def test_detect_race_free_structured_lcs():
@@ -76,6 +77,50 @@ def test_stats_fields_and_invariants():
     assert st.attached_sets <= 3 * c.creates + 2 * c.gets + 2 * st.both_attached_syncs + 1
     assert st.elapsed > 0
     assert st.union_ops > 0 and st.find_ops > 0
+
+
+def test_stats_queries_counts_every_precedes_call(monkeypatch):
+    # The shadow counts its own precedes calls; a wrapper on each algorithm
+    # counts them independently. Folding onto 5 words gives long reader
+    # lists and many rewrites, so most writes make several queries.
+    fj = fold_words(gen_random(n_events=2000, p_spawn=0.2, p_create=0.0, p_get=0.0,
+                               seed=11), pool=5, seed=11)
+    futures = fold_words(gen_random(n_events=2000, seed=12), pool=5, seed=12)
+    calls = 0
+
+    def counting(inner):
+        def precedes(self, u):
+            nonlocal calls
+            calls += 1
+            return inner(self, u)
+        return precedes
+
+    monkeypatch.setattr(MultiBags, "precedes", counting(MultiBags.precedes))
+    monkeypatch.setattr(MultiBagsPlus, "precedes", counting(MultiBagsPlus.precedes))
+    for seq, algo, mode in ((fj, "multibags", "structured"), (fj, "plus", "general"),
+                            (futures, "plus", "general")):
+        assert seq.counts.writes > len({ev.addr for ev in seq.events if ev.addr is not None})
+        calls = 0
+        rep = engine.detect(seq, algo, mode)
+        assert rep.stats.queries == calls > seq.counts.writes, algo
+        assert rep.races
+
+
+def test_report_json_bytes_match_the_json_module():
+    readme = gen_lcs_structured(4, seed=0, inject_race=True)
+    folded = fold_words(gen_random(n_events=3000, p_spawn=0.2, p_create=0.0, p_get=0.0,
+                                   seed=4), pool=6, seed=4)
+    clean = gen_lcs_structured(3, seed=1)
+    counts = []
+    for seq in (readme, folded, clean):
+        for algo, mode in (("multibags", "structured"), ("plus", "general")):
+            rep = engine.detect(seq, algo, mode)
+            expected = json.dumps(rep.to_json_dict(), separators=(",", ":"))
+            assert rep.to_json() == expected, (algo, len(rep.races))
+            counts.append(len(rep.races))
+    assert counts[0] == counts[1] == 1
+    assert min(counts[2:4]) >= 200
+    assert counts[4] == counts[5] == 0
 
 
 def test_races_report_in_first_occurrence_order_without_duplicates():

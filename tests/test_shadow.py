@@ -11,7 +11,7 @@ NEVER = lambda u: False
 def test_read_of_untouched_word():
     t = ShadowTable()
     assert t.on_read(4096, 3, NEVER) is None
-    assert t._cell(4096).readers == [3]
+    assert t._cells[4096 >> 2].readers == [3]
 
 
 def test_ordered_write_then_read_is_clean():
@@ -35,8 +35,8 @@ def test_write_after_own_read_is_clean_and_clears():
     t = ShadowTable()
     t.on_read(128, 5, NEVER)
     assert t.on_write(128, 5, NEVER) == []
-    assert t._cell(128).readers == []
-    assert t._cell(128).last_writer == 5
+    assert t._cells[128 >> 2].readers == []
+    assert t._cells[128 >> 2].last_writer == 5
 
 
 def test_parallel_sibling_writes_race():
@@ -60,7 +60,7 @@ def test_three_parallel_readers_then_write():
         (64, "read-write", 2, 9),
         (64, "read-write", 3, 9),
     ]
-    assert t._cell(64).readers == []
+    assert t._cells[64 >> 2].readers == []
 
 
 def test_consecutive_duplicate_readers_suppressed():
@@ -69,7 +69,7 @@ def test_consecutive_duplicate_readers_suppressed():
         t.on_read(32, 7, NEVER)
     t.on_read(32, 8, NEVER)
     t.on_read(32, 7, NEVER)
-    assert t._cell(32).readers == [7, 8, 7]
+    assert t._cells[32 >> 2].readers == [7, 8, 7]
 
 
 def test_bytes_of_one_word_share_a_cell():
@@ -77,17 +77,17 @@ def test_bytes_of_one_word_share_a_cell():
     t.on_write(4096, 1, NEVER)
     rep = t.on_read(4096 + 3, 2, NEVER)
     assert rep is not None and rep.addr == 4096
-    assert t._cell(4096) is t._cell(4099)
-    assert t._cell(4100) is not t._cell(4096)
+    assert t._cells[4096 >> 2] is t._cells[4099 >> 2] and t.cells_touched == 1
+    assert t.on_read(4100, 2, NEVER) is None and t.cells_touched == 2
 
 
 def test_far_apart_addresses_get_separate_cells():
     t = ShadowTable()
     t.on_write(1 << 12, 1, NEVER)
     t.on_write(1 << 40, 2, NEVER)
-    assert t._cell(1 << 12) is not t._cell(1 << 40)
-    assert t._cell(1 << 12).last_writer == 1
-    assert t._cell(1 << 40).last_writer == 2
+    assert t._cells[(1 << 12) >> 2] is not t._cells[(1 << 40) >> 2]
+    assert t._cells[(1 << 12) >> 2].last_writer == 1
+    assert t._cells[(1 << 40) >> 2].last_writer == 2
     assert t.cells_touched == 2
 
 
@@ -111,9 +111,9 @@ def test_reader_list_after_write_stays_small():
     for s in range(6):
         t.on_read(16, s, ALWAYS)
     t.on_write(16, 9, ALWAYS)
-    assert len(t._cell(16).readers) == 0
+    assert len(t._cells[16 >> 2].readers) == 0
     t.on_read(16, 10, ALWAYS)
-    assert len(t._cell(16).readers) == 1
+    assert len(t._cells[16 >> 2].readers) == 1
 
 
 def test_query_count_bounded_by_two_m_plus_writes():
@@ -139,3 +139,23 @@ def test_query_count_bounded_by_two_m_plus_writes():
             t.on_read(addr, i, counting)
         accesses += 1
     assert calls <= 2 * accesses + writes
+
+
+def test_queries_count_each_precedes_call():
+    calls = []
+
+    def precedes(u):
+        calls.append(u)
+        return u % 2 == 0
+
+    t = ShadowTable()
+    t.on_read(16, 1, precedes)  # no writer yet: no query
+    t.on_write(16, 1, precedes)  # own read: no query
+    t.on_read(16, 1, precedes)  # own write: no query
+    assert t.queries == 0 and calls == []
+    for s in (2, 3, 4):
+        t.on_read(16, s, precedes)  # one query each, against writer 1
+    assert [r.key() for r in t.on_write(16, 5, precedes)] == [
+        (16, "read-write", 1, 5), (16, "read-write", 3, 5), (16, "write-write", 1, 5)]
+    assert calls == [1, 1, 1, 1, 2, 3, 4, 1]
+    assert t.queries == len(calls) == 8
