@@ -1,6 +1,6 @@
 """Replay engine: drives a reachability algorithm and the shadow memory over
-a trace, collects race reports and statistics, and hosts the verification
-harness that checks the on-the-fly answers against the brute-force dag.
+a trace with ``trace.walk``, collects race reports and statistics, and hosts
+the harness that checks the on-the-fly answers against the brute-force dag.
 """
 
 from __future__ import annotations
@@ -17,19 +17,7 @@ from .errors import InputError, InvariantError, UsageError
 from .multibags import MultiBags
 from .multibags_plus import MultiBagsPlus
 from .shadow import RaceReport, ShadowTable
-from .trace import (
-    CREATE,
-    GET,
-    MODE_GENERAL,
-    MODE_STRUCTURED,
-    READ,
-    RET,
-    SPAWN,
-    SYNC,
-    WRITE,
-    EventSequence,
-    validate,
-)
+from .trace import MODE_GENERAL, MODE_STRUCTURED, EventSequence, TraceCounts, validate, walk
 
 ALGO_MULTIBAGS = "multibags"
 ALGO_PLUS = "plus"
@@ -59,8 +47,7 @@ class Stats:
     find_ops: int = 0
     attached_sets: int = 0
     both_attached_syncs: int = 0
-    elapsed: float = 0.0  # seconds in replay
-    validate_s: float = 0.0
+    elapsed: float = 0.0  # seconds in replay, grammar check included
 
     def to_json_dict(self) -> dict:
         # Timings vary from run to run; reports must be reproducible.
@@ -167,105 +154,61 @@ def make_reachability(algo: str):
     raise UsageError(f"unknown algorithm {algo!r}")
 
 
-def replay(seq: EventSequence, reach, shadow=None, races=None, after_strand=None) -> int:
-    """Drive ``reach`` over a trace, with an optional shadow and strand hook.
+def replay(seq: EventSequence, reach, shadow=None, races=None, after_strand=None,
+           mode: str = MODE_GENERAL) -> TraceCounts:
+    """``trace.walk`` with the hooks of ``reach``, raising on a bad trace.
 
-    Returns the number of strands replayed. With a ``shadow``, every read and
-    write goes straight to its ``on_read``/``on_write`` with
-    ``reach.precedes``, and each race report is stored in the ``races`` dict
-    under its ``key()``, first occurrence only, in the order found.
-    ``after_strand(s)`` runs once per strand, right after it begins.
+    An invalid trace raises ``InputError`` naming its first five violations,
+    even when a hook failed or races were found before them. On a valid
+    trace, the first ``InputError`` a hook raised is raised as it is.
+    Returns the walk's counts.
     """
-    on_read = on_write = precedes = None
-    if shadow is not None:
-        on_read, on_write, precedes = shadow.on_read, shadow.on_write, reach.precedes
-    cur = 0
-    reach.on_strand_begin(0)
-    if after_strand is not None:
-        after_strand(0)
-    for k, fn, h, a in seq.events:
-        if k == READ:
-            if on_read is not None:
-                rep = on_read(a, cur, precedes)
-                if rep is not None:
-                    key = rep.key()
-                    if key not in races:
-                        races[key] = rep
-            continue
-        if k == WRITE:
-            if on_write is not None:
-                for rep in on_write(a, cur, precedes):
-                    key = rep.key()
-                    if key not in races:
-                        races[key] = rep
-            continue
-        if k == SPAWN or k == CREATE:
-            reach.on_child_begin(k, fn, h)
-        elif k == SYNC:
-            reach.on_sync()
-        elif k == GET:
-            reach.on_get(h)
-        else:
-            reach.on_return()
-        cur += 1
-        reach.on_strand_begin(cur)
-        if after_strand is not None:
-            after_strand(cur)
-    return cur + 1
+    report = walk(seq, mode, reach, shadow, races, after_strand)
+    if report.violations:
+        lines = "; ".join(v.message for v in report.violations[:5])
+        raise InputError(f"invalid trace ({len(report.violations)} violation(s)): {lines}")
+    if report.error is not None:
+        raise report.error
+    return report.counts
 
 
 def detect(seq: EventSequence, algo: str, mode: str) -> DetectReport:
-    """Race detection over a full trace.
+    """Race detection over a full trace, in one walk.
 
     Reports every race (deduplicated by address, kind, and strand pair) in
     first-occurrence order, plus run statistics.
     """
     _setup_logging()
-    if algo not in (ALGO_MULTIBAGS, ALGO_PLUS):
-        raise UsageError(f"unknown algorithm {algo!r}")
-    if mode not in (MODE_STRUCTURED, MODE_GENERAL):
-        raise UsageError(f"unknown mode {mode!r}")
-    if algo == ALGO_MULTIBAGS and mode != MODE_STRUCTURED:
+    if algo == ALGO_MULTIBAGS and mode == MODE_GENERAL:
         raise InputError("the multibags algorithm requires structured mode")
-    start = time.perf_counter()
-    report = validate(seq, mode)
-    validate_s = time.perf_counter() - start
-    if not report.ok:
-        lines = "; ".join(v.message for v in report.violations[:5])
-        raise InputError(f"invalid trace ({len(report.violations)} violation(s)): {lines}")
-
-    reach = make_reachability(algo)
+    reach = make_reachability(algo)  # unknown algorithms and modes raise UsageError
     shadow = ShadowTable()
     races: dict = {}
     start = time.perf_counter()
-    strands = replay(seq, reach, shadow, races)
+    c = replay(seq, reach, shadow, races, mode=mode)
     elapsed = time.perf_counter() - start
 
-    c = seq.counts
     stats = Stats(
         t1_events=c.events,
         m=c.accesses,
         n=c.fork_points,
         k=c.future_ops,
-        strands=strands,
+        strands=c.strands,
         queries=shadow.queries,
         union_ops=reach.union_ops,
         find_ops=reach.find_ops,
         attached_sets=reach.attached_sets,
         both_attached_syncs=reach.both_attached_syncs,
         elapsed=elapsed,
-        validate_s=validate_s,
     )
     if stats.m + c.spawns + c.creates + c.syncs + c.gets + c.rets != stats.t1_events:
         raise InvariantError("event accounting does not add up")
-    if stats.strands != c.strands:
-        raise InvariantError("replayed strand count disagrees with trace counts")
     if stats.queries > 2 * stats.m + c.writes:
         raise InvariantError(
             f"query budget exceeded: {stats.queries} > 2*{stats.m}+{c.writes}"
         )
     log.info(
-        "detect algo=%s mode=%s strands=%d races=%d", algo, mode, strands, len(races)
+        "detect algo=%s mode=%s strands=%d races=%d", algo, mode, c.strands, len(races)
     )
     return DetectReport(algo=algo, mode=mode, races=list(races.values()), stats=stats)
 
@@ -287,7 +230,7 @@ def verify(seq: EventSequence, algo: str, sample: int | None = None, seed: int =
     vreport = validate(seq, mode)
     if not vreport.ok:
         raise InputError(f"invalid trace: {vreport.violations[0].message}")
-    strands = seq.counts.strands
+    strands = vreport.counts.strands
     if strands > oracle_mod.REACH_CAP:
         raise InputError(
             f"verify refuses traces over {oracle_mod.REACH_CAP} strands (got {strands})"
@@ -317,7 +260,7 @@ def verify(seq: EventSequence, algo: str, sample: int | None = None, seed: int =
                 raise _Stop()
 
     try:
-        replay(seq, reach, shadow, races, after_strand)
+        replay(seq, reach, shadow, races, after_strand, mode)
     except _Stop:
         log.info("verify diverged: %s", report.divergence.describe())
         return report

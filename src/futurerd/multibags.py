@@ -47,14 +47,10 @@ class MultiBags:
         self._handles: dict[int, _Handle] = {}
         self._cur = -1
 
-    # -- replay hooks -------------------------------------------------------
+    # -- replay hooks: trace.walk checks each event's frame grammar first ----
 
     def on_child_begin(self, kind: str, fn: int | None, handle: int | None) -> None:
-        if kind not in (SPAWN, CREATE):
-            raise UsageError(f"bad child kind {kind!r}")
         if kind == CREATE:
-            if handle in self._handles:
-                raise InputError(f"duplicate future handle {handle}")
             self._handles[handle] = _Handle(creator=self._cur)
         self._frames.append(_Frame(kind=kind, handle=handle))
 
@@ -72,8 +68,6 @@ class MultiBags:
         self._cur = s
 
     def on_return(self) -> None:
-        if len(self._frames) == 1:
-            raise InputError("return from the root frame")
         frame = self._frames.pop()
         self.forest.relabel(frame.bag, LABEL_P)
         if frame.kind == SPAWN:
@@ -81,21 +75,15 @@ class MultiBags:
 
     def on_sync(self) -> None:
         frame = self._frames[-1]
-        if not frame.children:
-            raise InputError("sync with no outstanding spawned child")
         child_bag = frame.children.pop()
         if self.forest.record(child_bag).label != LABEL_P:
             raise InvariantError("synced child's bag is not P-labeled")
         self.forest.union_into(frame.bag, child_bag)
 
     def on_get(self, handle: int) -> None:
-        rec = self._handles.get(handle)
-        if rec is None:
-            raise InputError(f"get of unknown handle {handle}")
+        rec = self._handles[handle]
         if rec.consumed:
             raise InputError(f"single-touch violated: handle {handle} gotten twice")
-        if rec.bag is None:
-            raise InputError(f"get of handle {handle} before its future returned")
         if self.forest.find_record(rec.creator).label != LABEL_S:
             raise InputError(
                 f"unstructured future use: creator of handle {handle} "

@@ -53,7 +53,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 from .dsu import LABEL_P, LABEL_S, BagRecord, DisjointSets
-from .errors import InputError, InvariantError, UsageError
+from .errors import InvariantError, UsageError
 from .reachdag import ReachDag
 from .trace import CREATE, SPAWN
 
@@ -136,11 +136,9 @@ class MultiBagsPlus:
             raise InvariantError(f"set {sid} has no dag node (unattached)")
         return node
 
-    # -- replay hooks -------------------------------------------------------
+    # -- replay hooks: trace.walk checks each event's frame grammar first ----
 
     def on_child_begin(self, kind: str, fn: int | None, handle: int | None) -> None:
-        if kind not in (SPAWN, CREATE):
-            raise UsageError(f"bad child kind {kind!r}")
         frame = self._frames[-1]
         fork = self._cur
         if kind == SPAWN:
@@ -150,8 +148,6 @@ class MultiBagsPlus:
             child = _Frame(kind=SPAWN, pending=("child_unattached", fork))
             child.spawn_rec = rec
         else:
-            if handle in self._handles:
-                raise InputError(f"duplicate future handle {handle}")
             self._attachify(self.d_nsp.find(fork))
             rn = self._rnode(self.d_nsp.find(fork))
             r_future = self.r.add_node()
@@ -200,8 +196,6 @@ class MultiBagsPlus:
         self._cur = s
 
     def on_return(self) -> None:
-        if len(self._frames) == 1:
-            raise InputError("return from the root frame")
         frame = self._frames.pop()
         self.d_sp.relabel(frame.dsp_bag, LABEL_P)
         sink = self._cur
@@ -213,8 +207,6 @@ class MultiBagsPlus:
 
     def on_sync(self) -> None:
         frame = self._frames[-1]
-        if not frame.spawn_stack:
-            raise InputError("sync with no outstanding spawned child")
         rec = frame.spawn_stack.pop()
         if rec.left_sink_elem is None or rec.right_source_elem is None:
             raise InvariantError("sync before the spawned child completed")
@@ -274,11 +266,7 @@ class MultiBagsPlus:
             frame.pending = ("into", att_sink_elem)
 
     def on_get(self, handle: int) -> None:
-        rec = self._handles.get(handle)
-        if rec is None:
-            raise InputError(f"get of unknown handle {handle}")
-        if rec.sink_elem is None:
-            raise InputError(f"get of handle {handle} before its future returned")
+        rec = self._handles[handle]
         frame = self._frames[-1]
         pre = self.d_nsp.find(self._cur)
         self._attachify(pre)

@@ -19,6 +19,9 @@ Wire format is JSON Lines, one event per line, UTF-8:
 The root function is implicit: it has no opening event and end-of-file closes
 it. Function instance ids (``f``) and future handle ids (``h``) are arbitrary
 unique unsigned integers.
+
+``walk`` is the one pass over a trace and the one implementation of its frame
+grammar; ``validate``, ``EventSequence.counts`` and ``engine.replay`` are walks.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ import re
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from .errors import ParseError, UsageError
+from .errors import InputError, ParseError, UsageError
 
 SPAWN = "spawn"
 CREATE = "create"
@@ -39,7 +42,6 @@ RET = "ret"
 READ = "read"
 WRITE = "write"
 
-CONTROL_KINDS = (SPAWN, CREATE, SYNC, GET, RET)
 ACCESS_KINDS = (READ, WRITE)
 
 MODE_STRUCTURED = "structured"
@@ -103,25 +105,7 @@ class EventSequence:
 
     @property
     def counts(self) -> TraceCounts:
-        c = TraceCounts(events=len(self.events))
-        for ev in self.events:
-            k = ev.kind
-            if k == READ:
-                c.reads += 1
-            elif k == WRITE:
-                c.writes += 1
-            elif k == SPAWN:
-                c.spawns += 1
-            elif k == CREATE:
-                c.creates += 1
-            elif k == SYNC:
-                c.syncs += 1
-            elif k == GET:
-                c.gets += 1
-            else:
-                c.rets += 1
-        c.strands = 1 + c.spawns + c.creates + c.syncs + c.gets + c.rets
-        return c
+        return walk(self, MODE_GENERAL).counts
 
 
 # -- parse / serialize ------------------------------------------------------
@@ -249,7 +233,7 @@ def dump(seq: EventSequence, path) -> None:
         fh.write(serialize(seq))
 
 
-# -- validation ---------------------------------------------------------------
+# -- the walk -------------------------------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -261,74 +245,162 @@ class Violation:
 
 @dataclass
 class ValidationReport:
+    """One ``walk``'s violations, counts, and first ``InputError`` from a hook."""
+
     mode: str
     violations: list[Violation] = field(default_factory=list)
+    counts: TraceCounts = field(default_factory=TraceCounts)
+    error: InputError | None = None
 
     @property
     def ok(self) -> bool:
         return not self.violations
 
 
-def validate(seq: EventSequence, mode: str) -> ValidationReport:
-    """Check well-formedness of a trace for the given mode.
+def _skip(*_):
+    return None
 
-    Violations are reported as data, never raised. A clean report means:
-    frames are balanced, every ``get`` names a known handle whose frame has
-    already closed, every ``spawn`` is matched by a ``sync`` in its own frame
-    before that frame returns, and (in structured mode) no handle is gotten
-    more than once.
+
+def _skip_write(*_):
+    return ()
+
+
+def walk(seq: EventSequence, mode: str, reach=None, shadow=None, races=None,
+         after_strand=None) -> ValidationReport:
+    """Walk a trace once, in serial order, and pass its events to the hooks.
+
+    Each control event is checked against the frame grammar of ``mode`` and
+    counted, and only then handed to ``reach``'s hook for it, then to
+    ``on_strand_begin`` and ``after_strand`` with the new strand id. With a
+    ``shadow``, reads and writes go to its ``on_read``/``on_write`` with
+    ``reach.precedes``, and each race report is stored in ``races`` under its
+    ``key()``, first occurrence only. Hooks are bound when the walk starts.
+
+    Violations, and the first ``InputError`` a hook raises, are kept in the
+    report, never raised. After either, the hooks and the shadow are dropped
+    and the rest of the trace is only checked and counted.
     """
     if mode not in (MODE_STRUCTURED, MODE_GENERAL):
         raise UsageError(f"unknown mode {mode!r}")
     report = ValidationReport(mode=mode)
-    bad = report.violations.append
+    violations = report.violations
+    single_touch = mode == MODE_STRUCTURED
 
-    handle_state: dict[int, str] = {}  # handle -> "open" | "closed"
+    on_read, on_write, precedes = _skip, _skip_write, None
+    if shadow is not None:
+        on_read, on_write, precedes = shadow.on_read, shadow.on_write, reach.precedes
+    child_begin = on_sync = on_get = on_return = strand_begin = _skip
+    if reach is not None:
+        child_begin, on_sync, on_get = reach.on_child_begin, reach.on_sync, reach.on_get
+        on_return, strand_begin = reach.on_return, reach.on_strand_begin
+
+    closed: dict[int, bool] = {}  # handle -> has its frame returned
     got: set[int] = set()
     # one entry per open frame: [outstanding spawn count, handle or None]
     frames: list[list] = [[0, None]]
-
-    for i, ev in enumerate(seq.events):
-        k = ev.kind
+    reads = writes = spawns = creates = syncs = gets = rets = 0
+    cur = 0
+    after = after_strand
+    strand_begin(0)
+    if after is not None:
+        after(0)
+    for i, (k, fn, h, a) in enumerate(seq.events):
+        if k == READ:
+            reads += 1
+            rep = on_read(a, cur, precedes)
+            if rep is not None:
+                key = rep.key()
+                if key not in races:
+                    races[key] = rep
+            continue
+        if k == WRITE:
+            writes += 1
+            for rep in on_write(a, cur, precedes):
+                key = rep.key()
+                if key not in races:
+                    races[key] = rep
+            continue
+        cur += 1
+        bad = None
         if k == SPAWN:
+            spawns += 1
             frames[-1][0] += 1
             frames.append([0, None])
         elif k == CREATE:
-            if ev.handle in handle_state:
-                bad(Violation(i, "duplicate-handle", f"handle {ev.handle} created twice"))
-            handle_state[ev.handle] = "open"
-            frames.append([0, ev.handle])
+            creates += 1
+            if h in closed:
+                bad = ("duplicate-handle", f"duplicate future handle {h}")
+            closed[h] = False
+            frames.append([0, h])
         elif k == SYNC:
-            if frames[-1][0] == 0:
-                bad(Violation(i, "sync-without-spawn", "sync with no outstanding spawned child"))
+            syncs += 1
+            top = frames[-1]
+            if top[0]:
+                top[0] -= 1
             else:
-                frames[-1][0] -= 1
+                bad = ("sync-without-spawn", "sync with no outstanding spawned child")
         elif k == GET:
-            state = handle_state.get(ev.handle)
+            gets += 1
+            state = closed.get(h)
             if state is None:
-                bad(Violation(i, "unknown-handle", f"get of unknown handle {ev.handle}"))
-            elif state == "open":
-                bad(Violation(i, "get-before-future-return",
-                              f"get of handle {ev.handle} while its frame is still open"))
-            elif mode == MODE_STRUCTURED and ev.handle in got:
-                bad(Violation(i, "single-touch", f"handle {ev.handle} gotten more than once"))
-            got.add(ev.handle)
-        elif k == RET:
+                bad = ("unknown-handle", f"get of unknown handle {h}")
+            elif not state:
+                bad = ("get-before-future-return",
+                       f"get of handle {h} before its future returned")
+            elif single_touch and h in got:
+                bad = ("single-touch", f"handle {h} gotten more than once")
+            got.add(h)
+        else:
+            rets += 1
             if len(frames) == 1:
-                bad(Violation(i, "return-from-root", "ret event in the implicit root frame"))
+                bad = ("return-from-root", "ret event in the implicit root frame")
+            else:
+                outstanding, handle = frames.pop()
+                if handle is not None:
+                    closed[handle] = True
+                if outstanding:
+                    bad = ("unsynced-spawn",
+                           f"frame returns with {outstanding} unsynced spawned child(ren)")
+        if bad is None:
+            try:
+                if k == SPAWN or k == CREATE:
+                    child_begin(k, fn, h)
+                elif k == SYNC:
+                    on_sync()
+                elif k == GET:
+                    on_get(h)
+                else:
+                    on_return()
+                strand_begin(cur)
+                if after is not None:
+                    after(cur)
                 continue
-            outstanding, handle = frames.pop()
-            if outstanding:
-                bad(Violation(i, "unsynced-spawn",
-                              f"frame returns with {outstanding} unsynced spawned child(ren)"))
-            if handle is not None:
-                handle_state[handle] = "closed"
-        # reads/writes are always well-formed once parsed
+            except InputError as exc:
+                report.error = exc
+        else:
+            violations.append(Violation(i, *bad))
+        # After the first violation or hook error, only check and count.
+        on_read, on_write, after = _skip, _skip_write, None
+        child_begin = on_sync = on_get = on_return = strand_begin = _skip
 
     end = len(seq.events)
     if len(frames) > 1:
-        bad(Violation(end, "unclosed-frames", f"{len(frames) - 1} frame(s) never return"))
-    elif frames and frames[0][0]:
-        bad(Violation(end, "unsynced-spawn",
-                      f"root ends with {frames[0][0]} unsynced spawned child(ren)"))
+        violations.append(Violation(end, "unclosed-frames",
+                                    f"{len(frames) - 1} frame(s) never return"))
+    elif frames[0][0]:
+        violations.append(Violation(end, "unsynced-spawn",
+                                    f"root ends with {frames[0][0]} unsynced spawned child(ren)"))
+    report.counts = TraceCounts(events=end, strands=cur + 1, reads=reads, writes=writes,
+                                spawns=spawns, creates=creates, syncs=syncs, gets=gets, rets=rets)
     return report
+
+
+def validate(seq: EventSequence, mode: str) -> ValidationReport:
+    """``walk`` with no hooks: check well-formedness for the given mode.
+
+    A clean report means: frames are balanced, every ``get`` names a known
+    handle whose frame has already closed, every ``spawn`` is matched by a
+    ``sync`` in its own frame before that frame returns, and (in structured
+    mode) no handle is gotten more than once.
+    """
+    return walk(seq, mode)

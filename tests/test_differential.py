@@ -3,15 +3,19 @@ algorithms against each other, on drawn random traces.
 
 ``verify`` checks every reachability answer against the brute-force dag and
 the race reports against the shadow's race contract, so ``detect`` agreeing
-with ``verify``'s own report list ties ``detect`` to the dag as well.
+with ``verify``'s own report list ties ``detect`` to the dag as well. The
+walk-gate test checks that ``trace.walk``'s grammar is the only input check
+that ``detect`` needs.
 """
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from futurerd import engine
+from futurerd.errors import InputError
 from futurerd.generators import gen_random
-from futurerd.trace import MODE_STRUCTURED, validate
+from futurerd.trace import ACCESS_KINDS, MODE_GENERAL, MODE_STRUCTURED, EventSequence, validate
 from helpers import desugar_spawns, fold_words
 
 
@@ -63,3 +67,30 @@ def test_detect_matches_verify_and_the_algorithms_agree(drawn):
         assert _keys(multibags) == checked.detector_races
         assert [r.key() for r in multibags.races] == [r.key() for r in plus.races]
         assert multibags.stats.queries == plus.stats.queries
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.booleans(), st.integers(0, 10**6), st.integers(10, 200), st.randoms())
+def test_the_walk_is_the_only_gate(fork_join, seed, n_events, rng):
+    """``detect`` raises ``InputError`` exactly when ``validate`` finds a
+    violation, on drawn traces and on copies with one control event deleted.
+    On valid ones, its counts, strands included, are the trace's."""
+    p_create, p_get = (0.0, 0.0) if fork_join else (0.1, 0.1)
+    seq = gen_random(n_events=n_events, p_spawn=0.15, p_create=p_create, p_get=p_get,
+                     seed=seed)
+    control = [i for i, ev in enumerate(seq.events) if ev.kind not in ACCESS_KINDS]
+    cut = rng.choice(control) if control else None
+    damaged = EventSequence([ev for i, ev in enumerate(seq.events) if i != cut])
+    runs = [(engine.ALGO_PLUS, MODE_GENERAL)]
+    if fork_join:
+        runs.append((engine.ALGO_MULTIBAGS, MODE_STRUCTURED))
+    for trace in (seq, damaged):
+        c = trace.counts
+        for algo, mode in runs:
+            if not validate(trace, mode).ok:
+                with pytest.raises(InputError, match="invalid trace"):
+                    engine.detect(trace, algo, mode)
+                continue
+            stats = engine.detect(trace, algo, mode).stats
+            assert (stats.t1_events, stats.m, stats.n, stats.k, stats.strands) == (
+                c.events, c.accesses, c.fork_points, c.future_ops, c.strands)

@@ -219,7 +219,7 @@ def test_verify_refuses_oversized_traces():
 
 def test_replay_strand_count():
     seq = seq_of(sp(1), rt(), sy(), cr(2, 2), rt(), gt(2))
-    assert engine.replay(seq, MultiBags()) == seq.counts.strands == 7
+    assert engine.replay(seq, MultiBags()).strands == seq.counts.strands == 7
 
 
 def test_stats_only():

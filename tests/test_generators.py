@@ -127,7 +127,7 @@ def test_strand_segmentation_matches_replay():
 
     for seed in (0, 5, 9):
         seq = gen_random(n_events=150, p_spawn=0.15, p_create=0.1, p_get=0.08, seed=seed)
-        replayed = engine.replay(seq, MultiBagsPlus())
+        replayed = engine.replay(seq, MultiBagsPlus()).strands
         assert replayed == seq.counts.strands == oracle.build(seq).n
 
 

@@ -5,7 +5,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from futurerd import trace
-from futurerd.errors import ParseError, UsageError
+from futurerd.errors import InputError, ParseError, UsageError
+from futurerd.multibags_plus import MultiBagsPlus
+from futurerd.shadow import ShadowTable
 from futurerd.trace import (
     MODE_GENERAL,
     MODE_STRUCTURED,
@@ -15,6 +17,7 @@ from futurerd.trace import (
     parse,
     serialize,
     validate,
+    walk,
 )
 from helpers import cr, gt, rd, rt, seq_of, sp, sy, wr
 
@@ -210,3 +213,74 @@ def test_clean_trace_is_clean_in_both_modes():
     seq = seq_of(sp(1), wr(8), rt(), sy(), cr(2, 3), wr(12), rt(), gt(3), rd(12))
     assert validate(seq, MODE_GENERAL).ok
     assert validate(seq, MODE_STRUCTURED).ok
+
+
+def test_handle_messages_name_the_problem():
+    rep = validate(seq_of(cr(1, 5), rt(), cr(2, 5), rt()), MODE_GENERAL)
+    assert rep.violations[0].message == "duplicate future handle 5"
+    rep = validate(seq_of(cr(1, 1), gt(1), rt()), MODE_GENERAL)
+    assert rep.violations[0].message == "get of handle 1 before its future returned"
+
+
+class Recorder:
+    """Reachability hooks that log each call; ``fail_at`` makes one hook raise."""
+
+    def __init__(self, fail_at=None):
+        self.calls = []
+        self.fail_at = fail_at
+
+    def _log(self, call):
+        if call == self.fail_at:
+            raise InputError(f"refused {call}")
+        self.calls.append(call)
+
+    def on_child_begin(self, kind, fn, handle):
+        self._log(kind)
+
+    def on_sync(self):
+        self._log("sync")
+
+    def on_get(self, handle):
+        self._log("get")
+
+    def on_return(self):
+        self._log("ret")
+
+    def on_strand_begin(self, s):
+        self._log(s)
+
+
+def test_walk_counts_everything_but_stops_the_hooks_at_the_first_violation():
+    seq = seq_of(sp(1), rt(), sy(), sy(), sp(2), rt(), sy())
+    reach, strands = Recorder(), []
+    rep = walk(seq, MODE_GENERAL, reach, after_strand=strands.append)
+    assert [(v.index, v.code) for v in rep.violations] == [(3, "sync-without-spawn")]
+    assert rep.error is None
+    assert reach.calls == [0, "spawn", 1, "ret", 2, "sync", 3]
+    assert strands == [0, 1, 2, 3]
+    assert rep.counts == seq.counts
+    assert (rep.counts.events, rep.counts.strands, rep.counts.syncs) == (7, 8, 3)
+
+
+def test_walk_keeps_a_hook_error_and_only_checks_the_rest():
+    seq = seq_of(cr(1, 1), rt(), gt(1), sp(2), rt(), sy())
+    reach = Recorder(fail_at="get")
+    rep = walk(seq, MODE_GENERAL, reach)
+    assert rep.ok and str(rep.error) == "refused get"
+    assert reach.calls == [0, "create", 1, "ret", 2]
+    assert rep.counts == seq.counts
+    # The grammar is still checked after the hook failed.
+    rep = walk(seq_of(*seq.events, sy()), MODE_GENERAL, Recorder(fail_at="get"))
+    assert [v.code for v in rep.violations] == ["sync-without-spawn"]
+    assert str(rep.error) == "refused get"
+
+
+def test_walk_drops_the_shadow_after_a_violation():
+    # The writes at 64 race before the bad sync; the one at 128 comes after it.
+    seq = seq_of(sp(1), wr(64), rt(), wr(64), sy(), sy(), wr(128), rd(64))
+    shadow, races = ShadowTable(), {}
+    rep = walk(seq, MODE_GENERAL, MultiBagsPlus(), shadow, races)
+    assert [v.index for v in rep.violations] == [5]
+    assert list(races) == [(64, "write-write", 1, 2)]
+    assert shadow.cells_touched == 1 and shadow.queries == 1
+    assert (rep.counts.reads, rep.counts.writes) == (1, 3)
