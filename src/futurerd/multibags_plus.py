@@ -19,7 +19,10 @@ may be multi-touch and may be joined by logically parallel strands.
   most once). Either way, a query reads ``att_succ`` of the earlier strand's
   set and ``att_pred`` of the current one.
 * ``r`` records, with a full transitive closure, every ordering that crosses
-  create or get edges between attached sets.
+  create or get edges between attached sets. Node 0 is the root's set.
+
+A strand's id is also its ``d_nsp`` element. Outside dormancy (below), each
+control hook places the strand that follows it in ``d_nsp``.
 
 Key maintenance rules, enforced here and checked by the test suite against a
 brute-force dag at every step:
@@ -36,6 +39,21 @@ brute-force dag at every step:
   (both sides unattached), or grafts the fork/join onto the one attached
   side and leaves the clean side a proxy pair, or (both sides attached)
   promotes the fork and join themselves to attached sets.
+
+*Dormancy.* Until the first create, ``d_nsp`` stays empty and the hooks do
+only the ``d_sp`` work and record strand ids on the spawn records. No get
+can come before a create, and with only spawns and syncs the S/P bags of
+``d_sp`` are exact, so a dormant ``precedes`` answers from the ``d_sp``
+label alone: S means True, P means False. A trace without futures thus costs
+what ``multibags`` costs. The first create calls ``_wake``, which builds in
+one pass over the strands the ``d_nsp`` the eager rules would have built by
+then, and the detector stays awake from there on. In that state only the
+root's set is attached. Each open spawn window's left and right source
+strands (``left_source_elem``, ``right_source_elem``) start fresh
+unattached sets with ``att_pred`` = 0, the root's set. Every other strand
+is in the set of the latest start at or below it, because a closed window
+has collapsed into its fork's set. Strand 0 and the strands before the
+first start form the root's set.
 
 Every edge of ``r`` enters the node just created, which costs one OR, except
 the two fork->source edges of a both-attached sync. Those enter older nodes,
@@ -71,10 +89,17 @@ class NspRecord:
 class _SpawnRec:
     fork_elem: int
     r_floor: int  # len(r) at the spawn: the lowest id a node of the window can get
-    left_source_elem: int | None = None
-    left_sink_elem: int | None = None
-    right_source_elem: int | None = None
-    child_dsp_bag: int | None = None
+    left_sink_elem: int | None = None  # set when the child returns
+
+    @property
+    def left_source_elem(self) -> int:
+        """The child's first strand; also the id of its ``d_sp`` bag."""
+        return self.fork_elem + 1
+
+    @property
+    def right_source_elem(self) -> int:
+        """The continuation's first strand; valid once the child has returned."""
+        return self.left_sink_elem + 1
 
 
 @dataclass(slots=True)
@@ -82,26 +107,48 @@ class _Frame:
     kind: str  # root|spawn|create
     handle: int | None = None
     dsp_bag: int | None = None
-    pending: tuple | None = None  # placement directive for this frame's next strand
     spawn_stack: list[_SpawnRec] = field(default_factory=list)
     spawn_rec: _SpawnRec | None = None  # parent-side record, for spawned frames
 
 
 @dataclass(slots=True)
 class _Handle:
-    creator_elem: int
+    cont_node: int  # dag node of the creator's continuation
     sink_elem: int | None = None
 
 
 class MultiBagsPlus:
     def __init__(self) -> None:
         self.d_sp = DisjointSets()
-        self.d_nsp = DisjointSets()
+        self.d_nsp = DisjointSets()  # empty while dormant; see _wake
         self.r = ReachDag()
-        self._frames: list[_Frame] = [_Frame(kind="root", pending=("root",))]
+        self.r.add_node()  # node 0: the root's set
+        self._frames: list[_Frame] = [_Frame(kind="root")]
         self._handles: dict[int, _Handle] = {}
         self._cur = -1
+        self._dormant = True
         self.both_attached_syncs = 0
+
+    def _wake(self) -> None:
+        """End dormancy: build ``d_nsp`` as of the current strand.
+
+        The result is the partition and records the eager hooks would have
+        built; the module docstring states the rule.
+        """
+        starts = set()
+        for frame in self._frames:
+            for rec in frame.spawn_stack:
+                starts.add(rec.left_source_elem)
+                if rec.left_sink_elem is not None:
+                    starts.add(rec.right_source_elem)
+        nsp = self.d_nsp
+        sid = nsp.make_set(NspRecord(0, att_pred=0, att_succ=0))
+        for s in range(1, self._cur + 1):
+            if s in starts:
+                sid = nsp.make_set(NspRecord(att_pred=0))
+            else:
+                nsp.add_element(sid)
+        self._dormant = False
 
     # -- d_nsp helpers ------------------------------------------------------
 
@@ -136,28 +183,42 @@ class MultiBagsPlus:
             raise InvariantError(f"set {sid} has no dag node (unattached)")
         return node
 
+    def _placed(self, nid: int) -> None:
+        """Check that the next strand got ``d_nsp`` element ``nid``."""
+        if nid != self._cur + 1:
+            raise InvariantError(f"strand {self._cur + 1} allocated d_nsp element {nid}")
+
+    def _start_unattached(self, pred_elem: int) -> None:
+        """Next strand: a fresh unattached set behind ``pred_elem``'s set."""
+        att_pred = self.d_nsp.find_record(pred_elem).att_pred
+        self._placed(self.d_nsp.make_set(NspRecord(att_pred=att_pred)))
+
+    def _start_attached(self, node: int) -> None:
+        """Next strand: a fresh attached set for dag node ``node``."""
+        s = self._cur + 1  # an attached set is its own proxy both ways
+        self._placed(self.d_nsp.make_set(NspRecord(node, att_pred=s, att_succ=s)))
+
     # -- replay hooks: trace.walk checks each event's frame grammar first ----
 
     def on_child_begin(self, kind: str, fn: int | None, handle: int | None) -> None:
-        frame = self._frames[-1]
         fork = self._cur
         if kind == SPAWN:
             rec = _SpawnRec(fork_elem=fork, r_floor=len(self.r))
-            frame.spawn_stack.append(rec)
-            frame.pending = ("spawn_cont", fork)
-            child = _Frame(kind=SPAWN, pending=("child_unattached", fork))
-            child.spawn_rec = rec
-        else:
-            self._attachify(self.d_nsp.find(fork))
-            rn = self._rnode(self.d_nsp.find(fork))
-            r_future = self.r.add_node()
-            self.r.add_edge(rn, r_future)
-            r_cont = self.r.add_node()
-            self.r.add_edge(rn, r_cont)
-            self._handles[handle] = _Handle(creator_elem=fork)
-            frame.pending = ("fresh_attached", r_cont)
-            child = _Frame(kind=CREATE, handle=handle, pending=("fresh_attached", r_future))
-        self._frames.append(child)
+            self._frames[-1].spawn_stack.append(rec)
+            self._frames.append(_Frame(kind=SPAWN, spawn_rec=rec))
+            if not self._dormant:
+                self._start_unattached(fork)
+            return
+        if self._dormant:
+            self._wake()
+        rn = self._attachify(self.d_nsp.find(fork))
+        r_future = self.r.add_node()
+        self.r.add_edge(rn, r_future)
+        r_cont = self.r.add_node()
+        self.r.add_edge(rn, r_cont)
+        self._handles[handle] = _Handle(cont_node=r_cont)
+        self._frames.append(_Frame(kind=CREATE, handle=handle))
+        self._start_attached(r_future)
 
     def on_strand_begin(self, s: int) -> None:
         frame = self._frames[-1]
@@ -169,30 +230,6 @@ class MultiBagsPlus:
             sid = self.d_sp.add_element(frame.dsp_bag)
         if sid != s:
             raise InvariantError(f"strand {s} allocated d_sp element {sid}")
-
-        directive = frame.pending
-        frame.pending = None
-        if directive is None:
-            raise InvariantError(f"no placement directive for strand {s}")
-        tag = directive[0]
-        # An attached set is its own proxy both ways; its id will be s.
-        if tag == "root":
-            nid = self.d_nsp.make_set(NspRecord(self.r.add_node(), att_pred=s, att_succ=s))
-        elif tag == "child_unattached" or tag == "spawn_cont":
-            pred_set = self.d_nsp.find(directive[1])
-            nid = self.d_nsp.make_set(NspRecord(att_pred=self.d_nsp.record(pred_set).att_pred))
-            if tag == "child_unattached":
-                frame.spawn_rec.left_source_elem = nid
-            else:
-                frame.spawn_stack[-1].right_source_elem = nid
-        elif tag == "fresh_attached":
-            nid = self.d_nsp.make_set(NspRecord(directive[1], att_pred=s, att_succ=s))
-        elif tag == "into":
-            nid = self.d_nsp.add_element(self.d_nsp.find(directive[1]))
-        else:
-            raise InvariantError(f"unknown directive {directive!r}")
-        if nid != s:
-            raise InvariantError(f"strand {s} allocated d_nsp element {nid}")
         self._cur = s
 
     def on_return(self) -> None:
@@ -200,21 +237,28 @@ class MultiBagsPlus:
         self.d_sp.relabel(frame.dsp_bag, LABEL_P)
         sink = self._cur
         if frame.kind == SPAWN:
-            frame.spawn_rec.left_sink_elem = sink
-            frame.spawn_rec.child_dsp_bag = frame.dsp_bag
+            rec = frame.spawn_rec
+            rec.left_sink_elem = sink
+            if not self._dormant:
+                self._start_unattached(rec.fork_elem)
         else:
-            self._handles[frame.handle].sink_elem = sink
+            handle = self._handles[frame.handle]
+            handle.sink_elem = sink
+            self._start_attached(handle.cont_node)
 
     def on_sync(self) -> None:
         frame = self._frames[-1]
         rec = frame.spawn_stack.pop()
-        if rec.left_sink_elem is None or rec.right_source_elem is None:
+        if rec.left_sink_elem is None:
             raise InvariantError("sync before the spawned child completed")
 
         # S/P side first: the child's P bag joins this frame's S bag.
-        if self.d_sp.record(rec.child_dsp_bag).label != LABEL_P:
+        child_bag = rec.left_source_elem
+        if self.d_sp.record(child_bag).label != LABEL_P:
             raise InvariantError("synced child's bag is not P-labeled")
-        self.d_sp.union_into(frame.dsp_bag, rec.child_dsp_bag)
+        self.d_sp.union_into(frame.dsp_bag, child_bag)
+        if self._dormant:
+            return
 
         nsp = self.d_nsp
         fork_set = nsp.find(rec.fork_elem)
@@ -232,51 +276,50 @@ class MultiBagsPlus:
                 raise InvariantError("unattached subdag is split across sets")
             self._nsp_union(fork_set, left_sink)
             self._nsp_union(fork_set, right_sink)
-            frame.pending = ("into", rec.fork_elem)
+            self._placed(nsp.add_element(fork_set))
         elif la and ra:
             # Promote fork and join; wire them around both subdags.
             self.both_attached_syncs += 1
-            self._attachify(fork_set)
-            rf = self._rnode(nsp.find(rec.fork_elem))
+            rf = self._attachify(fork_set)
             self.r.add_fork_edge(rf, self._rnode(left_src), rec.r_floor)
             self.r.add_fork_edge(rf, self._rnode(right_src), rec.r_floor)
             r_join = self.r.add_node()
             self.r.add_edge(self._rnode(left_sink), r_join)
             self.r.add_edge(self._rnode(right_sink), r_join)
-            frame.pending = ("fresh_attached", r_join)
+            self._start_attached(r_join)
         else:
             if la:
-                att_src, att_sink_elem = left_src, rec.left_sink_elem
+                att_src, att_sink = left_src, left_sink
                 unattached, un_src = right_sink, right_src
             else:
-                att_src, att_sink_elem = right_src, self._cur
+                att_src, att_sink = right_src, right_sink
                 unattached, un_src = left_sink, left_src
             if nsp.record(att_src).r_node is None:
                 raise InvariantError("attached subdag has an unattached source set")
             if unattached != un_src or unattached == fork_set:
                 raise InvariantError("unattached subdag is split across sets")
             if nsp.record(fork_set).r_node is None:
-                # Grow the attached side backwards over the fork.
+                # Grow the attached side backwards over the fork; the union
+                # keeps att_src's id, and att_sink is attached, so not the fork.
                 self._nsp_union(att_src, fork_set)
             # The clean side keeps its set; the join point is its proxy.
             un_rec = nsp.record(unattached)
             if un_rec.att_succ is not None:
                 raise InvariantError("attached successor assigned twice")
-            un_rec.att_succ = nsp.find(att_sink_elem)
-            frame.pending = ("into", att_sink_elem)
+            un_rec.att_succ = att_sink
+            self._placed(nsp.add_element(att_sink))
 
     def on_get(self, handle: int) -> None:
-        rec = self._handles[handle]
-        frame = self._frames[-1]
+        # _attachify never unions, so each set is found once.
         pre = self.d_nsp.find(self._cur)
-        self._attachify(pre)
-        sink = self.d_nsp.find(rec.sink_elem)
-        self._attachify(sink)  # futures start attached, so normally a no-op
+        pre_node = self._attachify(pre)
+        sink = self.d_nsp.find(self._handles[handle].sink_elem)
+        sink_node = self._attachify(sink)  # futures start attached, so normally a no-op
         r_get = self.r.add_node()
-        self.r.add_edge(self._rnode(self.d_nsp.find(self._cur)), r_get)
-        if self.d_nsp.find(rec.sink_elem) != self.d_nsp.find(self._cur):
-            self.r.add_edge(self._rnode(self.d_nsp.find(rec.sink_elem)), r_get)
-        frame.pending = ("fresh_attached", r_get)
+        self.r.add_edge(pre_node, r_get)
+        if sink != pre:
+            self.r.add_edge(sink_node, r_get)
+        self._start_attached(r_get)
         # d_sp deliberately untouched: bags cannot absorb a multi-touch future.
 
     # -- queries ------------------------------------------------------------
@@ -287,6 +330,8 @@ class MultiBagsPlus:
             raise UsageError(f"strand {u} has not executed")
         if self.d_sp.find_record(u).label == LABEL_S:
             return True
+        if self._dormant:
+            return False  # no future yet, so the S/P bags are exact
         uu = self.d_nsp.find(u)
         a1 = self.d_nsp.record(uu).att_succ
         if a1 is None:

@@ -109,3 +109,52 @@ def desugar_spawns(seq) -> EventSequence:
         else:
             out.append(ev)
     return EventSequence(out)
+
+
+def deep_fork_join_then(body, levels, seed, body_in_child):
+    """Run the events of ``body`` inside ``levels`` open spawn windows.
+
+    Each level spawns a child. The path then either descends into the child,
+    a new frame, or lets the child return and goes on in the continuation,
+    whose window stays open until its sync after ``body``. The innermost
+    level descends when ``body_in_child``. Accesses to a small address pool,
+    which race between the open sides, and closed spawn/sync pairs are
+    placed between the levels. ``body`` must be balanced, as a whole
+    ``gen_random`` trace is, and may use function ids below 10**6.
+    """
+    rng = random.Random(seed)
+    events = []
+    fn = iter(range(10**6, 2 * 10**6))
+
+    def filler(depth=0):
+        for _ in range(rng.randrange(4)):
+            u = rng.random()
+            if u < 0.35:
+                events.append(wr(4 * rng.randrange(16)))
+            elif u < 0.7:
+                events.append(rd(4 * rng.randrange(16)))
+            elif depth < 2:  # a closed window, collapsed before the body runs
+                events.append(sp(next(fn)))
+                filler(depth + 1)
+                events.append(rt())
+                filler(depth + 1)
+                events.append(sy())
+
+    closers = []
+    for level in range(levels):
+        filler()
+        events.append(sp(next(fn)))
+        descend = body_in_child if level == levels - 1 else rng.random() < 0.5
+        if not descend:
+            filler()
+            events.append(rt())
+        closers.append(descend)
+    filler()
+    events.extend(body)
+    for descend in reversed(closers):
+        filler()
+        if descend:
+            events.append(rt())
+            filler()
+        events.append(sy())
+    return EventSequence(events)

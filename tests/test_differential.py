@@ -5,23 +5,26 @@ algorithms against each other, on drawn random traces.
 the race reports against the shadow's race contract, so ``detect`` agreeing
 with ``verify``'s own report list ties ``detect`` to the dag as well. The
 walk-gate test checks that ``trace.walk``'s grammar is the only input check
-that ``detect`` needs.
+that ``detect`` needs. The deep-nesting test covers traces whose first
+create, which ends ``plus``'s dormancy, runs under many open spawn windows.
 """
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from futurerd import engine
+from futurerd import cli, engine
 from futurerd.errors import InputError
 from futurerd.generators import gen_random
-from futurerd.trace import ACCESS_KINDS, MODE_GENERAL, MODE_STRUCTURED, EventSequence, validate
-from helpers import desugar_spawns, fold_words
+from futurerd.multibags_plus import MultiBagsPlus
+from futurerd.trace import (ACCESS_KINDS, MODE_GENERAL, MODE_STRUCTURED, SPAWN, EventSequence,
+                            serialize, validate)
+from helpers import cr, deep_fork_join_then, desugar_spawns, fold_words, gt, rd, rt, wr
 
 
 @st.composite
 def traces(draw):
-    """(trace, structured) drawn from gen_random.
+    """(trace, shape) drawn from gen_random.
 
     A structured trace is fork-join only, and may have its spawns rewritten
     as single-touch futures. Folding maps the addresses onto a few words, so
@@ -42,7 +45,7 @@ def traces(draw):
         seq = desugar_spawns(seq)
     if draw(st.booleans()):
         seq = fold_words(seq, draw(st.integers(1, 6)), seed)
-    return seq, shape != "general"
+    return seq, shape
 
 
 def _keys(report):
@@ -54,12 +57,12 @@ def _keys(report):
 @settings(max_examples=150, deadline=None)
 @given(traces())
 def test_detect_matches_verify_and_the_algorithms_agree(drawn):
-    seq, structured = drawn
+    seq, shape = drawn
     checked = engine.verify(seq, "plus")
     assert checked.ok, (checked.divergence, checked.unsound_races, checked.missed_words)
     plus = engine.detect(seq, "plus", "general")
     assert _keys(plus) == checked.detector_races
-    if structured:
+    if shape != "general":
         assert validate(seq, MODE_STRUCTURED).ok
         checked = engine.verify(seq, "multibags")
         assert checked.ok, (checked.divergence, checked.unsound_races, checked.missed_words)
@@ -67,6 +70,48 @@ def test_detect_matches_verify_and_the_algorithms_agree(drawn):
         assert _keys(multibags) == checked.detector_races
         assert [r.key() for r in multibags.races] == [r.key() for r in plus.races]
         assert multibags.stats.queries == plus.stats.queries
+    if shape == "fork-join" and not seq.counts.creates:
+        # No create (inject_race may append one), so plus never builds d_nsp.
+        assert (plus.stats.find_ops, plus.stats.union_ops) == (
+            multibags.stats.find_ops, multibags.stats.union_ops)
+
+
+def _deep_trace(seed, body_in_child):
+    """A general trace whose first create runs under 20-27 open spawn windows."""
+    h = 10**5
+    body = [cr(h, h), wr(4), rt(), rd(4), gt(h)] + gen_random(
+        n_events=120, p_spawn=0.15, p_create=0.12, p_get=0.1, seed=seed).events
+    return deep_fork_join_then(body, 20 + seed % 8, seed, body_in_child)
+
+
+@pytest.mark.parametrize("body_in_child", [True, False], ids=["left-child", "continuation"])
+def test_first_create_after_deep_fork_join_nesting(body_in_child, monkeypatch, tmp_path):
+    woken = []
+    wake = MultiBagsPlus._wake
+
+    def spy(mbp):
+        top = mbp._frames[-1]
+        # in a continuation, the top frame's own innermost window is open
+        in_child = top.kind == SPAWN and not top.spawn_stack
+        woken.append((sum(len(f.spawn_stack) for f in mbp._frames), len(mbp._frames), in_child))
+        wake(mbp)
+
+    monkeypatch.setattr(MultiBagsPlus, "_wake", spy)
+    for seed in range(6):
+        seq = _deep_trace(seed, body_in_child)
+        checked = engine.verify(seq, "plus")
+        assert checked.ok, (seed, checked.divergence, checked.unsound_races,
+                            checked.missed_words)
+        assert checked.detector_races  # the filler accesses race across open sides
+        plus = engine.detect(seq, "plus", "general")
+        assert _keys(plus) == checked.detector_races
+    # one wake per detect and per verify, each at the first create
+    assert len(woken) == 12
+    for open_windows, frames, in_child in woken:
+        assert open_windows >= 20 and frames >= 4 and in_child == body_in_child
+    path = tmp_path / "deep.jsonl"
+    path.write_text(serialize(seq))
+    assert cli.run_cli(["verify", "--algo", "plus", "--trace", str(path)]) == cli.EXIT_OK
 
 
 @settings(max_examples=150, deadline=None)

@@ -7,13 +7,35 @@ from futurerd.errors import InputError, InvariantError
 from futurerd.generators import gen_lcs_general, gen_random
 from futurerd.multibags import MultiBags
 from futurerd.multibags_plus import MultiBagsPlus, NspRecord
-from helpers import (cr, gt, oracle_answers, rd, replay_collect, rt, seq_of, sp, sp_reaches,
-                     sy, wr)
+from helpers import (cr, deep_fork_join_then, gt, oracle_answers, rd, replay_collect, rt, seq_of,
+                     sp, sp_reaches, sy, wr)
 
 
 def drive(events, after=None):
     mbp = MultiBagsPlus()
     engine.replay(seq_of(*events), mbp, after_strand=after)
+    return mbp
+
+
+def woken(mbp, after=None):
+    """``after_strand`` callback: build ``d_nsp`` at strand 0, then call ``after``.
+
+    A detector woken at strand 0 runs its eager ``d_nsp`` rules on every
+    strand, even on fork-join traces with no create.
+    """
+
+    def callback(s):
+        if s == 0:
+            mbp._wake()
+        if after is not None:
+            after(s)
+
+    return callback
+
+
+def drive_awake(events):
+    mbp = MultiBagsPlus()
+    engine.replay(seq_of(*events), mbp, after_strand=woken(mbp))
     return mbp
 
 
@@ -31,7 +53,7 @@ def nsp_sets(mbp, n_strands):
 def test_serial_chain_collapses_to_one_set():
     # spawn/sync of one child: fork, child, continuation, and join all end up
     # in a single cross-dag set once the join runs.
-    mbp = drive([sp(1), rt(), sy()])
+    mbp = drive_awake([sp(1), rt(), sy()])
     groups = nsp_sets(mbp, 4)
     assert len(groups) == 1
     assert sorted(next(iter(groups.values()))) == [0, 1, 2, 3]
@@ -48,7 +70,7 @@ def test_spawned_child_starts_fresh_set_with_inherited_pred():
             info["child_set"] = sid
             info["att_pred"] = mbp.d_nsp.record(sid).att_pred
 
-    engine.replay(seq_of(sp(1), rt(), sy()), mbp, after_strand=after)
+    engine.replay(seq_of(sp(1), rt(), sy()), mbp, after_strand=woken(mbp, after))
     assert info["child_set"] != 0
     assert info["att_pred"] == mbp.d_nsp.find(0)  # the root's attached set
     assert mbp.d_nsp.record(info["att_pred"]).r_node is not None
@@ -56,7 +78,7 @@ def test_spawned_child_starts_fresh_set_with_inherited_pred():
 
 def test_attachify_is_idempotent():
     mbp = MultiBagsPlus()
-    engine.replay(seq_of(sp(1), rt(), sy()), mbp, after_strand=None)
+    engine.replay(seq_of(sp(1), rt(), sy()), mbp, after_strand=woken(mbp))
     sid = mbp.d_nsp.find(0)
     before = len(mbp.r)
     n1 = mbp._attachify(sid)
@@ -143,7 +165,7 @@ def test_duplicate_handle_rejected():
 def test_sync_pure_fork_join_adds_no_dag_nodes():
     # two nested spawn/sync pairs, no futures: everything collapses, the
     # reachability dag never grows past the root set.
-    mbp = drive([sp(1), rt(), sy(), sp(2), sp(3), rt(), sy(), rt(), sy()])
+    mbp = drive_awake([sp(1), rt(), sy(), sp(2), sp(3), rt(), sy(), rt(), sy()])
     assert mbp.attached_sets == 1
     assert mbp.both_attached_syncs == 0
     groups = nsp_sets(mbp, 10)
@@ -361,7 +383,7 @@ def test_unattached_sets_have_no_incident_cross_edges():
                             stack.append(y)
                 assert seen == members, (seed, s, sid)
 
-        engine.replay(seq, mbp, after_strand=after)
+        engine.replay(seq, mbp, after_strand=woken(mbp, after))
 
 
 def test_att_pred_members_precede_set_members():
@@ -389,7 +411,7 @@ def test_att_pred_members_precede_set_members():
                         assert (sp_desc[a] >> v) & 1, (seed, s, a, v)
                         checked += 1
 
-        engine.replay(seq, mbp, after_strand=after)
+        engine.replay(seq, mbp, after_strand=woken(mbp, after))
         # the seeds must give unattached sets with members on both sides
         assert checked > 0, seed
 
@@ -432,3 +454,73 @@ def test_attached_budget_per_trace():
         engine.replay(seq, mbp)
         c = seq.counts
         assert mbp.attached_sets <= 3 * c.creates + 2 * c.gets + 2 * mbp.both_attached_syncs + 1
+
+
+# -- dormancy: d_nsp is built at the first create -------------------------------
+
+
+def _nsp_state(mbp, s):
+    """``d_nsp`` over strands 0..s as (members, r_node, att_pred members,
+    att_succ members) per set, with the dag's size."""
+    members = {}
+    for u in range(s + 1):
+        members.setdefault(mbp.d_nsp.find(u), set()).add(u)
+    by_id = {sid: frozenset(m) for sid, m in members.items()}
+    sets = set()
+    for sid, m in by_id.items():
+        rec = mbp.d_nsp.record(sid)
+        sets.add((m, rec.r_node, by_id.get(rec.att_pred), by_id.get(rec.att_succ)))
+    return sets, len(mbp.r)
+
+
+def _run_waking_at(seq, wake_at):
+    """Replay, waking the detector at strand ``wake_at`` unless a create did so
+    first (None: only a create wakes it). Returns the precedes answers at
+    every strand and the ``d_nsp`` state at every strand it was awake."""
+    mbp = MultiBagsPlus()
+    answers, states = {}, {}
+
+    def after(s):
+        if s == wake_at and mbp._dormant:
+            mbp._wake()
+        answers[s] = frozenset(u for u in range(s) if mbp.precedes(u))
+        if not mbp._dormant:
+            states[s] = _nsp_state(mbp, s)
+
+    engine.replay(seq, mbp, after_strand=after)
+    return answers, states
+
+
+def _wake_corpus():
+    rng = random.Random(7)
+    for seed in range(10):
+        yield "fork-join", gen_random(n_events=140, p_spawn=0.25, p_create=0.0, p_get=0.0,
+                                      seed=seed)
+        yield "general", gen_random(n_events=140, p_spawn=0.15, p_create=0.12, p_get=0.1,
+                                    seed=seed)
+        h = 10**5
+        body = [cr(h, h), wr(4), rt(), rd(4), gt(h)] + gen_random(
+            n_events=80, p_spawn=0.15, p_create=0.1, p_get=0.1, seed=seed).events
+        yield "deep", deep_fork_join_then(body, rng.randrange(4, 12), seed, seed % 2 == 0)
+
+
+def test_waking_at_any_strand_gives_the_eager_state():
+    # A detector woken at strand 0 runs the eager rules throughout. One woken
+    # by its first create, or at a random strand, must hold the same d_nsp
+    # from then on and give the same answers at every strand, dormant or not.
+    rng = random.Random(11)
+    late = compared = 0
+    for shape, seq in _wake_corpus():
+        eager_answers, eager = _run_waking_at(seq, 0)
+        assert len(eager) == seq.counts.strands
+        for wake_at in (None, rng.randrange(seq.counts.strands)):
+            answers, states = _run_waking_at(seq, wake_at)
+            assert answers == eager_answers, (shape, wake_at)
+            for s, state in states.items():
+                assert state == eager[s], (shape, wake_at, s)
+            if wake_at is None:
+                assert (not states) == (seq.counts.creates == 0), shape
+            if states and min(states) > 0:
+                late += 1
+            compared += len(states)
+    assert late >= 30 and compared > 3000
