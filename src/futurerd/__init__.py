@@ -1,6 +1,6 @@
 """On-the-fly determinacy-race detection for task-parallel traces with futures."""
 
-from .dsu import LABEL_P, LABEL_S, BagRecord, DisjointSets
+from .dsu import LABEL_P, LABEL_S, DisjointSets
 from .engine import (
     ALGO_MULTIBAGS,
     ALGO_PLUS,
@@ -38,7 +38,6 @@ __version__ = "0.1.0"
 __all__ = [
     "ALGO_MULTIBAGS",
     "ALGO_PLUS",
-    "BagRecord",
     "DetectReport",
     "DisjointSets",
     "Event",

@@ -1,16 +1,18 @@
 """Command-line interface.
 
 Subcommands: detect, verify, gen, stats. Exit codes: 0 = no race found,
-1 = race(s) found, 2 = invalid input, an unreadable or non-UTF-8 trace, an
-unwritable output file, or a trace over the closure limit
-(``reachdag.MAX_NODES``, 2^17 attached sets), 3 = verification divergence,
-a broken race contract, or an internal invariant failure.
+1 = race(s) found, 2 = invalid input or arguments, an unreadable or
+non-UTF-8 trace, an unwritable output file, or a trace over the closure
+limit (``reachdag.MAX_NODES``, 2^17 attached sets), 3 = verification
+divergence, a broken race contract, or an internal invariant failure.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import logging
+import os
 import sys
 import time
 
@@ -21,6 +23,21 @@ EXIT_OK = 0
 EXIT_RACES = 1
 EXIT_BAD_INPUT = 2
 EXIT_BROKEN = 3
+
+
+def _checked(cast, ok, rule: str):
+    """An argparse type: ``cast(text)``, refused unless ``ok`` holds for it."""
+    def parse(text: str):
+        v = cast(text)
+        if not ok(v):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {v}")
+        return v
+    parse.__name__ = cast.__name__  # argparse's "invalid int value" names it
+    return parse
+
+
+_COUNT = _checked(int, lambda v: v >= 1, "at least 1")
+_PROBABILITY = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -39,18 +56,18 @@ def _build_parser() -> argparse.ArgumentParser:
     v = sub.add_parser("verify", help="check detector answers against the brute-force dag")
     v.add_argument("--algo", choices=[engine.ALGO_MULTIBAGS, engine.ALGO_PLUS], required=True)
     v.add_argument("--trace", required=True, metavar="FILE")
-    v.add_argument("--sample", type=int, default=None, metavar="N")
+    v.add_argument("--sample", type=_COUNT, default=None, metavar="N")
     v.add_argument("--seed", type=int, default=0, metavar="S")
 
     g = sub.add_parser("gen", help="generate a trace")
     g.add_argument("family", choices=["lcs-structured", "lcs-general", "random"])
-    g.add_argument("--n", type=int, default=4, help="blocks per side (lcs families)")
+    g.add_argument("--n", type=_COUNT, default=4, help="blocks per side (lcs families)")
     g.add_argument("--seed", type=int, default=0)
     g.add_argument("--inject-race", action="store_true")
-    g.add_argument("--events", type=int, default=200, help="event budget (random family)")
-    g.add_argument("--p-spawn", type=float, default=0.15)
-    g.add_argument("--p-create", type=float, default=0.10)
-    g.add_argument("--p-get", type=float, default=0.08)
+    g.add_argument("--events", type=_COUNT, default=200, help="event budget (random family)")
+    g.add_argument("--p-spawn", type=_PROBABILITY, default=0.15)
+    g.add_argument("--p-create", type=_PROBABILITY, default=0.10)
+    g.add_argument("--p-get", type=_PROBABILITY, default=0.08)
     g.add_argument("-o", "--out", required=True, metavar="FILE")
 
     s = sub.add_parser("stats", help="print trace counts without detection")
@@ -144,6 +161,11 @@ def _cmd_stats(args) -> int:
 
 def run_cli(argv=None) -> int:
     args = _build_parser().parse_args(argv)
+    level = {"off": logging.CRITICAL + 10, "info": logging.INFO, "debug": logging.DEBUG}.get(
+        os.environ.get("FUTURERD_LOG", "off").lower(), logging.CRITICAL + 10
+    )
+    logging.basicConfig(level=level, format="futurerd: %(message)s")
+    logging.getLogger("futurerd").setLevel(level)
     try:
         if args.command == "detect":
             return _cmd_detect(args)

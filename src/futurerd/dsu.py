@@ -11,23 +11,17 @@ a fresh element straight into a live set; it is the paper's MakeSet followed
 by Union, without the throwaway record, and counts as one of each. ``find(e)``
 maps any element to the id of the live set containing it, and
 ``find_record(e)`` to that set's record.
+
+An S/P bag's record is its bare label, ``LABEL_S`` or ``LABEL_P``, which
+``relabel`` replaces; a ``d_nsp`` set's record is a mutable ``NspRecord``.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 from .errors import UsageError
 
 LABEL_S = "S"
 LABEL_P = "P"
-
-
-@dataclass(slots=True)
-class BagRecord:
-    """Metadata of an S/P bag: ``label`` is LABEL_S or LABEL_P."""
-
-    label: str | None = None
 
 
 class DisjointSets:
@@ -149,7 +143,8 @@ class DisjointSets:
         return a
 
     def relabel(self, sid: int, label: str) -> None:
-        self.record(sid).label = label
+        self.record(sid)  # rejects a dead set
+        self._records[sid] = label
 
     def _reject(self, sid: int):
         raise UsageError(f"unknown or destroyed set {sid}")

@@ -7,7 +7,6 @@ from __future__ import annotations
 
 import json
 import logging
-import os
 import random
 import time
 from dataclasses import dataclass, field
@@ -25,14 +24,6 @@ ALGO_PLUS = "plus"
 EXHAUSTIVE_LIMIT = 300  # strands; above this, verify samples per step
 
 log = logging.getLogger("futurerd.engine")
-
-
-def _setup_logging() -> None:
-    level = {"off": logging.CRITICAL + 10, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("FUTURERD_LOG", "off").lower(), logging.CRITICAL + 10
-    )
-    logging.basicConfig(level=level, format="futurerd: %(message)s")
-    logging.getLogger("futurerd").setLevel(level)
 
 
 @dataclass
@@ -178,7 +169,6 @@ def detect(seq: EventSequence, algo: str, mode: str) -> DetectReport:
     Reports every race (deduplicated by address, kind, and strand pair) in
     first-occurrence order, plus run statistics.
     """
-    _setup_logging()
     if algo == ALGO_MULTIBAGS and mode == MODE_GENERAL:
         raise InputError("the multibags algorithm requires structured mode")
     reach = make_reachability(algo)  # unknown algorithms and modes raise UsageError
@@ -225,7 +215,6 @@ def verify(seq: EventSequence, algo: str, sample: int | None = None, seed: int =
     seeded sample per step. Either way the final race sets are checked
     against the race contract (see ``VerifyReport``).
     """
-    _setup_logging()
     mode = MODE_STRUCTURED if algo == ALGO_MULTIBAGS else MODE_GENERAL
     vreport = validate(seq, mode)
     if not vreport.ok:

@@ -117,12 +117,13 @@ def gen_lcs_general(nblocks: int, seed: int = 0, inject_race: bool = False) -> E
 
 
 class _GenFrame:
-    __slots__ = ("kind", "handle", "readable", "exported", "pending_syncs")
+    __slots__ = ("kind", "handle", "readable", "base", "exported", "pending_syncs")
 
     def __init__(self, kind: str, handle: int | None, readable: list[int]):
         self.kind = kind
         self.handle = handle
         self.readable = readable  # addresses this frame may read without racing
+        self.base = len(readable)  # readable is shared; entries past base go at ret
         self.exported = []  # addresses settled under this frame, handed out on join
         self.pending_syncs = []  # exports of returned, not-yet-synced spawned children
 
@@ -176,6 +177,7 @@ def gen_random(
     def do_ret() -> None:
         nonlocal injected
         child = stack.pop()
+        del child.readable[child.base:]
         ev.append(Event(RET))
         parent = stack[-1]
         if child.kind == "spawn":
@@ -201,12 +203,12 @@ def gen_random(
         if u < p_spawn and len(stack) <= max_depth:
             ev.append(Event(SPAWN, fn=next_id))
             next_id += 1
-            stack.append(_GenFrame("spawn", None, list(frame.readable)))
+            stack.append(_GenFrame("spawn", None, frame.readable))
         elif u < p_spawn + p_create and len(stack) <= max_depth:
             h = next_id
             next_id += 1
             ev.append(Event(CREATE, fn=h, handle=h))
-            stack.append(_GenFrame("create", h, list(frame.readable)))
+            stack.append(_GenFrame("create", h, frame.readable))
         elif u < p_spawn + p_create + p_get and closed_handles:
             h = rng.choice(closed_handles)
             ev.append(Event(GET, handle=h))

@@ -7,6 +7,11 @@ non-nested join points work); when its future is joined by ``get``, the bag
 is absorbed into the joining frame's S bag. A previously executed strand
 precedes the current one exactly when it sits in an S bag.
 
+A strand's id is also its element. Each control hook places the strand that
+follows it: a child's first strand starts the child's bag, named by that
+strand (the fork strand + 1), and any other strand joins its frame's bag. A
+bag's record is its bare label.
+
 ``spawn``/``sync`` are handled as ``create``/``get`` on implicit handles,
 joining the most recently spawned outstanding child.
 
@@ -18,81 +23,66 @@ strand and the trace is outside this algorithm's contract.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
-from .dsu import LABEL_P, LABEL_S, BagRecord, DisjointSets
+from .dsu import LABEL_P, LABEL_S, DisjointSets
 from .errors import InputError, InvariantError, UsageError
-from .trace import CREATE, SPAWN
-
-
-@dataclass(slots=True)
-class _Frame:
-    kind: str  # root|spawn|create
-    handle: int | None = None
-    bag: int | None = None
-    children: list[int] = field(default_factory=list)  # LIFO bags of unsynced spawns
-
-
-@dataclass(slots=True)
-class _Handle:
-    creator: int
-    bag: int | None = None
-    consumed: bool = False
+from .trace import CREATE
 
 
 class MultiBags:
     def __init__(self) -> None:
         self.forest = DisjointSets()
-        self._frames: list[_Frame] = [_Frame(kind="root")]
-        self._handles: dict[int, _Handle] = {}
+        self._bags = [self.forest.make_set(LABEL_S)]  # per open frame, innermost last
+        self._spawned: list[int] = []  # unsynced spawns' bags; frames nest, so one stack
+        self._handles: dict[int, int] = {}  # handle -> creator strand, until its get
         self._cur = -1
+
+    def _placed(self, sid: int) -> None:
+        """Check that the next strand got element ``sid``."""
+        if sid != self._cur + 1:
+            raise InvariantError(f"strand {self._cur + 1} allocated element {sid}")
+
+    def _continue(self) -> None:
+        """Next strand: joins the bag of the innermost frame."""
+        self._placed(self.forest.add_element(self._bags[-1]))
 
     # -- replay hooks: trace.walk checks each event's frame grammar first ----
 
-    def on_child_begin(self, kind: str, fn: int | None, handle: int | None) -> None:
+    def on_child_begin(self, kind: str, handle: int | None) -> None:
+        bag = self._cur + 1
         if kind == CREATE:
-            self._handles[handle] = _Handle(creator=self._cur)
-        self._frames.append(_Frame(kind=kind, handle=handle))
+            self._handles[handle] = self._cur
+        else:
+            self._spawned.append(bag)
+        self._bags.append(bag)
+        self._placed(self.forest.make_set(LABEL_S))
 
     def on_strand_begin(self, s: int) -> None:
-        frame = self._frames[-1]
-        if frame.bag is None:
-            sid = self.forest.make_set(BagRecord(label=LABEL_S))
-            frame.bag = sid
-            if frame.kind == CREATE:
-                self._handles[frame.handle].bag = sid
-        else:
-            sid = self.forest.add_element(frame.bag)
-        if sid != s:
-            raise InvariantError(f"strand {s} allocated element {sid}")
         self._cur = s
 
     def on_return(self) -> None:
-        frame = self._frames.pop()
-        self.forest.relabel(frame.bag, LABEL_P)
-        if frame.kind == SPAWN:
-            self._frames[-1].children.append(frame.bag)
+        self.forest.relabel(self._bags.pop(), LABEL_P)
+        self._continue()
 
     def on_sync(self) -> None:
-        frame = self._frames[-1]
-        child_bag = frame.children.pop()
-        if self.forest.record(child_bag).label != LABEL_P:
+        child_bag = self._spawned.pop()
+        if self.forest.record(child_bag) != LABEL_P:
             raise InvariantError("synced child's bag is not P-labeled")
-        self.forest.union_into(frame.bag, child_bag)
+        self.forest.union_into(self._bags[-1], child_bag)
+        self._continue()
 
     def on_get(self, handle: int) -> None:
-        rec = self._handles[handle]
-        if rec.consumed:
+        creator = self._handles.pop(handle, None)  # the walk rejects unknown handles
+        if creator is None:
             raise InputError(f"single-touch violated: handle {handle} gotten twice")
-        if self.forest.find_record(rec.creator).label != LABEL_S:
+        if self.forest.find_record(creator) != LABEL_S:
             raise InputError(
                 f"unstructured future use: creator of handle {handle} "
                 "does not precede its get"
             )
-        if self.forest.record(rec.bag).label != LABEL_P:
+        if self.forest.record(creator + 1) != LABEL_P:
             raise InvariantError("gotten future's bag is not P-labeled")
-        self.forest.union_into(self._frames[-1].bag, rec.bag)
-        rec.consumed = True
+        self.forest.union_into(self._bags[-1], creator + 1)
+        self._continue()
 
     # -- queries ------------------------------------------------------------
 
@@ -100,7 +90,7 @@ class MultiBags:
         """Did strand ``u`` happen before the current strand?"""
         if not 0 <= u <= self._cur:
             raise UsageError(f"strand {u} has not executed")
-        return self.forest.find_record(u).label == LABEL_S
+        return self.forest.find_record(u) == LABEL_S
 
     # -- accounting ---------------------------------------------------------
 

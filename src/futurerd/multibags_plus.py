@@ -21,8 +21,9 @@ may be multi-touch and may be joined by logically parallel strands.
 * ``r`` records, with a full transitive closure, every ordering that crosses
   create or get edges between attached sets. Node 0 is the root's set.
 
-A strand's id is also its ``d_nsp`` element. Outside dormancy (below), each
-control hook places the strand that follows it in ``d_nsp``.
+A strand's id is also its element in both forests. Each control hook places
+the strand that follows it: in ``d_sp`` by the rule of ``multibags`` (a bag
+is named by its first strand), and in ``d_nsp`` by the rules below.
 
 Key maintenance rules, enforced here and checked by the test suite against a
 brute-force dag at every step:
@@ -70,10 +71,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .dsu import LABEL_P, LABEL_S, BagRecord, DisjointSets
+from .dsu import LABEL_P, LABEL_S, DisjointSets
 from .errors import InvariantError, UsageError
 from .reachdag import ReachDag
-from .trace import CREATE, SPAWN
+from .trace import SPAWN
 
 
 @dataclass(slots=True)
@@ -104,9 +105,8 @@ class _SpawnRec:
 
 @dataclass(slots=True)
 class _Frame:
-    kind: str  # root|spawn|create
-    handle: int | None = None
-    dsp_bag: int | None = None
+    dsp_bag: int  # the frame's first strand
+    handle: int | None = None  # for created frames
     spawn_stack: list[_SpawnRec] = field(default_factory=list)
     spawn_rec: _SpawnRec | None = None  # parent-side record, for spawned frames
 
@@ -123,7 +123,7 @@ class MultiBagsPlus:
         self.d_nsp = DisjointSets()  # empty while dormant; see _wake
         self.r = ReachDag()
         self.r.add_node()  # node 0: the root's set
-        self._frames: list[_Frame] = [_Frame(kind="root")]
+        self._frames: list[_Frame] = [_Frame(self.d_sp.make_set(LABEL_S))]
         self._handles: dict[int, _Handle] = {}
         self._cur = -1
         self._dormant = True
@@ -183,10 +183,14 @@ class MultiBagsPlus:
             raise InvariantError(f"set {sid} has no dag node (unattached)")
         return node
 
-    def _placed(self, nid: int) -> None:
-        """Check that the next strand got ``d_nsp`` element ``nid``."""
-        if nid != self._cur + 1:
-            raise InvariantError(f"strand {self._cur + 1} allocated d_nsp element {nid}")
+    def _placed(self, elem: int, forest: str = "d_nsp") -> None:
+        """Check that the next strand got element ``elem`` of ``forest``."""
+        if elem != self._cur + 1:
+            raise InvariantError(f"strand {self._cur + 1} allocated {forest} element {elem}")
+
+    def _continue_dsp(self) -> None:
+        """Next strand: joins the ``d_sp`` bag of the frame on top."""
+        self._placed(self.d_sp.add_element(self._frames[-1].dsp_bag), "d_sp")
 
     def _start_unattached(self, pred_elem: int) -> None:
         """Next strand: a fresh unattached set behind ``pred_elem``'s set."""
@@ -200,12 +204,14 @@ class MultiBagsPlus:
 
     # -- replay hooks: trace.walk checks each event's frame grammar first ----
 
-    def on_child_begin(self, kind: str, fn: int | None, handle: int | None) -> None:
+    def on_child_begin(self, kind: str, handle: int | None) -> None:
         fork = self._cur
+        # S/P bag side: identical treatment for spawned and created children.
+        self._placed(self.d_sp.make_set(LABEL_S), "d_sp")
         if kind == SPAWN:
             rec = _SpawnRec(fork_elem=fork, r_floor=len(self.r))
             self._frames[-1].spawn_stack.append(rec)
-            self._frames.append(_Frame(kind=SPAWN, spawn_rec=rec))
+            self._frames.append(_Frame(fork + 1, spawn_rec=rec))
             if not self._dormant:
                 self._start_unattached(fork)
             return
@@ -217,27 +223,19 @@ class MultiBagsPlus:
         r_cont = self.r.add_node()
         self.r.add_edge(rn, r_cont)
         self._handles[handle] = _Handle(cont_node=r_cont)
-        self._frames.append(_Frame(kind=CREATE, handle=handle))
+        self._frames.append(_Frame(fork + 1, handle=handle))
         self._start_attached(r_future)
 
     def on_strand_begin(self, s: int) -> None:
-        frame = self._frames[-1]
-        # S/P bag side: identical treatment for spawned and created children.
-        if frame.dsp_bag is None:
-            sid = self.d_sp.make_set(BagRecord(label=LABEL_S))
-            frame.dsp_bag = sid
-        else:
-            sid = self.d_sp.add_element(frame.dsp_bag)
-        if sid != s:
-            raise InvariantError(f"strand {s} allocated d_sp element {sid}")
         self._cur = s
 
     def on_return(self) -> None:
         frame = self._frames.pop()
         self.d_sp.relabel(frame.dsp_bag, LABEL_P)
+        self._continue_dsp()
         sink = self._cur
-        if frame.kind == SPAWN:
-            rec = frame.spawn_rec
+        rec = frame.spawn_rec
+        if rec is not None:
             rec.left_sink_elem = sink
             if not self._dormant:
                 self._start_unattached(rec.fork_elem)
@@ -254,9 +252,10 @@ class MultiBagsPlus:
 
         # S/P side first: the child's P bag joins this frame's S bag.
         child_bag = rec.left_source_elem
-        if self.d_sp.record(child_bag).label != LABEL_P:
+        if self.d_sp.record(child_bag) != LABEL_P:
             raise InvariantError("synced child's bag is not P-labeled")
         self.d_sp.union_into(frame.dsp_bag, child_bag)
+        self._continue_dsp()
         if self._dormant:
             return
 
@@ -320,7 +319,8 @@ class MultiBagsPlus:
         if sink != pre:
             self.r.add_edge(sink_node, r_get)
         self._start_attached(r_get)
-        # d_sp deliberately untouched: bags cannot absorb a multi-touch future.
+        # d_sp gains only the next strand: bags cannot absorb a multi-touch future.
+        self._continue_dsp()
 
     # -- queries ------------------------------------------------------------
 
@@ -328,7 +328,7 @@ class MultiBagsPlus:
         """Did strand ``u`` happen before the current strand?"""
         if not 0 <= u <= self._cur:
             raise UsageError(f"strand {u} has not executed")
-        if self.d_sp.find_record(u).label == LABEL_S:
+        if self.d_sp.find_record(u) == LABEL_S:
             return True
         if self._dormant:
             return False  # no future yet, so the S/P bags are exact

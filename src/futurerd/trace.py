@@ -270,8 +270,9 @@ def walk(seq: EventSequence, mode: str, reach=None, shadow=None, races=None,
     """Walk a trace once, in serial order, and pass its events to the hooks.
 
     Each control event is checked against the frame grammar of ``mode`` and
-    counted, and only then handed to ``reach``'s hook for it, then to
-    ``on_strand_begin`` and ``after_strand`` with the new strand id. With a
+    counted, and only then handed to ``reach``'s hook for it, which places the
+    strand that follows, then to ``on_strand_begin`` and ``after_strand`` with
+    the new strand id. With a
     ``shadow``, reads and writes go to its ``on_read``/``on_write`` with
     ``reach.precedes``, and each race report is stored in ``races`` under its
     ``key()``, first occurrence only. Hooks are bound when the walk starts.
@@ -364,7 +365,7 @@ def walk(seq: EventSequence, mode: str, reach=None, shadow=None, races=None,
         if bad is None:
             try:
                 if k == SPAWN or k == CREATE:
-                    child_begin(k, fn, h)
+                    child_begin(k, h)
                 elif k == SYNC:
                     on_sync()
                 elif k == GET:

@@ -1,5 +1,13 @@
 import json
+import logging
+import os
+import subprocess
+import sys
+from pathlib import Path
 
+import pytest
+
+import futurerd
 from futurerd import cli, engine, reachdag, trace
 from futurerd.multibags_plus import MultiBagsPlus
 from futurerd.shadow import WRITE_WRITE, RaceReport, ShadowTable
@@ -251,3 +259,59 @@ def test_gen_round_trips_through_files(tmp_path):
          "--p-spawn", "0.2", "--p-create", "0.1", "--p-get", "0.05", "-o", str(out)])
     seq = trace.load(out)
     assert trace.serialize(seq) == out.read_text()
+
+
+def _bad_argument(args, tmp_path, capsys):
+    """Run ``args``; return argparse's message after checking it exited 2 and wrote nothing."""
+    out = tmp_path / "t.jsonl"
+    with pytest.raises(SystemExit) as exc:
+        run(args + ["-o", str(out)] if args[0] == "gen" else args)
+    assert exc.value.code == cli.EXIT_BAD_INPUT
+    assert not out.exists()
+    return capsys.readouterr().err
+
+
+def test_verify_rejects_a_negative_sample(tmp_path, capsys):
+    path = tmp_path / "s.jsonl"
+    trace.dump(seq_of(sp(1), rt(), sy()), str(path))
+    err = _bad_argument(["verify", "--algo", "plus", "--trace", str(path), "--sample", "-1"],
+                        tmp_path, capsys)
+    assert "--sample: must be at least 1, got -1" in err
+
+
+def test_gen_rejects_zero_blocks(tmp_path, capsys):
+    err = _bad_argument(["gen", "lcs-structured", "--n", "0"], tmp_path, capsys)
+    assert "--n: must be at least 1, got 0" in err
+
+
+def test_gen_rejects_a_probability_above_one(tmp_path, capsys):
+    err = _bad_argument(["gen", "random", "--p-spawn", "2"], tmp_path, capsys)
+    assert "--p-spawn: must be in [0, 1], got 2.0" in err
+
+
+def test_gen_rejects_a_negative_event_budget(tmp_path, capsys):
+    err = _bad_argument(["gen", "random", "--events", "-5"], tmp_path, capsys)
+    assert "--events: must be at least 1, got -5" in err
+
+
+def test_library_calls_leave_the_root_logger_alone(monkeypatch):
+    root = logging.getLogger()
+    monkeypatch.setattr(root, "handlers", [])
+    monkeypatch.setattr(root, "level", logging.WARNING)
+    seq = seq_of(cr(1, 1), wr(64), rt(), wr(64), gt(1))
+    assert futurerd.detect(seq, "plus", "general").races
+    assert futurerd.verify(seq, "plus").ok
+    assert root.handlers == [] and root.level == logging.WARNING
+
+
+def test_futurerd_log_info_reaches_stderr_from_the_cli(tmp_path):
+    path = tmp_path / "t.jsonl"
+    trace.dump(seq_of(sp(1), wr(64), rt(), wr(64), sy()), str(path))
+    src = str(Path(futurerd.__file__).parent.parent)
+    env = {**os.environ, "FUTURERD_LOG": "info",
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-m", "futurerd.cli", "detect", "--algo", "plus",
+                           "--mode", "general", "--trace", str(path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == cli.EXIT_RACES
+    assert "futurerd: detect algo=plus mode=general strands=4 races=1" in proc.stderr

@@ -17,7 +17,7 @@ from futurerd import cli, engine
 from futurerd.errors import InputError
 from futurerd.generators import gen_random
 from futurerd.multibags_plus import MultiBagsPlus
-from futurerd.trace import (ACCESS_KINDS, MODE_GENERAL, MODE_STRUCTURED, SPAWN, EventSequence,
+from futurerd.trace import (ACCESS_KINDS, MODE_GENERAL, MODE_STRUCTURED, EventSequence,
                             serialize, validate)
 from helpers import cr, deep_fork_join_then, desugar_spawns, fold_words, gt, rd, rt, wr
 
@@ -92,7 +92,7 @@ def test_first_create_after_deep_fork_join_nesting(body_in_child, monkeypatch, t
     def spy(mbp):
         top = mbp._frames[-1]
         # in a continuation, the top frame's own innermost window is open
-        in_child = top.kind == SPAWN and not top.spawn_stack
+        in_child = top.spawn_rec is not None and not top.spawn_stack
         woken.append((sum(len(f.spawn_stack) for f in mbp._frames), len(mbp._frames), in_child))
         wake(mbp)
 

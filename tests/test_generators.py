@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -139,3 +140,43 @@ def test_addresses_are_word_aligned():
     for ev in gen_lcs_structured(3, seed=1).events:
         if ev.addr is not None:
             assert ev.addr % WORD == 0
+
+
+# sha256 of serialize(...) per generator call: a refactor of the generators
+# must leave every trace byte-identical. The random recipes are the
+# benchmark's fork-join and futures-mixed shapes (scaled down) and the defaults.
+_RANDOM_RECIPES = {
+    "fork-join": dict(n_events=20_000, p_spawn=0.15, p_create=0.0, p_get=0.0),
+    "futures-mixed": dict(n_events=15_000, p_spawn=0.15, p_create=0.03, p_get=0.04),
+    "defaults": {},
+}
+_DIGESTS = [
+    ("fork-join", 1, False, "43114e962e9518f266acb181538b47e3d432abe5cb933e9ffe10b0f285985fa8"),
+    ("fork-join", 1, True, "713660e284fa784e843e58c7188799148551cf8c9ebfcb4d17eb272ee5e9a92c"),
+    ("fork-join", 7, False, "a196446db35fbf85407f7f43425edcfca5b09000d2bf3b9c601dfdea03c5b320"),
+    ("fork-join", 7, True, "952f4f2d5ec84dc4d10c7a5f92fbe27e8be3c07ad4af07092b01c2cd1fb9366f"),
+    ("futures-mixed", 1, False, "7d72349c4aedd3a438620950076a1bf184e1c432d430f9fa4496deb02c51a6af"),
+    ("futures-mixed", 1, True, "6be70c21cb9ed9ffaa6bea7804f67e360b27a21c399d7f905bf39f9ba9350e86"),
+    ("futures-mixed", 7, False, "d309c070113a924c904e58b5602ecbdb0d3409dcfaced8945bca6d1e23c8b82a"),
+    ("futures-mixed", 7, True, "f54a45408ade08e67cad44de7f7533e04700238e569416db3bb37f7ba0e712b9"),
+    ("defaults", 1, False, "ad368e54522c204fdbecfcbc78f77540550e9396cdaa5637dffe0ef63592b32c"),
+    ("defaults", 1, True, "0acf3f5a2d29539f6205a6b1afc4b1d1aec9a192da64ffed87335d0db2f779fc"),
+    ("defaults", 7, False, "31dc2cb7f258af46fc310a192575e41c04f11d3344fc3c03ccea88fb1f75d11e"),
+    ("defaults", 7, True, "24db534723e43cc0e94e8a1e6a0566c1a24210d103d39a2e0be663410c52d9e8"),
+    ("lcs-structured", 4, False, "8f7f23c2cffc7b0bfd076bdd2a6835280482a737cf1abf993be05a92478b420f"),
+    ("lcs-structured", 4, True, "bed5b421e51af1746864a2fb784ea06116e34cc8fd49780dbd3d59b8cd258d7e"),
+    ("lcs-structured", 9, True, "4dc41eab1a695e9d6ad457f653068d7d608bed36e995bd85bf2cd0acecb2ccf1"),
+    ("lcs-general", 4, False, "c2cdbbc4714d732da2218e2142a317c22e06cf1c4c5b6f500b3d304cce4b3c27"),
+    ("lcs-general", 4, True, "50bdd3770686ed3b57a70779f4464af8618de754b7d892123068cf3f119dfa5f"),
+    ("lcs-general", 9, True, "9df39518c758d3c1ad3c6538f05814428b45e0d8ec4d9bf7d1303771198a3e73"),
+]
+
+
+@pytest.mark.parametrize("family,arg,inject,digest", _DIGESTS)
+def test_generated_traces_are_pinned(family, arg, inject, digest):
+    if family in _RANDOM_RECIPES:
+        seq = gen_random(**_RANDOM_RECIPES[family], seed=arg, inject_race=inject)
+    else:
+        gen = gen_lcs_structured if family == "lcs-structured" else gen_lcs_general
+        seq = gen(arg, seed=arg, inject_race=inject)
+    assert hashlib.sha256(serialize(seq).encode()).hexdigest() == digest

@@ -34,7 +34,7 @@ def test_child_gets_its_own_s_bag():
 
     engine.replay(seq_of(cr(1, 1), rt()), mb, after_strand=after)
     assert seen[1] != seen[0]  # future body bag distinct from root's
-    assert mb.forest.record(mb.forest.find(0)).label == LABEL_S
+    assert mb.forest.record(mb.forest.find(0)) == LABEL_S
 
 
 def test_creator_precedes_child_body():
@@ -68,13 +68,13 @@ def test_returned_future_is_parallel_until_get():
     # relabeled bag kept its element and is P-labeled before the get
     mb2 = MultiBags()
     engine.replay(seq_of(cr(1, 1), rt()), mb2)
-    assert mb2.forest.record(mb2.forest.find(1)).label == LABEL_P
+    assert mb2.forest.record(mb2.forest.find(1)) == LABEL_P
 
 
 def test_get_absorbs_bag_into_frame():
     mb = drive([cr(1, 1), rt(), gt(1)])
     assert mb.forest.find(1) == mb.forest.find(0)
-    assert mb.forest.record(mb.forest.find(1)).label == LABEL_S
+    assert mb.forest.record(mb.forest.find(1)) == LABEL_S
 
 
 def test_unstructured_get_rejected():

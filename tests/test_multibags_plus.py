@@ -292,7 +292,7 @@ def test_return_relabels_and_records_sink():
     from futurerd.dsu import LABEL_P
 
     mbp = drive([cr(1, 1), rt()])
-    assert mbp.d_sp.record(mbp.d_sp.find(1)).label == LABEL_P
+    assert mbp.d_sp.record(mbp.d_sp.find(1)) == LABEL_P
     assert mbp._handles[1].sink_elem == 1
     with pytest.raises(InputError):
         drive([rt()])

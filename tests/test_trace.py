@@ -234,7 +234,7 @@ class Recorder:
             raise InputError(f"refused {call}")
         self.calls.append(call)
 
-    def on_child_begin(self, kind, fn, handle):
+    def on_child_begin(self, kind, handle):
         self._log(kind)
 
     def on_sync(self):
