@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -8,7 +9,7 @@ from futurerd.generators import gen_lcs_general, gen_lcs_structured, gen_random
 from futurerd.multibags import MultiBags
 from futurerd.multibags_plus import MultiBagsPlus
 from futurerd.shadow import WRITE_WRITE, RaceReport, ShadowTable
-from helpers import cr, fold_words, gt, rd, rt, seq_of, sp, sy, wr
+from helpers import cr, desugar_spawns, fold_words, gt, rd, rt, seq_of, sp, sy, wr
 
 
 def test_detect_race_free_structured_lcs():
@@ -35,6 +36,64 @@ def test_detect_general_lcs_needs_plus():
         engine.detect(seq, "multibags", "structured")
     with pytest.raises(InputError):
         engine.detect(seq, "multibags", "general")
+
+
+def _golden_trace(name):
+    """The small traces whose ``detect`` reports are pinned below."""
+    shape, _, seed = name.rpartition("-")
+    seed = int(seed)
+    if shape == "lcs-structured":
+        return gen_lcs_structured(seed, inject_race=True)
+    if shape == "lcs-general":
+        return gen_lcs_general(seed)
+    if shape == "futures":
+        seq = gen_random(n_events=400, p_spawn=0.2, p_create=0.08, p_get=0.08, seed=seed,
+                         inject_race=True)
+        return fold_words(seq, 6, seed)
+    seq = fold_words(gen_random(n_events=400, p_spawn=0.2, p_create=0.0, p_get=0.0, seed=seed),
+                     6, seed)
+    return desugar_spawns(seq) if shape == "desugared" else seq
+
+
+# sha256 of ``DetectReport.to_json()``, the line ``detect --json`` prints,
+# for every algorithm/mode pair that accepts the trace: a refactor of the
+# detectors or the walk must leave each report, find_ops and union_ops
+# included, byte-identical. The fork-join and futures traces fold their
+# addresses onto 6 words, so they race; the futures ones are multi-touch and
+# have syncs with both sides attached.
+_GOLDEN = [
+    ("lcs-structured-4", "multibags", "structured", "c0e572c1702f95bd28dc0dfc3e311a712672dabba4424c9d9be73fa14678ca8d"),
+    ("lcs-structured-4", "plus", "structured", "85a1f8b57592ded2674ea73f42091e51c22934faf5fb1640a95d03c3a0933ac5"),
+    ("lcs-structured-4", "plus", "general", "7677e496ee30d20e205fe11ca2fd2362f2d075f6f0000fa89a7ad0d247c04ed0"),
+    ("lcs-general-5", "plus", "general", "86f0c9395f7f23dde36a9ed82f7a1adb23c6545351490b5d18442150e7e2fd61"),
+    ("fork-join-1", "multibags", "structured", "300f0fe8df4ab02e2bd2af3618b189b0b8083df72fddf3e3904c1c1f71577c7d"),
+    ("fork-join-1", "plus", "structured", "8c599c84f33da0303e3c44d2913b7c405833184e1f6d6f68766332067a8d1326"),
+    ("fork-join-1", "plus", "general", "eadd6d7fb327cbffbf531cbe834121cc8246347b931c9bc398601961f697522b"),
+    ("desugared-1", "multibags", "structured", "d200fbbf815e9092a71ef8a3fef44b43fdcbb5921cff589ef1e93b6a836c8c99"),
+    ("desugared-1", "plus", "structured", "7fa069f340b4639931fea89211da2db5dd3e0fdd3df7c30d68c2cdae6690e487"),
+    ("desugared-1", "plus", "general", "0faac914dd331dbd9682c182e6f2f51768024fb819234517a1f934198dfd64ee"),
+    ("fork-join-2", "multibags", "structured", "37dbc4838dec5a16678c89017ae8b83d56836f21665605188cc975d4c9373c7d"),
+    ("fork-join-2", "plus", "structured", "6ca409c3f674f599fe9d77b5ef6263e850d026295d29b0948d0eb09725aa8b2a"),
+    ("fork-join-2", "plus", "general", "cc21faa71ee8ded5da3e1d689c2c0644a9710726827aaae1a03886def7462fb9"),
+    ("desugared-2", "multibags", "structured", "60a5996d9bb5cfd1c9a07a0ad96a00e0cff7662b53a95a05e4f19d6888f38fd3"),
+    ("desugared-2", "plus", "structured", "e876246042d5613f74f1ec1c9b947f31f012023f3106177e15377ea0ba5be73d"),
+    ("desugared-2", "plus", "general", "c8a0d826139227187d31e2018d498b7189497ba1e67566cce34e4c323af47071"),
+    ("fork-join-3", "multibags", "structured", "52266efb4335334f1bbe396ff21259cae9b34d6baa8a001a9640a27b7ac18bf2"),
+    ("fork-join-3", "plus", "structured", "0037470f748b9f7eca066004789dd483ec53a38cec9866efb330e6ddcc60368d"),
+    ("fork-join-3", "plus", "general", "8ea3968b00d626dcbee572cf6819546ddf683314058c69690e5b12d483e6ea9b"),
+    ("desugared-3", "multibags", "structured", "c5af23595500ae1041297750812f9ccf4c15cc3a6709739d4d16b61a1f389d46"),
+    ("desugared-3", "plus", "structured", "e066e3068733cadfbc7c88f10f8af6518ffa13add64b472e1c13f8aab32f74e3"),
+    ("desugared-3", "plus", "general", "00c9714d96152e01fb6a18bc15b6121cb8a32362903e6878c4183c4f344fa741"),
+    ("futures-1", "plus", "general", "f3f9eba931380c043474dda17a0ca577e64f1cb3aca38c03cab61df0ae79202b"),
+    ("futures-2", "plus", "general", "5b85355f14ee72d1e93a3555efa935ecdf00ef2664b88caf19f8263093677e8a"),
+    ("futures-3", "plus", "general", "563233b803139730c7d2e2b74366a8e1612e7637e23abb93953e6ae7414202b0"),
+]
+
+
+@pytest.mark.parametrize("name,algo,mode,digest", _GOLDEN)
+def test_detect_reports_are_pinned(name, algo, mode, digest):
+    report = engine.detect(_golden_trace(name), algo, mode)
+    assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
 
 
 def test_detect_rejects_invalid_trace_with_violations():
