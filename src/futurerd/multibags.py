@@ -10,7 +10,9 @@ precedes the current one exactly when it sits in an S bag.
 A strand's id is also its element. Each control hook places the strand that
 follows it: a child's first strand starts the child's bag, named by that
 strand (the fork strand + 1), and any other strand joins its frame's bag. A
-bag's record is its bare label.
+bag's record is its bare label. ``trace.walk`` keeps the frame stack, with a
+bag id as each frame's record, and hands each hook the bags of the child and
+of the frame, so the detector keeps no per-frame state of its own.
 
 ``spawn``/``sync`` are handled as ``create``/``get`` on implicit handles,
 joining the most recently spawned outstanding child.
@@ -25,15 +27,12 @@ from __future__ import annotations
 
 from .dsu import LABEL_P, LABEL_S, DisjointSets
 from .errors import InputError, InvariantError, UsageError
-from .trace import CREATE
 
 
 class MultiBags:
     def __init__(self) -> None:
         self.forest = DisjointSets()
-        self._bags = [self.forest.make_set(LABEL_S)]  # per open frame, innermost last
-        self._spawned: list[int] = []  # unsynced spawns' bags; frames nest, so one stack
-        self._handles: dict[int, int] = {}  # handle -> creator strand, until its get
+        self.root = self.forest.make_set(LABEL_S)  # a frame's record is its bag
         self._cur = -1
 
     def _placed(self, sid: int) -> None:
@@ -41,48 +40,38 @@ class MultiBags:
         if sid != self._cur + 1:
             raise InvariantError(f"strand {self._cur + 1} allocated element {sid}")
 
-    def _continue(self) -> None:
-        """Next strand: joins the bag of the innermost frame."""
-        self._placed(self.forest.add_element(self._bags[-1]))
-
     # -- replay hooks: trace.walk checks each event's frame grammar first ----
 
-    def on_child_begin(self, kind: str, handle: int | None) -> None:
-        bag = self._cur + 1
-        if kind == CREATE:
-            self._handles[handle] = self._cur
-        else:
-            self._spawned.append(bag)
-        self._bags.append(bag)
-        self._placed(self.forest.make_set(LABEL_S))
+    def on_child_begin(self, kind: str, handle: int | None) -> int:
+        bag = self.forest.make_set(LABEL_S)
+        self._placed(bag)
+        return bag
 
     def on_strand_begin(self, s: int) -> None:
         self._cur = s
 
-    def on_return(self) -> None:
-        self.forest.relabel(self._bags.pop(), LABEL_P)
-        self._continue()
+    def on_return(self, child: int, frame: int) -> None:
+        self.forest.relabel(child, LABEL_P)
+        self._placed(self.forest.add_element(frame))
 
-    def on_sync(self) -> None:
-        child_bag = self._spawned.pop()
-        if self.forest.record(child_bag) != LABEL_P:
+    def on_sync(self, child: int, frame: int) -> None:
+        if self.forest.record(child) != LABEL_P:
             raise InvariantError("synced child's bag is not P-labeled")
-        self.forest.union_into(self._bags[-1], child_bag)
-        self._continue()
+        self.forest.union_into(frame, child)
+        self._placed(self.forest.add_element(frame))
 
-    def on_get(self, handle: int) -> None:
-        creator = self._handles.pop(handle, None)  # the walk rejects unknown handles
-        if creator is None:
+    def on_get(self, handle: int, future: int, frame: int) -> None:
+        if not self.forest.is_live(future):  # unioned by an earlier get
             raise InputError(f"single-touch violated: handle {handle} gotten twice")
-        if self.forest.find_record(creator) != LABEL_S:
+        if self.forest.find_record(future - 1) != LABEL_S:  # the creator strand
             raise InputError(
                 f"unstructured future use: creator of handle {handle} "
                 "does not precede its get"
             )
-        if self.forest.record(creator + 1) != LABEL_P:
+        if self.forest.record(future) != LABEL_P:
             raise InvariantError("gotten future's bag is not P-labeled")
-        self.forest.union_into(self._bags[-1], creator + 1)
-        self._continue()
+        self.forest.union_into(frame, future)
+        self._placed(self.forest.add_element(frame))
 
     # -- queries ------------------------------------------------------------
 

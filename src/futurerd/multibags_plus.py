@@ -25,6 +25,12 @@ A strand's id is also its element in both forests. Each control hook places
 the strand that follows it: in ``d_sp`` by the rule of ``multibags`` (a bag
 is named by its first strand), and in ``d_nsp`` by the rules below.
 
+``trace.walk`` keeps the frame stack, with a ``_Child`` as each frame's
+record (its fork strand, and its sink once it returns), and hands each hook
+the records of the child and of the frame. The detector itself keeps one
+stack, ``_windows``: the spawned children not yet synced, across all open
+frames, which nest, so the innermost window is on top.
+
 Key maintenance rules, enforced here and checked by the test suite against a
 brute-force dag at every step:
 
@@ -49,11 +55,12 @@ label alone: S means True, P means False. A trace without futures thus costs
 what ``multibags`` costs. The first create calls ``_wake``, which builds in
 one pass over the strands the ``d_nsp`` the eager rules would have built by
 then, and the detector stays awake from there on. In that state only the
-root's set is attached. Each open spawn window's left and right source
-strands (``left_source_elem``, ``right_source_elem``) start fresh
-unattached sets with ``att_pred`` = 0, the root's set. Every other strand
-is in the set of the latest start at or below it, because a closed window
-has collapsed into its fork's set. Strand 0 and the strands before the
+root's set is attached. Each open spawn window (``_windows``) has a left
+source strand, the child's first (``fork + 1``), and, once the child has
+returned, a right source strand, the continuation's first (``sink + 1``).
+Each starts a fresh unattached set with ``att_pred`` = 0, the root's set.
+Every other strand is in the set of the latest start at or below it,
+because a closed window has collapsed into its fork's set. Strand 0 and the strands before the
 first start form the root's set.
 
 Every edge of ``r`` enters the node just created, which costs one OR, except
@@ -62,14 +69,14 @@ and they rely on the *spawn window* invariant. Every set that holds a strand
 run between a spawn and its sync was created in that window, so its dag node
 was created there too. Every edge added in the window ends at a node of the
 window. So the descendants of either source node all have ids of at least
-``len(r)`` at the spawn (``_SpawnRec.r_floor``), and the fork edges scan only
+``len(r)`` at the spawn (``_Child.r_floor``), and the fork edges scan only
 those rows. The fork's own node is older or was just promoted, and it is
 never a descendant of a source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .dsu import LABEL_P, LABEL_S, DisjointSets
 from .errors import InvariantError, UsageError
@@ -87,34 +94,13 @@ class NspRecord:
 
 
 @dataclass(slots=True)
-class _SpawnRec:
-    fork_elem: int
-    r_floor: int  # len(r) at the spawn: the lowest id a node of the window can get
-    left_sink_elem: int | None = None  # set when the child returns
+class _Child:
+    """A frame's record, kept by ``trace.walk`` on its frame stack."""
 
-    @property
-    def left_source_elem(self) -> int:
-        """The child's first strand; also the id of its ``d_sp`` bag."""
-        return self.fork_elem + 1
-
-    @property
-    def right_source_elem(self) -> int:
-        """The continuation's first strand; valid once the child has returned."""
-        return self.left_sink_elem + 1
-
-
-@dataclass(slots=True)
-class _Frame:
-    dsp_bag: int  # the frame's first strand
-    handle: int | None = None  # for created frames
-    spawn_stack: list[_SpawnRec] = field(default_factory=list)
-    spawn_rec: _SpawnRec | None = None  # parent-side record, for spawned frames
-
-
-@dataclass(slots=True)
-class _Handle:
-    cont_node: int  # dag node of the creator's continuation
-    sink_elem: int | None = None
+    fork: int  # the parent's strand before the child; the child's d_sp bag is fork + 1
+    r_floor: int = 0  # spawned: len(r) at the spawn, the lowest id a node of the window gets
+    cont_node: int | None = None  # created: dag node of the creator's continuation
+    sink: int | None = None  # the child's last strand, set when it returns
 
 
 class MultiBagsPlus:
@@ -123,8 +109,9 @@ class MultiBagsPlus:
         self.d_nsp = DisjointSets()  # empty while dormant; see _wake
         self.r = ReachDag()
         self.r.add_node()  # node 0: the root's set
-        self._frames: list[_Frame] = [_Frame(self.d_sp.make_set(LABEL_S))]
-        self._handles: dict[int, _Handle] = {}
+        self.root = _Child(fork=-1)  # no fork strand; its d_sp bag, fork + 1, is strand 0's
+        self.d_sp.make_set(LABEL_S)
+        self._windows: list[_Child] = []  # open spawn windows; frames nest, so one stack
         self._cur = -1
         self._dormant = True
         self.both_attached_syncs = 0
@@ -136,11 +123,10 @@ class MultiBagsPlus:
         built; the module docstring states the rule.
         """
         starts = set()
-        for frame in self._frames:
-            for rec in frame.spawn_stack:
-                starts.add(rec.left_source_elem)
-                if rec.left_sink_elem is not None:
-                    starts.add(rec.right_source_elem)
+        for child in self._windows:
+            starts.add(child.fork + 1)
+            if child.sink is not None:
+                starts.add(child.sink + 1)
         nsp = self.d_nsp
         sid = nsp.make_set(NspRecord(0, att_pred=0, att_succ=0))
         for s in range(1, self._cur + 1):
@@ -188,9 +174,9 @@ class MultiBagsPlus:
         if elem != self._cur + 1:
             raise InvariantError(f"strand {self._cur + 1} allocated {forest} element {elem}")
 
-    def _continue_dsp(self) -> None:
-        """Next strand: joins the ``d_sp`` bag of the frame on top."""
-        self._placed(self.d_sp.add_element(self._frames[-1].dsp_bag), "d_sp")
+    def _continue_dsp(self, frame: _Child) -> None:
+        """Next strand: joins ``frame``'s ``d_sp`` bag."""
+        self._placed(self.d_sp.add_element(frame.fork + 1), "d_sp")
 
     def _start_unattached(self, pred_elem: int) -> None:
         """Next strand: a fresh unattached set behind ``pred_elem``'s set."""
@@ -204,17 +190,16 @@ class MultiBagsPlus:
 
     # -- replay hooks: trace.walk checks each event's frame grammar first ----
 
-    def on_child_begin(self, kind: str, handle: int | None) -> None:
+    def on_child_begin(self, kind: str, handle: int | None) -> _Child:
         fork = self._cur
         # S/P bag side: identical treatment for spawned and created children.
         self._placed(self.d_sp.make_set(LABEL_S), "d_sp")
         if kind == SPAWN:
-            rec = _SpawnRec(fork_elem=fork, r_floor=len(self.r))
-            self._frames[-1].spawn_stack.append(rec)
-            self._frames.append(_Frame(fork + 1, spawn_rec=rec))
+            child = _Child(fork, r_floor=len(self.r))
+            self._windows.append(child)
             if not self._dormant:
                 self._start_unattached(fork)
-            return
+            return child
         if self._dormant:
             self._wake()
         rn = self._attachify(self.d_nsp.find(fork))
@@ -222,48 +207,41 @@ class MultiBagsPlus:
         self.r.add_edge(rn, r_future)
         r_cont = self.r.add_node()
         self.r.add_edge(rn, r_cont)
-        self._handles[handle] = _Handle(cont_node=r_cont)
-        self._frames.append(_Frame(fork + 1, handle=handle))
         self._start_attached(r_future)
+        return _Child(fork, cont_node=r_cont)
 
     def on_strand_begin(self, s: int) -> None:
         self._cur = s
 
-    def on_return(self) -> None:
-        frame = self._frames.pop()
-        self.d_sp.relabel(frame.dsp_bag, LABEL_P)
-        self._continue_dsp()
-        sink = self._cur
-        rec = frame.spawn_rec
-        if rec is not None:
-            rec.left_sink_elem = sink
-            if not self._dormant:
-                self._start_unattached(rec.fork_elem)
-        else:
-            handle = self._handles[frame.handle]
-            handle.sink_elem = sink
-            self._start_attached(handle.cont_node)
+    def on_return(self, child: _Child, frame: _Child) -> None:
+        self.d_sp.relabel(child.fork + 1, LABEL_P)
+        self._continue_dsp(frame)
+        child.sink = self._cur
+        if child.cont_node is not None:
+            self._start_attached(child.cont_node)
+        elif not self._dormant:
+            self._start_unattached(child.fork)
 
-    def on_sync(self) -> None:
-        frame = self._frames[-1]
-        rec = frame.spawn_stack.pop()
-        if rec.left_sink_elem is None:
+    def on_sync(self, child: _Child, frame: _Child) -> None:
+        if self._windows.pop() is not child:
+            raise InvariantError("sync does not close the innermost spawn window")
+        if child.sink is None:
             raise InvariantError("sync before the spawned child completed")
 
         # S/P side first: the child's P bag joins this frame's S bag.
-        child_bag = rec.left_source_elem
+        child_bag = child.fork + 1
         if self.d_sp.record(child_bag) != LABEL_P:
             raise InvariantError("synced child's bag is not P-labeled")
-        self.d_sp.union_into(frame.dsp_bag, child_bag)
-        self._continue_dsp()
+        self.d_sp.union_into(frame.fork + 1, child_bag)
+        self._continue_dsp(frame)
         if self._dormant:
             return
 
         nsp = self.d_nsp
-        fork_set = nsp.find(rec.fork_elem)
-        left_src = nsp.find(rec.left_source_elem)
-        left_sink = nsp.find(rec.left_sink_elem)
-        right_src = nsp.find(rec.right_source_elem)
+        fork_set = nsp.find(child.fork)
+        left_src = nsp.find(child.fork + 1)
+        left_sink = nsp.find(child.sink)
+        right_src = nsp.find(child.sink + 1)
         right_sink = nsp.find(self._cur)
         la = nsp.record(left_sink).r_node is not None
         ra = nsp.record(right_sink).r_node is not None
@@ -280,8 +258,8 @@ class MultiBagsPlus:
             # Promote fork and join; wire them around both subdags.
             self.both_attached_syncs += 1
             rf = self._attachify(fork_set)
-            self.r.add_fork_edge(rf, self._rnode(left_src), rec.r_floor)
-            self.r.add_fork_edge(rf, self._rnode(right_src), rec.r_floor)
+            self.r.add_fork_edge(rf, self._rnode(left_src), child.r_floor)
+            self.r.add_fork_edge(rf, self._rnode(right_src), child.r_floor)
             r_join = self.r.add_node()
             self.r.add_edge(self._rnode(left_sink), r_join)
             self.r.add_edge(self._rnode(right_sink), r_join)
@@ -308,11 +286,11 @@ class MultiBagsPlus:
             un_rec.att_succ = att_sink
             self._placed(nsp.add_element(att_sink))
 
-    def on_get(self, handle: int) -> None:
+    def on_get(self, handle: int, future: _Child, frame: _Child) -> None:
         # _attachify never unions, so each set is found once.
         pre = self.d_nsp.find(self._cur)
         pre_node = self._attachify(pre)
-        sink = self.d_nsp.find(self._handles[handle].sink_elem)
+        sink = self.d_nsp.find(future.sink)
         sink_node = self._attachify(sink)  # futures start attached, so normally a no-op
         r_get = self.r.add_node()
         self.r.add_edge(pre_node, r_get)
@@ -320,7 +298,7 @@ class MultiBagsPlus:
             self.r.add_edge(sink_node, r_get)
         self._start_attached(r_get)
         # d_sp gains only the next strand: bags cannot absorb a multi-touch future.
-        self._continue_dsp()
+        self._continue_dsp(frame)
 
     # -- queries ------------------------------------------------------------
 

@@ -272,10 +272,19 @@ def walk(seq: EventSequence, mode: str, reach=None, shadow=None, races=None,
     Each control event is checked against the frame grammar of ``mode`` and
     counted, and only then handed to ``reach``'s hook for it, which places the
     strand that follows, then to ``on_strand_begin`` and ``after_strand`` with
-    the new strand id. With a
-    ``shadow``, reads and writes go to its ``on_read``/``on_write`` with
-    ``reach.precedes``, and each race report is stored in ``races`` under its
-    ``key()``, first occurrence only. Hooks are bound when the walk starts.
+    the new strand id. With a ``shadow``, reads and writes go to its
+    ``on_read``/``on_write`` with ``reach.precedes``, and each race report is
+    stored in ``races`` under its ``key()``, first occurrence only. Hooks are
+    bound when the walk starts.
+
+    The walk keeps the frame stack, and each frame entry keeps the detector's
+    record of that frame, so a detector keeps none of its own:
+
+    * ``on_child_begin(kind, handle)`` returns the new child's record;
+    * ``on_return(child, frame)``, ``on_sync(child, frame)`` and
+      ``on_get(handle, future, frame)`` get the records of the returning,
+      synced or gotten child and of the frame the next strand runs in;
+    * ``reach.root`` is the root frame's record.
 
     Violations, and the first ``InputError`` a hook raises, are kept in the
     report, never raised. After either, the hooks and the shadow are dropped
@@ -295,10 +304,11 @@ def walk(seq: EventSequence, mode: str, reach=None, shadow=None, races=None,
         child_begin, on_sync, on_get = reach.on_child_begin, reach.on_sync, reach.on_get
         on_return, strand_begin = reach.on_return, reach.on_strand_begin
 
-    closed: dict[int, bool] = {}  # handle -> has its frame returned
+    # handle -> the future's frame entry once it has returned, None before
+    closed: dict[int, list | None] = {}
     got: set[int] = set()
-    # one entry per open frame: [outstanding spawn count, handle or None]
-    frames: list[list] = [[0, None]]
+    # one entry per open frame: [record, handle or None, unsynced spawned children's entries]
+    frames: list[list] = [[None if reach is None else reach.root, None, []]]
     reads = writes = spawns = creates = syncs = gets = rets = 0
     cur = 0
     after = after_strand
@@ -325,53 +335,55 @@ def walk(seq: EventSequence, mode: str, reach=None, shadow=None, races=None,
         bad = None
         if k == SPAWN:
             spawns += 1
-            frames[-1][0] += 1
-            frames.append([0, None])
+            child = [None, None, []]
+            frames[-1][2].append(child)
+            frames.append(child)
         elif k == CREATE:
             creates += 1
             if h in closed:
                 bad = ("duplicate-handle", f"duplicate future handle {h}")
-            closed[h] = False
-            frames.append([0, h])
+            closed[h] = None
+            frames.append([None, h, []])
         elif k == SYNC:
             syncs += 1
-            top = frames[-1]
-            if top[0]:
-                top[0] -= 1
+            spawned = frames[-1][2]
+            if spawned:
+                child = spawned.pop()
             else:
                 bad = ("sync-without-spawn", "sync with no outstanding spawned child")
         elif k == GET:
             gets += 1
-            state = closed.get(h)
-            if state is None:
+            if h not in closed:
                 bad = ("unknown-handle", f"get of unknown handle {h}")
-            elif not state:
-                bad = ("get-before-future-return",
-                       f"get of handle {h} before its future returned")
-            elif single_touch and h in got:
-                bad = ("single-touch", f"handle {h} gotten more than once")
+            else:
+                child = closed[h]
+                if child is None:
+                    bad = ("get-before-future-return",
+                           f"get of handle {h} before its future returned")
+                elif single_touch and h in got:
+                    bad = ("single-touch", f"handle {h} gotten more than once")
             got.add(h)
         else:
             rets += 1
             if len(frames) == 1:
                 bad = ("return-from-root", "ret event in the implicit root frame")
             else:
-                outstanding, handle = frames.pop()
-                if handle is not None:
-                    closed[handle] = True
-                if outstanding:
+                child = frames.pop()
+                if child[1] is not None:
+                    closed[child[1]] = child
+                if child[2]:
                     bad = ("unsynced-spawn",
-                           f"frame returns with {outstanding} unsynced spawned child(ren)")
+                           f"frame returns with {len(child[2])} unsynced spawned child(ren)")
         if bad is None:
             try:
                 if k == SPAWN or k == CREATE:
-                    child_begin(k, h)
+                    frames[-1][0] = child_begin(k, h)
                 elif k == SYNC:
-                    on_sync()
+                    on_sync(child[0], frames[-1][0])
                 elif k == GET:
-                    on_get(h)
+                    on_get(h, child[0], frames[-1][0])
                 else:
-                    on_return()
+                    on_return(child[0], frames[-1][0])
                 strand_begin(cur)
                 if after is not None:
                     after(cur)
@@ -388,9 +400,10 @@ def walk(seq: EventSequence, mode: str, reach=None, shadow=None, races=None,
     if len(frames) > 1:
         violations.append(Violation(end, "unclosed-frames",
                                     f"{len(frames) - 1} frame(s) never return"))
-    elif frames[0][0]:
+    elif frames[0][2]:
+        n = len(frames[0][2])
         violations.append(Violation(end, "unsynced-spawn",
-                                    f"root ends with {frames[0][0]} unsynced spawned child(ren)"))
+                                    f"root ends with {n} unsynced spawned child(ren)"))
     report.counts = TraceCounts(events=end, strands=cur + 1, reads=reads, writes=writes,
                                 spawns=spawns, creates=creates, syncs=syncs, gets=gets, rets=rets)
     return report

@@ -17,8 +17,8 @@ from futurerd import cli, engine
 from futurerd.errors import InputError
 from futurerd.generators import gen_random
 from futurerd.multibags_plus import MultiBagsPlus
-from futurerd.trace import (ACCESS_KINDS, MODE_GENERAL, MODE_STRUCTURED, EventSequence,
-                            serialize, validate)
+from futurerd.trace import (ACCESS_KINDS, CREATE, MODE_GENERAL, MODE_STRUCTURED, RET, SPAWN,
+                            EventSequence, serialize, validate)
 from helpers import cr, deep_fork_join_then, desugar_spawns, fold_words, gt, rd, rt, wr
 
 
@@ -90,10 +90,9 @@ def test_first_create_after_deep_fork_join_nesting(body_in_child, monkeypatch, t
     wake = MultiBagsPlus._wake
 
     def spy(mbp):
-        top = mbp._frames[-1]
-        # in a continuation, the top frame's own innermost window is open
-        in_child = top.spawn_rec is not None and not top.spawn_stack
-        woken.append((sum(len(f.spawn_stack) for f in mbp._frames), len(mbp._frames), in_child))
+        windows = mbp._windows
+        # in the left child, the innermost window's child has not returned
+        woken.append((mbp._cur, len(windows), windows[-1].sink is None))
         wake(mbp)
 
     monkeypatch.setattr(MultiBagsPlus, "_wake", spy)
@@ -105,10 +104,16 @@ def test_first_create_after_deep_fork_join_nesting(body_in_child, monkeypatch, t
         assert checked.detector_races  # the filler accesses race across open sides
         plus = engine.detect(seq, "plus", "general")
         assert _keys(plus) == checked.detector_races
+        # the strand current at the first create, and the frames open there
+        kinds = [ev.kind for ev in seq.events]
+        prefix = kinds[:kinds.index(CREATE)]
+        strand = sum(k not in ACCESS_KINDS for k in prefix)
+        frames = 1 + prefix.count(SPAWN) + prefix.count(CREATE) - prefix.count(RET)
+        assert woken[-2:] == [woken[-1]] * 2 and woken[-1][0] == strand and frames >= 4
     # one wake per detect and per verify, each at the first create
     assert len(woken) == 12
-    for open_windows, frames, in_child in woken:
-        assert open_windows >= 20 and frames >= 4 and in_child == body_in_child
+    for _, open_windows, in_child in woken:
+        assert open_windows >= 20 and in_child == body_in_child
     path = tmp_path / "deep.jsonl"
     path.write_text(serialize(seq))
     assert cli.run_cli(["verify", "--algo", "plus", "--trace", str(path)]) == cli.EXIT_OK

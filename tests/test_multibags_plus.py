@@ -291,9 +291,12 @@ def test_sync_without_outstanding_child():
 def test_return_relabels_and_records_sink():
     from futurerd.dsu import LABEL_P
 
-    mbp = drive([cr(1, 1), rt()])
+    mbp, children = MultiBagsPlus(), []
+    begin = mbp.on_child_begin
+    mbp.on_child_begin = lambda kind, handle: children.append(begin(kind, handle)) or children[-1]
+    engine.replay(seq_of(cr(1, 1), rt()), mbp)
     assert mbp.d_sp.record(mbp.d_sp.find(1)) == LABEL_P
-    assert mbp._handles[1].sink_elem == 1
+    assert children[0].sink == 1
     with pytest.raises(InputError):
         drive([rt()])
 

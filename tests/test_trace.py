@@ -223,11 +223,21 @@ def test_handle_messages_name_the_problem():
 
 
 class Recorder:
-    """Reachability hooks that log each call; ``fail_at`` makes one hook raise."""
+    """Reachability hooks that log each call; ``fail_at`` makes one hook raise.
+
+    A child's record is ``(kind, fork strand)`` and the root's is ``"root"``.
+    ``children`` keeps each record ``on_child_begin`` returned, and ``joins``
+    logs the records that each return, sync and get receives.
+    """
+
+    root = "root"
 
     def __init__(self, fail_at=None):
         self.calls = []
+        self.children = []
+        self.joins = []
         self.fail_at = fail_at
+        self.cur = None
 
     def _log(self, call):
         if call == self.fail_at:
@@ -236,18 +246,45 @@ class Recorder:
 
     def on_child_begin(self, kind, handle):
         self._log(kind)
+        self.children.append((kind, self.cur))
+        return self.children[-1]
 
-    def on_sync(self):
+    def on_sync(self, child, frame):
         self._log("sync")
+        self.joins.append(("sync", child, frame))
 
-    def on_get(self, handle):
+    def on_get(self, handle, future, frame):
         self._log("get")
+        self.joins.append(("get", future, frame))
 
-    def on_return(self):
+    def on_return(self, child, frame):
         self._log("ret")
+        self.joins.append(("ret", child, frame))
 
     def on_strand_begin(self, s):
         self._log(s)
+        self.cur = s
+
+
+def test_walk_hands_each_hook_the_records_of_the_child_and_the_frame():
+    a, b, c = ("spawn", 0), ("spawn", 1), ("spawn", 3)
+    fut, d = ("create", 8), ("spawn", 10)
+    seq = seq_of(
+        sp(1), sp(2), rt(), sp(3), rt(), sy(), sy(), rt(),  # a spawns b and c, syncs c first
+        cr(4, 9), rt(), sp(5), gt(9), gt(9), rt(), gt(9), sy(), sy(),  # d gets fut twice
+    )
+    reach = Recorder()
+    assert walk(seq, MODE_GENERAL, reach).ok
+    assert reach.joins == [
+        ("ret", b, a), ("ret", c, a), ("sync", c, a), ("sync", b, a), ("ret", a, "root"),
+        ("ret", fut, "root"), ("get", fut, d), ("get", fut, d), ("ret", d, "root"),
+        ("get", fut, "root"), ("sync", d, "root"), ("sync", a, "root"),
+    ]
+    assert reach.children == [a, b, c, fut, d]
+    # the walk hands back the very objects on_child_begin returned
+    handed = {id(r) for _, child, frame in reach.joins for r in (child, frame)}
+    assert handed == {id(r) for r in reach.children} | {id(reach.root)}
+    assert all(child is reach.children[3] for kind, child, _ in reach.joins if kind == "get")
 
 
 def test_walk_counts_everything_but_stops_the_hooks_at_the_first_violation():
