@@ -135,19 +135,24 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
-    if args.family == "lcs-structured":
-        seq = generators.gen_lcs_structured(args.n, seed=args.seed, inject_race=args.inject_race)
-    elif args.family == "lcs-general":
-        seq = generators.gen_lcs_general(args.n, seed=args.seed, inject_race=args.inject_race)
-    else:
-        seq = generators.gen_random(
-            n_events=args.events,
-            p_spawn=args.p_spawn,
-            p_create=args.p_create,
-            p_get=args.p_get,
-            seed=args.seed,
-            inject_race=args.inject_race,
-        )
+    try:  # a generator's UsageError names a bad command-line argument here
+        if args.family == "lcs-structured":
+            seq = generators.gen_lcs_structured(args.n, seed=args.seed,
+                                                inject_race=args.inject_race)
+        elif args.family == "lcs-general":
+            seq = generators.gen_lcs_general(args.n, seed=args.seed,
+                                             inject_race=args.inject_race)
+        else:
+            seq = generators.gen_random(
+                n_events=args.events,
+                p_spawn=args.p_spawn,
+                p_create=args.p_create,
+                p_get=args.p_get,
+                seed=args.seed,
+                inject_race=args.inject_race,
+            )
+    except UsageError as exc:
+        raise InputError(str(exc)) from exc
     _write(args.out, trace.serialize(seq))
     print(f"wrote {len(seq)} events to {args.out}")
     return EXIT_OK

@@ -9,7 +9,7 @@ import json
 import logging
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 from . import oracle as oracle_mod
 from .errors import InputError, InvariantError, UsageError
@@ -41,19 +41,9 @@ class Stats:
     elapsed: float = 0.0  # seconds in replay, grammar check included
 
     def to_json_dict(self) -> dict:
-        # Timings vary from run to run; reports must be reproducible.
-        return {
-            "t1_events": self.t1_events,
-            "m": self.m,
-            "n": self.n,
-            "k": self.k,
-            "strands": self.strands,
-            "queries": self.queries,
-            "union_ops": self.union_ops,
-            "find_ops": self.find_ops,
-            "attached_sets": self.attached_sets,
-            "both_attached_syncs": self.both_attached_syncs,
-        }
+        d = asdict(self)
+        del d["elapsed"]  # timings vary from run to run; reports must be reproducible
+        return d
 
 
 @dataclass
@@ -261,16 +251,4 @@ def verify(seq: EventSequence, algo: str, sample: int | None = None, seed: int =
 def stats_only(seq: EventSequence) -> dict:
     """Counts for a trace without running detection."""
     c = seq.counts
-    return {
-        "events": c.events,
-        "strands": c.strands,
-        "reads": c.reads,
-        "writes": c.writes,
-        "spawns": c.spawns,
-        "creates": c.creates,
-        "syncs": c.syncs,
-        "gets": c.gets,
-        "rets": c.rets,
-        "n": c.fork_points,
-        "k": c.future_ops,
-    }
+    return {**asdict(c), "n": c.fork_points, "k": c.future_ops}

@@ -146,7 +146,10 @@ def gen_random(
     (earlier in the same frame, in an ancestor before this lineage forked,
     or inside an already joined child), writes always use fresh addresses,
     so the trace is race-free unless ``inject_race`` plants its single
-    conflicting pair.
+    conflicting pair. When no chance to plant it arises, ``inject_race``
+    appends a ``create``/``w``/``ret``/``r`` tail to the root, a future whose
+    write races with the root's read, even with ``p_create=0``; such a trace
+    is then not fork-join.
     """
     for name, p in (("p_spawn", p_spawn), ("p_create", p_create), ("p_get", p_get)):
         if not 0.0 <= p <= 1.0:

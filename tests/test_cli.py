@@ -294,6 +294,14 @@ def test_gen_rejects_a_negative_event_budget(tmp_path, capsys):
     assert "--events: must be at least 1, got -5" in err
 
 
+@pytest.mark.parametrize("family", ["lcs-structured", "lcs-general"])
+def test_gen_refuses_a_race_in_a_single_block_as_bad_input(family, tmp_path, capsys):
+    out = tmp_path / "t.jsonl"
+    code = run(["gen", family, "--n", "1", "--inject-race", "-o", str(out)])
+    assert code == cli.EXIT_BAD_INPUT and not out.exists()
+    assert capsys.readouterr().err == "error: cannot inject a race with a single block\n"
+
+
 def test_library_calls_leave_the_root_logger_alone(monkeypatch):
     root = logging.getLogger()
     monkeypatch.setattr(root, "handlers", [])

@@ -292,8 +292,12 @@ def test_return_relabels_and_records_sink():
     from futurerd.dsu import LABEL_P
 
     mbp, children = MultiBagsPlus(), []
-    begin = mbp.on_child_begin
-    mbp.on_child_begin = lambda kind, handle: children.append(begin(kind, handle)) or children[-1]
+
+    def begin(kind, handle):  # keeps the record the walk stores for the future
+        children.append(MultiBagsPlus.on_child_begin(mbp, kind, handle))
+        return children[-1]
+
+    mbp.on_child_begin = begin
     engine.replay(seq_of(cr(1, 1), rt()), mbp)
     assert mbp.d_sp.record(mbp.d_sp.find(1)) == LABEL_P
     assert children[0].sink == 1
