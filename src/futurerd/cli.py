@@ -10,6 +10,7 @@ divergence, a broken race contract, or an internal invariant failure.
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import logging
 import os
@@ -188,6 +189,16 @@ def run_cli(argv=None) -> int:
 
 
 def main() -> None:
+    """Process entry of the ``futurerd`` command and of ``python -m futurerd.cli``.
+
+    Turns CPython's cycle collector off for the one command the process
+    runs. The detector makes no reference cycles (a test pins this), so the
+    collector would only rescan the trace's live events and shadow cells,
+    over and over, and free nothing. ``run_cli`` and the library leave the
+    collector alone; a program that calls ``detect`` on large traces may
+    turn it off itself.
+    """
+    gc.disable()
     sys.exit(run_cli())
 
 

@@ -149,7 +149,10 @@ def replay(seq: EventSequence, reach, shadow=None, races=None, after_strand=None
         lines = "; ".join(v.message for v in report.violations[:5])
         raise InputError(f"invalid trace ({len(report.violations)} violation(s)): {lines}")
     if report.error is not None:
-        raise report.error
+        try:
+            raise report.error
+        finally:
+            del report  # its traceback holds this frame; keep no cycle through it
     return report.counts
 
 

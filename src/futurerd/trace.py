@@ -257,14 +257,6 @@ class ValidationReport:
         return not self.violations
 
 
-def _skip(*_):
-    return None
-
-
-def _skip_write(*_):
-    return ()
-
-
 def walk(seq: EventSequence, mode: str, reach=None, shadow=None, races=None,
          after_strand=None) -> ValidationReport:
     """Walk a trace once, in serial order, and pass its events to the hooks.
@@ -275,7 +267,8 @@ def walk(seq: EventSequence, mode: str, reach=None, shadow=None, races=None,
     the new strand id. With a ``shadow``, reads and writes go to its
     ``on_read``/``on_write`` with ``reach.precedes``, and each race report is
     stored in ``races`` under its ``key()``, first occurrence only. Hooks are
-    bound when the walk starts.
+    bound when the walk starts; ``shadow`` and ``after_strand`` need a
+    ``reach``. Without hooks the walk makes no call per event.
 
     The walk keeps the frame stack, and each frame entry keeps the detector's
     record of that frame, so a detector keeps none of its own:
@@ -292,44 +285,49 @@ def walk(seq: EventSequence, mode: str, reach=None, shadow=None, races=None,
     """
     if mode not in (MODE_STRUCTURED, MODE_GENERAL):
         raise UsageError(f"unknown mode {mode!r}")
+    if reach is None and (shadow is not None or after_strand is not None):
+        raise UsageError("a shadow or an after_strand hook needs a reach")
     report = ValidationReport(mode=mode)
     violations = report.violations
     single_touch = mode == MODE_STRUCTURED
 
-    on_read, on_write, precedes = _skip, _skip_write, None
-    if shadow is not None:
+    # Whether the hooks and the shadow are bound; both drop at the first
+    # violation or hook error.
+    hooked = reach is not None
+    live = shadow is not None
+    if live:
         on_read, on_write, precedes = shadow.on_read, shadow.on_write, reach.precedes
-    child_begin = on_sync = on_get = on_return = strand_begin = _skip
-    if reach is not None:
+    if hooked:
         child_begin, on_sync, on_get = reach.on_child_begin, reach.on_sync, reach.on_get
         on_return, strand_begin = reach.on_return, reach.on_strand_begin
+        strand_begin(0)
+        if after_strand is not None:
+            after_strand(0)
 
     # handle -> the future's frame entry once it has returned, None before
     closed: dict[int, list | None] = {}
     got: set[int] = set()
     # one entry per open frame: [record, handle or None, unsynced spawned children's entries]
-    frames: list[list] = [[None if reach is None else reach.root, None, []]]
+    frames: list[list] = [[reach.root if hooked else None, None, []]]
     reads = writes = spawns = creates = syncs = gets = rets = 0
     cur = 0
-    after = after_strand
-    strand_begin(0)
-    if after is not None:
-        after(0)
     for i, (k, fn, h, a) in enumerate(seq.events):
         if k == READ:
             reads += 1
-            rep = on_read(a, cur, precedes)
-            if rep is not None:
-                key = rep.key()
-                if key not in races:
-                    races[key] = rep
+            if live:
+                rep = on_read(a, cur, precedes)
+                if rep is not None:
+                    key = rep.key()
+                    if key not in races:
+                        races[key] = rep
             continue
         if k == WRITE:
             writes += 1
-            for rep in on_write(a, cur, precedes):
-                key = rep.key()
-                if key not in races:
-                    races[key] = rep
+            if live:
+                for rep in on_write(a, cur, precedes):
+                    key = rep.key()
+                    if key not in races:
+                        races[key] = rep
             continue
         cur += 1
         bad = None
@@ -374,7 +372,10 @@ def walk(seq: EventSequence, mode: str, reach=None, shadow=None, races=None,
                 if child[2]:
                     bad = ("unsynced-spawn",
                            f"frame returns with {len(child[2])} unsynced spawned child(ren)")
-        if bad is None:
+        if bad is not None:
+            violations.append(Violation(i, *bad))
+            hooked = live = False  # from here on, only check and count
+        elif hooked:
             try:
                 if k == SPAWN or k == CREATE:
                     frames[-1][0] = child_begin(k, h)
@@ -385,16 +386,13 @@ def walk(seq: EventSequence, mode: str, reach=None, shadow=None, races=None,
                 else:
                     on_return(child[0], frames[-1][0])
                 strand_begin(cur)
-                if after is not None:
-                    after(cur)
-                continue
+                if after_strand is not None:
+                    after_strand(cur)
             except InputError as exc:
-                report.error = exc
-        else:
-            violations.append(Violation(i, *bad))
-        # After the first violation or hook error, only check and count.
-        on_read, on_write, after = _skip, _skip_write, None
-        child_begin = on_sync = on_get = on_return = strand_begin = _skip
+                # Without its traceback: its frames lead back to this one,
+                # whose locals hold the report, a reference cycle.
+                report.error = exc.with_traceback(None)
+                hooked = live = False
 
     end = len(seq.events)
     if len(frames) > 1:

@@ -1,3 +1,4 @@
+import gc
 import json
 import logging
 import os
@@ -310,6 +311,29 @@ def test_library_calls_leave_the_root_logger_alone(monkeypatch):
     assert futurerd.detect(seq, "plus", "general").races
     assert futurerd.verify(seq, "plus").ok
     assert root.handlers == [] and root.level == logging.WARNING
+
+
+def test_only_the_command_turns_the_cycle_collector_off(tmp_path, monkeypatch):
+    seq = seq_of(cr(1, 1), wr(64), rt(), wr(64), gt(1))
+    path = tmp_path / "t.jsonl"
+    trace.dump(seq, str(path))
+    argv = ["detect", "--algo", "plus", "--mode", "general", "--trace", str(path), "--json"]
+    was_enabled = gc.isenabled()
+    try:
+        for enabled in (True, False):
+            (gc.enable if enabled else gc.disable)()
+            assert cli.run_cli(argv) == cli.EXIT_RACES
+            assert futurerd.detect(seq, "plus", "general").races
+            assert futurerd.verify(seq, "plus").ok
+            assert gc.isenabled() is enabled
+        gc.enable()
+        monkeypatch.setattr(sys, "argv", ["futurerd", *argv])
+        with pytest.raises(SystemExit) as stop:
+            cli.main()
+        assert stop.value.code == cli.EXIT_RACES
+        assert not gc.isenabled()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
 
 
 def test_futurerd_log_info_reaches_stderr_from_the_cli(tmp_path):

@@ -1,10 +1,11 @@
+import gc
 import hashlib
 import json
 
 import pytest
 
-from futurerd import engine, oracle
-from futurerd.errors import InputError, UsageError
+from futurerd import engine, oracle, reachdag, trace
+from futurerd.errors import ClosureLimitError, InputError, ParseError, UsageError
 from futurerd.generators import gen_lcs_general, gen_lcs_structured, gen_random
 from futurerd.multibags import MultiBags
 from futurerd.multibags_plus import MultiBagsPlus
@@ -94,6 +95,37 @@ _GOLDEN = [
 def test_detect_reports_are_pinned(name, algo, mode, digest):
     report = engine.detect(_golden_trace(name), algo, mode)
     assert hashlib.sha256(report.to_json().encode()).hexdigest() == digest
+
+
+def test_detect_verify_and_their_errors_leave_no_cyclic_garbage(monkeypatch):
+    # The futurerd command runs with the cycle collector off, which is safe
+    # only while detection frees everything it makes by reference counting.
+    racy = trace.serialize(_golden_trace("lcs-structured-4"))
+    both_attached = trace.serialize(_golden_trace("futures-1"))
+    gc.collect()
+    gc.disable()
+    try:
+        for text, algo, mode in [(racy, "multibags", "structured"), (racy, "plus", "general"),
+                                 (both_attached, "plus", "general")]:
+            report = engine.detect(trace.parse(text), algo, mode)
+            assert report.races and (text is racy or report.stats.both_attached_syncs)
+            del report
+            assert gc.collect() == 0, (algo, mode)
+        seq = gen_random(n_events=120, p_spawn=0.15, p_create=0.1, p_get=0.08, seed=3)
+        assert engine.verify(seq, "plus").ok
+        assert gc.collect() == 0
+        with pytest.raises(InputError, match="unsynced"):
+            engine.detect(seq_of(sp(1), rt()), "plus", "general")
+        assert gc.collect() == 0
+        monkeypatch.setattr(reachdag, "MAX_NODES", 5)
+        with pytest.raises(ClosureLimitError):  # raised by a hook, kept by the walk
+            engine.detect(trace.parse(both_attached), "plus", "general")
+        assert gc.collect() == 0
+        with pytest.raises(ParseError):
+            trace.parse('{"t":"spawn","f":1}\n{"t":"w","a":\n')
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_detect_rejects_invalid_trace_with_violations():

@@ -280,6 +280,32 @@ def test_fork_edge_scan_bound_holds_on_random_traces(monkeypatch):
     assert len(checked) > 50 and any(checked)  # some targets have lower-id descendants
 
 
+def test_fork_edge_targets_cover_the_spawn_window(monkeypatch):
+    # At a both-attached sync, the two fork-edge targets and their
+    # descendants are exactly the nodes made since the spawn (r_floor..), but
+    # the fork's own, so one OR over that row range could stand for both scans.
+    pending, promoted = [], []
+    inner = reachdag.ReachDag.add_fork_edge
+
+    def spy(dag, src, dst, lo):
+        pending.append((src, lo, dag.row(dst) | 1 << dst))
+        if len(pending) == 2:
+            (src1, lo1, covered1), (src2, lo2, covered2) = pending
+            pending.clear()
+            assert (src1, lo1) == (src2, lo2)
+            window = (1 << len(dag)) - (1 << lo1)
+            assert covered1 | covered2 == window & ~(1 << src1), (src1, lo1, len(dag))
+            promoted.append(src1 >= lo1)
+        inner(dag, src, dst, lo)
+
+    monkeypatch.setattr(reachdag.ReachDag, "add_fork_edge", spy)
+    for seed in range(40):
+        seq = gen_random(n_events=220, p_spawn=0.18, p_create=0.1, p_get=0.12, seed=seed)
+        engine.replay(seq, MultiBagsPlus())
+    assert not pending and len(promoted) > 100
+    assert any(promoted) and not all(promoted)  # the fork's node is in the window or older
+
+
 def test_sync_without_outstanding_child():
     with pytest.raises(InputError):
         drive([sy()])

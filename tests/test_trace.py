@@ -168,6 +168,11 @@ def test_counts():
 def test_validate_mode_checked():
     with pytest.raises(UsageError):
         validate(EventSequence([]), "loose")
+    # A shadow or a strand hook without a reach would be silently unused.
+    with pytest.raises(UsageError):
+        walk(EventSequence([]), MODE_GENERAL, shadow=ShadowTable(), races={})
+    with pytest.raises(UsageError):
+        walk(EventSequence([]), MODE_GENERAL, after_strand=print)
 
 
 def test_get_before_future_return():
