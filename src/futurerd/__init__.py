@@ -24,9 +24,11 @@ from .trace import (
     MODE_STRUCTURED,
     Event,
     EventSequence,
+    TraceFile,
     ValidationReport,
     Violation,
     dump,
+    iterparse,
     load,
     parse,
     serialize,
@@ -57,6 +59,7 @@ __all__ = [
     "ReachDag",
     "ShadowTable",
     "Stats",
+    "TraceFile",
     "UsageError",
     "ValidationReport",
     "VerifyReport",
@@ -67,6 +70,7 @@ __all__ = [
     "gen_lcs_general",
     "gen_lcs_structured",
     "gen_random",
+    "iterparse",
     "load",
     "longest_path",
     "naive_races",

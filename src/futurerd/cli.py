@@ -1,6 +1,8 @@
 """Command-line interface.
 
-Subcommands: detect, verify, gen, stats. Exit codes: 0 = no race found,
+Subcommands: detect, verify, gen, stats. ``--trace -`` reads the trace from
+standard input and ``gen -o -`` writes it to standard output, so ``gen`` can
+be piped into the others. Exit codes: 0 = no race found,
 1 = race(s) found, 2 = invalid input or arguments, an unreadable or
 non-UTF-8 trace, an unwritable output file, or a trace over the closure
 limit (``reachdag.MAX_NODES``, 2^17 attached sets), 3 = verification
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import gc
+import io
 import json
 import logging
 import os
@@ -39,6 +42,7 @@ def _checked(cast, ok, rule: str):
 
 _COUNT = _checked(int, lambda v: v >= 1, "at least 1")
 _PROBABILITY = _checked(float, lambda v: 0.0 <= v <= 1.0, "in [0, 1]")
+_TRACE_HELP = "the trace file, or - for standard input"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -49,14 +53,14 @@ def _build_parser() -> argparse.ArgumentParser:
     d = sub.add_parser("detect", help="run race detection over a trace")
     d.add_argument("--algo", choices=[engine.ALGO_MULTIBAGS, engine.ALGO_PLUS], required=True)
     d.add_argument("--mode", choices=[trace.MODE_STRUCTURED, trace.MODE_GENERAL], required=True)
-    d.add_argument("--trace", required=True, metavar="FILE")
+    d.add_argument("--trace", required=True, metavar="FILE", help=_TRACE_HELP)
     d.add_argument("--json", action="store_true", help="print the machine-readable report")
     d.add_argument("--stats", action="store_true", help="include run statistics")
     d.add_argument("--dump-dag", metavar="FILE.dot", help="write the strand dag as GraphViz")
 
     v = sub.add_parser("verify", help="check detector answers against the brute-force dag")
     v.add_argument("--algo", choices=[engine.ALGO_MULTIBAGS, engine.ALGO_PLUS], required=True)
-    v.add_argument("--trace", required=True, metavar="FILE")
+    v.add_argument("--trace", required=True, metavar="FILE", help=_TRACE_HELP)
     v.add_argument("--sample", type=_COUNT, default=None, metavar="N")
     v.add_argument("--seed", type=int, default=0, metavar="S")
 
@@ -69,36 +73,45 @@ def _build_parser() -> argparse.ArgumentParser:
     g.add_argument("--p-spawn", type=_PROBABILITY, default=0.15)
     g.add_argument("--p-create", type=_PROBABILITY, default=0.10)
     g.add_argument("--p-get", type=_PROBABILITY, default=0.08)
-    g.add_argument("-o", "--out", required=True, metavar="FILE")
+    g.add_argument("-o", "--out", required=True, metavar="FILE",
+                   help="the trace file to write, or - for standard output")
 
     s = sub.add_parser("stats", help="print trace counts without detection")
-    s.add_argument("--trace", required=True, metavar="FILE")
+    s.add_argument("--trace", required=True, metavar="FILE", help=_TRACE_HELP)
     return p
 
 
-def _load(path: str) -> trace.EventSequence:
-    """``trace.load``; a file that cannot be opened or decoded is bad input."""
-    try:
-        return trace.load(path)
-    except UnicodeDecodeError as exc:
-        raise InputError(f"trace is not UTF-8 text: {exc}") from exc
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
+def _load(path: str, listed: bool = False) -> trace.EventSequence:
+    """The trace at ``path``, or on standard input for "-", parsed as it is walked.
+
+    ``listed`` parses it into a list first, for a command that walks it more
+    than once: standard input has one pass only. A trace that cannot be
+    opened or decoded raises ``OSError`` or ``UnicodeDecodeError`` on the
+    pass that reads it, which ``run_cli`` reports as bad input.
+    """
+    if path == "-":
+        if sys.stdin is None:
+            raise InputError("--trace -: standard input is closed")
+        seq = trace.TraceFile(stream=io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8"))
+    else:
+        seq = trace.load(path)
+    return trace.EventSequence(seq.events) if listed else seq
 
 
 def _write(path: str, text: str) -> None:
-    """Write an output file; a path that cannot be written is bad input."""
-    try:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    except OSError as exc:
-        raise InputError(str(exc)) from exc
+    """Write an output file, or standard output for "-"."""
+    if path == "-":
+        sys.stdout.write(text)
+        return
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write(text)
 
 
 def _cmd_detect(args) -> int:
     start = time.perf_counter()
-    seq = _load(args.trace)
-    load_s = time.perf_counter() - start
+    # --dump-dag walks the trace again, so it lists the trace before detection.
+    seq = _load(args.trace, listed=args.dump_dag is not None)
+    parse_s = time.perf_counter() - start
     report = engine.detect(seq, args.algo, args.mode)
     if args.dump_dag:
         _write(args.dump_dag, oracle.to_dot(oracle.build(seq)))
@@ -113,9 +126,12 @@ def _cmd_detect(args) -> int:
             st = report.stats
             for key, val in st.to_json_dict().items():
                 print(f"  {key}: {val}")
-            print(f"  load: {load_s:.6f}s")
-            print(f"  replay: {st.elapsed:.6f}s")
-            print(f"  elapsed: {load_s + st.elapsed:.6f}s")
+            if args.dump_dag:
+                print(f"  parse: {parse_s:.6f}s")
+                print(f"  replay: {st.elapsed:.6f}s")
+            else:  # the walk reads and parses the trace as it goes
+                print(f"  parse+replay: {st.elapsed:.6f}s")
+            print(f"  elapsed: {parse_s + st.elapsed:.6f}s")
     return EXIT_RACES if report.races else EXIT_OK
 
 
@@ -155,7 +171,10 @@ def _cmd_gen(args) -> int:
     except UsageError as exc:
         raise InputError(str(exc)) from exc
     _write(args.out, trace.serialize(seq))
-    print(f"wrote {len(seq)} events to {args.out}")
+    if args.out == "-":
+        print(f"wrote {len(seq)} events to standard output", file=sys.stderr)
+    else:
+        print(f"wrote {len(seq)} events to {args.out}")
     return EXIT_OK
 
 
@@ -183,6 +202,12 @@ def run_cli(argv=None) -> int:
     except InputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
+    except UnicodeDecodeError as exc:  # reading the trace, which may happen mid-walk
+        print(f"error: trace is not UTF-8 text: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
+    except OSError as exc:  # opening or reading the trace, or writing an output file
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_BAD_INPUT
     except (InvariantError, UsageError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
         return EXIT_BROKEN
@@ -193,7 +218,7 @@ def main() -> None:
 
     Turns CPython's cycle collector off for the one command the process
     runs. The detector makes no reference cycles (a test pins this), so the
-    collector would only rescan the trace's live events and shadow cells,
+    collector would only rescan the shadow cells and their reader lists,
     over and over, and free nothing. ``run_cli`` and the library leave the
     collector alone; a program that calls ``detect`` on large traces may
     turn it off itself.

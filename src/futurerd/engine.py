@@ -9,6 +9,7 @@ import json
 import logging
 import random
 import time
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 
 from . import oracle as oracle_mod
@@ -16,7 +17,15 @@ from .errors import InputError, InvariantError, UsageError
 from .multibags import MultiBags
 from .multibags_plus import MultiBagsPlus
 from .shadow import RaceReport, ShadowTable
-from .trace import MODE_GENERAL, MODE_STRUCTURED, EventSequence, TraceCounts, validate, walk
+from .trace import (
+    MODE_GENERAL,
+    MODE_STRUCTURED,
+    Event,
+    EventSequence,
+    TraceCounts,
+    validate,
+    walk,
+)
 
 ALGO_MULTIBAGS = "multibags"
 ALGO_PLUS = "plus"
@@ -38,7 +47,7 @@ class Stats:
     find_ops: int = 0
     attached_sets: int = 0
     both_attached_syncs: int = 0
-    elapsed: float = 0.0  # seconds in replay, grammar check included
+    elapsed: float = 0.0  # seconds in replay: grammar check and parsing a streamed trace included
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -135,7 +144,7 @@ def make_reachability(algo: str):
     raise UsageError(f"unknown algorithm {algo!r}")
 
 
-def replay(seq: EventSequence, reach, shadow=None, races=None, after_strand=None,
+def replay(seq: Iterable[Event], reach, shadow=None, races=None, after_strand=None,
            mode: str = MODE_GENERAL) -> TraceCounts:
     """``trace.walk`` with the hooks of ``reach``, raising on a bad trace.
 
@@ -159,6 +168,8 @@ def replay(seq: EventSequence, reach, shadow=None, races=None, after_strand=None
 def detect(seq: EventSequence, algo: str, mode: str) -> DetectReport:
     """Race detection over a full trace, in one walk.
 
+    ``seq`` is read once, so a ``TraceFile`` is parsed as it is walked and no
+    event list is built; a malformed line raises ``ParseError`` mid-walk.
     Reports every race (deduplicated by address, kind, and strand pair) in
     first-occurrence order, plus run statistics.
     """
@@ -207,8 +218,12 @@ def verify(seq: EventSequence, algo: str, sample: int | None = None, seed: int =
     (executed strand, current strand) pair is checked; larger traces check a
     seeded sample per step. Either way the final race sets are checked
     against the race contract (see ``VerifyReport``).
+
+    A ``TraceFile`` is parsed into a list once; the list is walked three
+    times: the grammar check, the dag's own replay, and the detector's.
     """
     mode = MODE_STRUCTURED if algo == ALGO_MULTIBAGS else MODE_GENERAL
+    seq = EventSequence(seq.events)
     vreport = validate(seq, mode)
     if not vreport.ok:
         raise InputError(f"invalid trace: {vreport.violations[0].message}")
@@ -217,7 +232,7 @@ def verify(seq: EventSequence, algo: str, sample: int | None = None, seed: int =
         raise InputError(
             f"verify refuses traces over {oracle_mod.REACH_CAP} strands (got {strands})"
         )
-    dag = oracle_mod.build(seq)
+    dag = oracle_mod.build_valid(seq)  # valid in ``mode``, so in general mode too
     reach = make_reachability(algo)
     shadow = ShadowTable()
     rng = random.Random(seed)

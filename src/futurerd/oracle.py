@@ -76,11 +76,15 @@ class OracleDag:
 
 
 def build(seq: EventSequence) -> OracleDag:
-    """Replay a validated trace into an explicit dag."""
+    """Replay a trace into an explicit dag; an invalid trace raises InputError."""
     report = validate(seq, MODE_GENERAL)
     if not report.ok:
         raise InputError(f"cannot build dag from invalid trace: {report.violations[0].message}")
+    return build_valid(seq)
 
+
+def build_valid(seq: EventSequence) -> OracleDag:
+    """``build`` for a trace that has already passed ``validate``; it checks nothing."""
     dag = OracleDag()
 
     def new_node(frame_kind: str) -> int:
@@ -95,7 +99,7 @@ def build(seq: EventSequence) -> OracleDag:
     frames: list[list] = [["root", None, None, []]]
     cur = new_node("root")
 
-    for ev in seq.events:
+    for ev in seq:
         k = ev.kind
         if k == READ or k == WRITE:
             # keyed by word, like the shadow memory and its race reports

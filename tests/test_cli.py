@@ -1,9 +1,11 @@
 import gc
+import io
 import json
 import logging
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -66,27 +68,37 @@ def test_invalid_input_exit_codes(tmp_path, capsys):
                 "--trace", str(tmp_path / "missing.jsonl")]) == cli.EXIT_BAD_INPUT
 
 
+def _timings(text):
+    secs = {}
+    for line in text.splitlines():
+        key, _, val = line.strip().partition(": ")
+        if val.endswith("s") and key in ("load", "parse", "validate", "replay", "parse+replay",
+                                         "elapsed"):
+            secs[key] = float(val[:-1])
+    return secs
+
+
 def test_detect_stats_prints_the_phase_timings(tmp_path, capsys):
     out = tmp_path / "t.jsonl"
     run(["gen", "lcs-structured", "--n", "3", "--inject-race", "-o", str(out)])
-    assert run(["detect", "--algo", "multibags", "--mode", "structured",
-                "--trace", str(out), "--stats"]) == cli.EXIT_RACES
-    lines = capsys.readouterr().out.splitlines()
-    secs = {}
-    for line in lines:
-        key, _, val = line.strip().partition(": ")
-        if val.endswith("s") and key in ("load", "validate", "replay", "elapsed"):
-            secs[key] = float(val[:-1])
-    assert set(secs) == {"load", "replay", "elapsed"}
+    argv = ["detect", "--algo", "multibags", "--mode", "structured", "--trace", str(out)]
+    # The walk parses the trace as it reads it: one timing covers both.
+    assert run(argv + ["--stats"]) == cli.EXIT_RACES
+    secs = _timings(capsys.readouterr().out)
+    assert set(secs) == {"parse+replay", "elapsed"}
     assert min(secs.values()) >= 0
-    assert secs["elapsed"] >= max(secs["load"], secs["replay"])
+    assert secs["elapsed"] >= secs["parse+replay"]
+    # --dump-dag walks the trace twice, so it parses it into a list first.
+    assert run(argv + ["--stats", "--dump-dag", str(tmp_path / "t.dot")]) == cli.EXIT_RACES
+    secs = _timings(capsys.readouterr().out)
+    assert set(secs) == {"parse", "replay", "elapsed"}
+    assert min(secs.values()) >= 0
+    assert secs["elapsed"] >= max(secs["parse"], secs["replay"])
     # The JSON report carries no timings and stays reproducible.
-    assert run(["detect", "--algo", "multibags", "--mode", "structured",
-                "--trace", str(out), "--json", "--stats"]) == cli.EXIT_RACES
+    assert run(argv + ["--json", "--stats"]) == cli.EXIT_RACES
     first = capsys.readouterr().out
-    run(["detect", "--algo", "multibags", "--mode", "structured",
-         "--trace", str(out), "--json", "--stats"])
-    assert capsys.readouterr().out == first and "load" not in first
+    run(argv + ["--json", "--stats"])
+    assert capsys.readouterr().out == first and "parse" not in first and "load" not in first
 
 
 def test_unreadable_trace_exits_2_without_a_traceback(tmp_path, capsys):
@@ -134,6 +146,132 @@ def test_invalid_trace_exits_2_even_after_races(tmp_path, capsys):
     assert captured.out == ""
     assert captured.err == (
         "error: invalid trace (1 violation(s)): sync with no outstanding spawned child\n")
+
+
+_RACY = trace.serialize(seq_of(sp(1), wr(64), rt(), wr(64), sy()))  # races at line 4
+
+
+def _stdin(monkeypatch, data: bytes):
+    monkeypatch.setattr(sys, "stdin", io.TextIOWrapper(io.BytesIO(data)))
+
+
+@pytest.mark.parametrize("last, message", [
+    (b'{"t":"w","a":4\xff}\n', "error: trace is not UTF-8 text: 'utf-8' codec can't decode "
+                               "byte 0xff in position 93: invalid start byte\n"),
+    (b'{"t":"w","a":\n', "error: line 6: invalid JSON (Expecting value)\n"),
+])
+@pytest.mark.parametrize("source", ["file", "stdin"])
+def test_a_bad_last_line_exits_2_after_races_with_no_report(source, last, message, tmp_path,
+                                                            capsys, monkeypatch):
+    # The walk has found the race when it reaches the last line.
+    data = _RACY.encode() + last
+    path = tmp_path / "t.jsonl"
+    path.write_bytes(data)
+    if source == "stdin":
+        _stdin(monkeypatch, data)
+        path = "-"
+    for algo in ("plus", "multibags"):
+        assert run(["detect", "--algo", algo, "--mode", "structured", "--trace", str(path),
+                    "--json"]) == cli.EXIT_BAD_INPUT
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message
+        if source == "stdin":
+            break
+
+
+def test_every_command_reads_a_trace_from_stdin(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "race.jsonl"
+    run(["gen", "lcs-structured", "--n", "4", "--inject-race", "-o", str(path)])
+    data = path.read_bytes()
+    dot = tmp_path / "t.dot"
+    for argv in (["detect", "--algo", "plus", "--mode", "general", "--json"],
+                 ["detect", "--algo", "multibags", "--mode", "structured", "--dump-dag", str(dot)],
+                 ["verify", "--algo", "plus"],
+                 ["stats"]):
+        capsys.readouterr()
+        expected = run(argv + ["--trace", str(path)])
+        want = capsys.readouterr()
+        dotted = dot.read_text() if dot.exists() else None
+        # Each command reads its one pass of standard input, or lists it first.
+        _stdin(monkeypatch, data)
+        assert run(argv + ["--trace", "-"]) == expected != cli.EXIT_BROKEN
+        assert capsys.readouterr() == want
+        if dotted is not None:
+            assert dot.read_text() == dotted
+            dot.unlink()
+    monkeypatch.setattr(sys, "stdin", None)  # as when file descriptor 0 is closed
+    assert run(["stats", "--trace", "-"]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: --trace -: standard input is closed\n"
+
+
+def test_gen_to_stdout_pipes_into_detect(tmp_path):
+    path = tmp_path / "race.jsonl"
+    src = str(Path(futurerd.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    cmd = [sys.executable, "-m", "futurerd.cli"]
+    gen = ["gen", "lcs-structured", "--n", "4", "--inject-race", "-o"]
+    detect = ["detect", "--algo", "multibags", "--mode", "structured", "--json", "--trace"]
+    subprocess.run(cmd + gen + [str(path)], check=True, capture_output=True, env=env)
+    from_file = subprocess.run(cmd + detect + [str(path)], capture_output=True, env=env)
+    assert from_file.returncode == cli.EXIT_RACES
+    producer = subprocess.Popen(cmd + gen + ["-"], stdout=subprocess.PIPE,
+                                stderr=subprocess.PIPE, env=env)
+    piped = subprocess.run(cmd + detect + ["-"], stdin=producer.stdout, capture_output=True,
+                           env=env)
+    producer.stdout.close()
+    assert producer.wait() == 0
+    assert producer.stderr.read() == b"wrote 91 events to standard output\n"
+    producer.stderr.close()
+    assert (piped.returncode, piped.stdout, piped.stderr) == (
+        from_file.returncode, from_file.stdout, from_file.stderr)
+
+
+def test_detect_streams_a_file_in_memory_independent_of_its_length(tmp_path, capsys):
+    # One distinct line repeated: the walk keeps no list slot per line.
+    peaks = {}
+    for n in (20_000, 200_000):
+        path = tmp_path / f"{n}.jsonl"
+        path.write_text('{"t":"r","a":4}\n' * n)
+        tracemalloc.start()
+        try:
+            assert run(["detect", "--algo", "multibags", "--mode", "structured",
+                        "--trace", str(path), "--json"]) == cli.EXIT_OK
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert f'"t1_events":{n},' in capsys.readouterr().out
+    assert max(peaks.values()) < 1 << 20, peaks
+    assert peaks[200_000] < 1.5 * peaks[20_000], peaks
+
+
+def test_no_file_stays_open_after_an_early_stop_or_an_error(tmp_path, capsys, monkeypatch):
+    opened = []
+    real_open = open
+
+    def recording_open(*args, **kwargs):
+        opened.append(real_open(*args, **kwargs))
+        return opened[-1]
+
+    monkeypatch.setattr(trace, "open", recording_open, raising=False)
+    good = tmp_path / "good.jsonl"
+    run(["gen", "random", "--events", "150", "--seed", "4", "-o", str(good)])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(_RACY.encode() + b'{"t":"w","a":\n')
+    real = MultiBagsPlus.precedes
+    with monkeypatch.context() as m:  # verify stops its walk at the first divergence
+        m.setattr(MultiBagsPlus, "precedes", lambda self, u: not real(self, u))
+        assert run(["verify", "--algo", "plus", "--trace", str(good)]) == cli.EXIT_BROKEN
+    assert run(["detect", "--algo", "plus", "--mode", "general",
+                "--trace", str(bad)]) == cli.EXIT_BAD_INPUT
+    with monkeypatch.context() as m:  # a hook fails with a bug, not with bad input
+        def broken(self, child, frame):
+            raise RuntimeError("broken hook")
+        m.setattr(MultiBagsPlus, "on_return", broken)
+        with pytest.raises(RuntimeError):
+            futurerd.detect(trace.load(good), "plus", "general")
+    capsys.readouterr()
+    assert len(opened) == 3 and all(fh.closed for fh in opened)
 
 
 def test_violation_outranks_an_earlier_hook_error(tmp_path, capsys):

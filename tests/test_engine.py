@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import io
 import json
 
 import pytest
@@ -124,8 +125,37 @@ def test_detect_verify_and_their_errors_leave_no_cyclic_garbage(monkeypatch):
         with pytest.raises(ParseError):
             trace.parse('{"t":"spawn","f":1}\n{"t":"w","a":\n')
         assert gc.collect() == 0
+        with pytest.raises(ParseError):  # mid-walk, after the race
+            engine.detect(trace.TraceFile(stream=io.StringIO(racy + '{"t":"w","a":\n')),
+                          "plus", "general")
+        assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_verify_parses_a_trace_file_once_and_walks_it_three_times(tmp_path, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    trace.dump(gen_random(n_events=120, p_spawn=0.15, p_create=0.1, p_get=0.08, seed=3), path)
+    passes, walks = [], []
+
+    class Counted(trace.TraceFile):
+        def __iter__(self):
+            passes.append(self.path)
+            return super().__iter__()
+
+    def counted(name, fn):
+        def call(*args, **kwargs):
+            walks.append(name)
+            return fn(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(engine, "validate", counted("validate", trace.validate))
+    monkeypatch.setattr(oracle, "validate", counted("oracle.validate", trace.validate))
+    monkeypatch.setattr(oracle, "build_valid", counted("oracle loop", oracle.build_valid))
+    monkeypatch.setattr(engine, "walk", counted("replay", trace.walk))
+    assert engine.verify(Counted(path), "plus").ok
+    assert passes == [path]
+    assert walks == ["validate", "oracle loop", "replay"]
 
 
 def test_detect_rejects_invalid_trace_with_violations():

@@ -1,3 +1,5 @@
+import io
+import itertools
 import json
 
 import pytest
@@ -67,14 +69,15 @@ def test_malformed_lines(line):
 
 
 _UINTS = st.integers(min_value=0, max_value=2**64)
+_ADDRS = st.integers(min_value=0, max_value=2**64 - 1)  # the wire format's uint64
 _EVENTS = st.one_of(
     st.builds(sp, _UINTS),
     st.builds(cr, _UINTS, _UINTS),
     st.just(sy()),
     st.builds(gt, _UINTS),
     st.just(rt()),
-    st.builds(rd, _UINTS),
-    st.builds(wr, _UINTS),
+    st.builds(rd, _ADDRS),
+    st.builds(wr, _ADDRS),
 )
 
 
@@ -139,6 +142,82 @@ def test_invalid_lines_raise_the_json_path_error(line, message):
         parse('{"t":"sync"}\n' + line + "\n")
     assert exc.value.lineno == 2
     assert str(exc.value) == f"line 2: {message}"
+
+
+# An address past uint64, and a field too long for ``int`` (4,300 digits by
+# default), in canonical form and on the json.loads path.
+_LONG = "1" * 5000
+
+
+@pytest.mark.parametrize("line, message", [
+    ('{"t":"w","a":18446744073709551616}', "field 'a' must be below 2^64"),
+    ('{"t": "w", "a": 18446744073709551616}', "field 'a' must be below 2^64"),
+    ('{"t":"w","a":99999999999999999999}', "field 'a' must be below 2^64"),
+    (f'{{"t":"w","a":{_LONG}}}', "field 'a' must be below 2^64"),
+    (f'{{"t": "w", "a": {_LONG}}}', "field 'a' must be below 2^64"),
+    (f'{{"t":"spawn","f":{_LONG}}}', "field 'f' has too many digits"),
+    (f'{{"t": "create", "f": 1, "h": {_LONG}}}', "field 'h' has too many digits"),
+    ("[" * 100_000, "invalid JSON (nested too deeply)"),
+])
+def test_out_of_range_and_overlong_fields_raise_parse_errors(line, message):
+    with pytest.raises(ParseError) as exc:
+        parse('{"t":"sync"}\n' + line + "\n")
+    assert str(exc.value) == f"line 2: {message}"
+
+
+def test_the_largest_address_parses_on_both_paths():
+    top = 2**64 - 1
+    assert parse(f'{{"t":"w","a":{top}}}\n{{"t": "r", "a": {top}}}\n').events == [
+        wr(top), rd(top)]
+    # an over-long field that no event reads is ignored, like any extra field
+    assert parse(f'{{"t":"ret","a":{_LONG}}}\n').events == [rt()]
+
+
+def test_iterparse_reads_its_lines_as_it_is_iterated():
+    endless = itertools.chain(['{"t":"w","a":4}\n', "\n"], itertools.repeat('{"t":"r","a":4}\n'))
+    events = trace.iterparse(endless)
+    assert [next(events) for _ in range(3)] == [wr(4), rd(4), rd(4)]
+    with pytest.raises(ParseError) as exc:
+        list(trace.iterparse('{"t":"w","a":4}\n\n{"t":"r","a":4}\n{"t":"q"}\n'))
+    assert exc.value.lineno == 4
+
+
+def test_trace_file_parses_its_file_on_each_pass(tmp_path):
+    path = tmp_path / "t.jsonl"
+    events = [sp(1), wr(4), rt(), sy()]
+    trace.dump(EventSequence(events), path)
+    seq = trace.load(path)
+    assert isinstance(seq, trace.TraceFile) and isinstance(seq, EventSequence)
+    assert list(seq) == events and seq.events == events and len(seq) == 4
+    assert seq.counts.strands == 4 and validate(seq, MODE_STRUCTURED).ok
+    path.write_text(serialize(EventSequence(events[:2])))
+    assert seq.events == events[:2]  # read afresh, not kept
+
+
+def test_a_streamed_trace_refuses_a_second_pass():
+    seq = trace.TraceFile(stream=io.StringIO('{"t":"w","a":4}\n{"t":"r","a":8}\n'))
+    assert seq.counts.events == 2
+    with pytest.raises(UsageError, match="one pass only"):
+        iter(seq)
+    with pytest.raises(UsageError, match="one pass only"):
+        seq.counts
+    with pytest.raises(UsageError):
+        trace.TraceFile()
+
+
+def test_walk_counts_the_events_it_reads_from_a_generator():
+    text = '{"t":"spawn","f":1}\n{"t":"w","a":4}\n{"t":"ret"}\n'
+    rep = walk(trace.iterparse(text), MODE_GENERAL)
+    assert rep.counts.events == 3
+    assert [(v.index, v.code) for v in rep.violations] == [(3, "unsynced-spawn")]
+    assert walk(iter(()), MODE_GENERAL).counts.events == 0
+
+
+def test_line_numbers_count_blank_lines_across_batches():
+    n = trace._BATCH_EVENTS + trace._CHUNK_LINES // 2
+    with pytest.raises(ParseError) as exc:
+        parse("\n" * n + '{"t":"w","a":4}\n' * n + '{"t":"q"}\n')
+    assert exc.value.lineno == 2 * n + 1
 
 
 def test_events_are_immutable_and_repeated_lines_share_one():
