@@ -113,8 +113,8 @@ def _cmd_detect(args) -> int:
     seq = _load(args.trace, listed=args.dump_dag is not None)
     parse_s = time.perf_counter() - start
     report = engine.detect(seq, args.algo, args.mode)
-    if args.dump_dag:
-        _write(args.dump_dag, oracle.to_dot(oracle.build(seq)))
+    if args.dump_dag:  # the walk has validated the trace, in a mode at least as strict
+        _write(args.dump_dag, oracle.to_dot(oracle.build_valid(seq)))
     if args.json:
         print(report.to_json())
     else:

@@ -57,19 +57,14 @@ class DisjointSets:
 
         Amortized cost is the usual inverse-Ackermann bound.
         """
-        if not 0 <= elem < len(self._parent):
-            raise UsageError(f"unknown element {elem}")
-        self.find_count += 1
-        parent = self._parent
-        root = elem
-        while parent[root] != root:
-            root = parent[root]
-        while parent[elem] != root:  # path compression
-            parent[elem], elem = root, parent[elem]
-        return self._sid_at[root]
+        return self._sid_at[self._root(elem)]
 
     def find_record(self, elem: int):
         """``record(find(elem))`` in one call; counts as one find."""
+        return self._records[self._sid_at[self._root(elem)]]  # a root's set is always live
+
+    def _root(self, elem: int) -> int:
+        """The physical root of ``elem``'s tree, compressing the path; one find."""
         if not 0 <= elem < len(self._parent):
             raise UsageError(f"unknown element {elem}")
         self.find_count += 1
@@ -79,7 +74,7 @@ class DisjointSets:
             root = parent[root]
         while parent[elem] != root:  # path compression
             parent[elem], elem = root, parent[elem]
-        return self._records[self._sid_at[root]]  # a root's set is always live
+        return root
 
     # -- updates ----------------------------------------------------------
 

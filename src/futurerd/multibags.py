@@ -17,6 +17,10 @@ of the frame, so the detector keeps no per-frame state of its own.
 ``spawn``/``sync`` are handled as ``create``/``get`` on implicit handles,
 joining the most recently spawned outstanding child.
 
+``multibags_plus.MultiBagsPlus`` extends this class for general futures: its
+S/P bags are this forest, run by these hooks, except that its ``get`` adds
+the next strand to the frame's bag and absorbs nothing.
+
 The structured restriction is enforced dynamically at each ``get``: the
 handle's creator strand must itself be in an S bag (i.e. precede the join);
 a P-labeled creator means the future was created by a logically parallel
@@ -30,6 +34,8 @@ from .errors import InputError, InvariantError, UsageError
 
 
 class MultiBags:
+    both_attached_syncs = 0  # no cross-dag bookkeeping in this algorithm
+
     def __init__(self) -> None:
         self.forest = DisjointSets()
         self.root = self.forest.make_set(LABEL_S)  # a frame's record is its bag
@@ -93,8 +99,4 @@ class MultiBags:
 
     @property
     def attached_sets(self) -> int:
-        return 0  # no cross-dag bookkeeping in this algorithm
-
-    @property
-    def both_attached_syncs(self) -> int:
         return 0

@@ -392,6 +392,26 @@ def test_dump_dag(tmp_path):
     assert dot.read_text().startswith("digraph")
 
 
+@pytest.mark.parametrize("events, algo, mode, message", [
+    ([sp(1), wr(64), rt(), wr(64), sy(), sy()], "plus", "general",
+     "invalid trace (1 violation(s)): sync with no outstanding spawned child"),
+    ([cr(1, 1), rt(), gt(1), gt(1)], "multibags", "structured",
+     "invalid trace (1 violation(s)): handle 1 gotten more than once"),
+    ([sp(1), cr(2, 1), rt(), rt(), gt(1), sy()], "multibags", "structured",
+     "unstructured future use: creator of handle 1 does not precede its get"),
+])
+def test_dump_dag_of_an_invalid_trace_exits_2_and_writes_nothing(events, algo, mode, message,
+                                                                 tmp_path, capsys):
+    # The dag is built only from a trace that detect's walk has accepted.
+    dot = tmp_path / "t.dot"
+    path = tmp_path / "invalid.jsonl"
+    trace.dump(seq_of(*events), str(path))
+    assert run(["detect", "--algo", algo, "--mode", mode, "--trace", str(path),
+                "--dump-dag", str(dot)]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not dot.exists()
+
+
 def test_gen_round_trips_through_files(tmp_path):
     out = tmp_path / "t.jsonl"
     run(["gen", "random", "--events", "200", "--seed", "11",

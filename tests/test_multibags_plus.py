@@ -3,7 +3,7 @@ import random
 import pytest
 
 from futurerd import engine, oracle, reachdag
-from futurerd.errors import InputError, InvariantError
+from futurerd.errors import InputError, InvariantError, UsageError
 from futurerd.generators import gen_lcs_general, gen_random
 from futurerd.multibags import MultiBags
 from futurerd.multibags_plus import MultiBagsPlus, NspRecord
@@ -325,13 +325,19 @@ def test_return_relabels_and_records_sink():
 
     mbp.on_child_begin = begin
     engine.replay(seq_of(cr(1, 1), rt()), mbp)
-    assert mbp.d_sp.record(mbp.d_sp.find(1)) == LABEL_P
+    assert mbp.forest.record(mbp.forest.find(1)) == LABEL_P
     assert children[0].sink == 1
     with pytest.raises(InputError):
         drive([rt()])
 
 
 # -- query cross-checks -----------------------------------------------------------
+
+
+def test_precedes_rejects_unexecuted_strand():
+    for mbp in (drive([sp(1), rt(), sy()]), drive([cr(1, 1), rt()])):  # dormant, then awake
+        with pytest.raises(UsageError, match="strand 99 has not executed"):  # not the forest's
+            mbp.precedes(99)
 
 
 def test_matches_structured_algorithm_on_structured_traces():
