@@ -4,9 +4,11 @@ Subcommands: detect, verify, gen, stats. ``--trace -`` reads the trace from
 standard input and ``gen -o -`` writes it to standard output, so ``gen`` can
 be piped into the others. Exit codes: 0 = no race found,
 1 = race(s) found, 2 = invalid input or arguments, an unreadable or
-non-UTF-8 trace, an unwritable output file, or a trace over the closure
-limit (``reachdag.MAX_NODES``, 2^17 attached sets), 3 = verification
-divergence, a broken race contract, or an internal invariant failure.
+non-UTF-8 trace, an unwritable output file, a trace over the closure
+limit (``reachdag.MAX_NODES``, 2^17 attached sets), or, for ``verify``, a
+trace over the brute-force dag's budget (``oracle.REACH_BUDGET``),
+3 = verification divergence, a broken race contract, or an internal
+invariant failure.
 """
 
 from __future__ import annotations

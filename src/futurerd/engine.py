@@ -228,10 +228,7 @@ def verify(seq: EventSequence, algo: str, sample: int | None = None, seed: int =
     if not vreport.ok:
         raise InputError(f"invalid trace: {vreport.violations[0].message}")
     strands = vreport.counts.strands
-    if strands > oracle_mod.REACH_CAP:
-        raise InputError(
-            f"verify refuses traces over {oracle_mod.REACH_CAP} strands (got {strands})"
-        )
+    oracle_mod.check_reach_budget(strands)
     dag = oracle_mod.build_valid(seq)  # valid in ``mode``, so in general mode too
     reach = make_reachability(algo)
     shadow = ShadowTable()

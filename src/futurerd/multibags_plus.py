@@ -69,10 +69,13 @@ the two fork->source edges of a both-attached sync. Those enter older nodes,
 and they rely on the *spawn window* invariant. Every set that holds a strand
 run between a spawn and its sync was created in that window, so its dag node
 was created there too. Every edge added in the window ends at a node of the
-window. So the descendants of either source node all have ids of at least
-``len(r)`` at the spawn (``_Child.r_floor``), and the fork edges scan only
-those rows. The fork's own node is older or was just promoted, and it is
-never a descendant of a source.
+window. So the two source nodes and their descendants are exactly the nodes
+from ``len(r)`` at the spawn (``_Child.r_floor``) on, except the fork's own
+node, which is older or was just promoted. The sync therefore adds both
+edges as one ``ReachDag.close_window(fork, r_floor)``, which touches no row:
+the window's nodes owe the fork's bits, and readers add them. Spawn windows
+nest, as ``close_window`` requires. The owed bits add at most one row per
+closed window to the closure's k²/8 bytes.
 """
 
 from __future__ import annotations
@@ -234,11 +237,13 @@ class MultiBagsPlus(MultiBags):
             self._nsp_union(fork_set, right_sink)
             self._placed(nsp.add_element(fork_set))
         elif la and ra:
-            # Promote fork and join; wire them around both subdags.
+            # Promote fork and join; wire them around both subdags. The
+            # fork->source edges close the spawn window (module docstring).
             self.both_attached_syncs += 1
             rf = self._attachify(fork_set)
-            self.r.add_fork_edge(rf, self._rnode(left_src), child.r_floor)
-            self.r.add_fork_edge(rf, self._rnode(right_src), child.r_floor)
+            self._rnode(left_src)  # both sources are attached
+            self._rnode(right_src)
+            self.r.close_window(rf, child.r_floor)
             r_join = self.r.add_node()
             self.r.add_edge(self._rnode(left_sink), r_join)
             self.r.add_edge(self._rnode(right_sink), r_join)

@@ -4,12 +4,13 @@ The dag makes every control dependence explicit (continue, spawn, create,
 join, and get edges), keeps the per-strand access log, and answers
 reachability from memoized descendant bitsets. It exists to check the
 on-the-fly detectors, so it favors obviousness over speed and refuses traces
-past a small cap.
+whose bitsets could pass ``REACH_BUDGET``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from math import isqrt
 
 from .errors import InputError, UsageError
 from .trace import (
@@ -25,7 +26,20 @@ from .trace import (
     validate,
 )
 
-REACH_CAP = 5000
+# The descendant bitsets take up to S²/8 bytes for S strands, and about
+# S²/16 in the usual shape.
+REACH_BUDGET = 256 << 20
+REACH_CAP = isqrt(8 * REACH_BUDGET)  # the most strands the budget admits: 46,340
+
+
+def check_reach_budget(strands: int) -> None:
+    """Raise ``InputError`` if the bitsets of ``strands`` strands could pass the budget."""
+    need = strands * strands // 8
+    if need > REACH_BUDGET:
+        raise InputError(
+            f"the brute-force dag refuses {strands} strands: its reachability rows "
+            f"could take {need:,} bytes, over the budget of {REACH_BUDGET:,} bytes"
+        )
 
 CONTINUE_EDGE = "continue"
 SPAWN_EDGE = "spawn"
@@ -61,10 +75,7 @@ class OracleDag:
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise UsageError(f"unknown strand in reaches({u}, {v})")
         if self._desc is None:
-            if self.n > REACH_CAP:
-                raise UsageError(
-                    f"brute-force reachability capped at {REACH_CAP} strands (got {self.n})"
-                )
+            check_reach_budget(self.n)
             desc = [0] * self.n
             for x in range(self.n - 1, -1, -1):
                 m = 0

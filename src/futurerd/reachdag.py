@@ -1,8 +1,9 @@
-"""Dag with an eagerly maintained full transitive closure.
+"""Dag with a full transitive closure, kept eagerly per edge and lazily per
+closed window.
 
-The closure is kept as one growable *ancestor* row per node: bit i of
-``_anc[j]`` is set when i reaches j. ``reach`` is strict: a node never
-reaches itself.
+The closure is kept as one growable *ancestor* row per node: bit i of the
+row of j is set when i reaches j. ``reach`` is strict: a node never reaches
+itself.
 
 Node ids follow creation order, but that is not a topological order: a
 caller may wire a new node into older ones (``MultiBagsPlus`` promotes a
@@ -11,18 +12,35 @@ theirs), so a descendant can have a lower id than its ancestor. What callers
 do guarantee is that edges follow execution order, so an edge never closes
 a cycle.
 
-Adding ``src -> dst`` ORs ``_anc[src] | 1 << src`` into the row of ``dst``
-and of every descendant of ``dst``:
+Adding ``src -> dst`` ORs the row of ``src`` and ``1 << src`` into the row
+of ``dst`` and of every descendant of ``dst``:
 
 * an edge into the newest node, while that node has no out-edge, is one OR:
   the node has no descendants;
 * an edge whose bits ``dst`` already has is a no-op, since every descendant
   of ``dst`` has them too;
-* any other edge scans the rows for the descendants of ``dst``.
-  ``add_fork_edge`` lets the caller bound that scan from below.
+* any other edge scans every row for the descendants of ``dst``.
 
-The closure needs about k²/16 bytes for k nodes, and k²/8 at worst, so
-``add_node`` refuses to grow past ``MAX_NODES``.
+``close_window(fork, lo)`` makes ``fork`` reach every node from ``lo`` on
+but itself, in one step and without touching a row. It stands for the
+fork->source edges of ``MultiBagsPlus``' both-attached syncs, whose spawn
+windows are closed under descendants and nest. The window keeps the fork's
+bits once, and its nodes owe them:
+
+* ``_win[d]`` is the innermost closed window that holds node ``d``, or -1;
+* ``_up[w]`` is the window that adopted window ``w`` (``w`` itself while it
+  is outermost), and ``_bits[w]`` the bits ``w`` owes up to ``_up[w]``.
+  ``_owed`` ORs the bits on the path to the outermost window and compresses
+  the path, as a weighted union-find does.
+
+A node's row is ``_anc[d] | _owed(_win[d])``, and every reader uses that
+row. Closing a window adopts the outermost closed windows inside it and
+assigns ``_win`` only to the nodes between them, so each node is assigned
+once and each window adopted once.
+
+The rows need about k²/16 bytes for k nodes, and k²/8 at worst; the owed
+bits add at most one row per closed window. ``add_node`` refuses to grow
+past ``MAX_NODES``.
 """
 
 from __future__ import annotations
@@ -36,7 +54,11 @@ MAX_NODES = 1 << 17
 
 class ReachDag:
     def __init__(self) -> None:
-        self._anc: list[int] = []  # _anc[j] bit i set <=> i reaches j
+        self._anc: list[int] = []  # eager part of each node's row; see _row
+        self._win: list[int] = []  # innermost closed window holding each node, or -1
+        self._up: list[int] = []  # per window: the window that adopted it, or itself
+        self._bits: list[int] = []  # per window: the bits it owes up to _up
+        self._outer: list[tuple[int, int, int]] = []  # outermost windows: (lo, end, id), by lo
         self._newest_is_sink = True  # the newest node has no out-edge yet
 
     def __len__(self) -> int:
@@ -47,56 +69,123 @@ class ReachDag:
         if n >= MAX_NODES:
             raise ClosureLimitError(n + 1, MAX_NODES)
         self._anc.append(0)
+        self._win.append(-1)
         self._newest_is_sink = True
         return n
 
     def add_edge(self, src: int, dst: int) -> None:
         anc = self._anc
         n = len(anc)
-        self._check_edge(src, dst, n)
-        if dst == n - 1 and self._newest_is_sink:
-            anc[dst] |= anc[src] | (1 << src)
-        else:
-            self._propagate(src, dst, 0)
-
-    def add_fork_edge(self, src: int, dst: int, lo: int) -> None:
-        """Add ``src -> dst`` where every descendant of ``dst`` (and ``dst``
-        itself) has an id of at least ``lo``; only rows ``lo..`` are scanned."""
-        n = len(self._anc)
-        self._check_edge(src, dst, n)
-        if not 0 <= lo <= dst:
-            raise UsageError(f"scan bound {lo} above the target of edge {src}->{dst}")
-        self._propagate(src, dst, lo)
-
-    def _check_edge(self, src: int, dst: int, n: int) -> None:
         if not (0 <= src < n and 0 <= dst < n):
             raise UsageError(f"unknown node in edge {src}->{dst}")
         # Callers only add edges along execution order; a cycle means the
         # caller's bookkeeping is broken, not that the input was bad.
         if src == dst:
             raise InvariantError(f"self edge on node {src}")
-        if (self._anc[src] >> dst) & 1:
+        src_row = self._row(src)
+        if (src_row >> dst) & 1:
             raise InvariantError(f"edge {src}->{dst} would close a cycle")
+        new_bits = src_row | (1 << src)
+        if dst == n - 1 and self._newest_is_sink:
+            anc[dst] |= new_bits
+        else:
+            self._propagate(src, dst, new_bits)
 
-    def _propagate(self, src: int, dst: int, lo: int) -> None:
-        anc = self._anc
+    def close_window(self, fork: int, lo: int) -> None:
+        """Make ``fork`` reach every node from ``lo`` on, except itself.
+
+        ``fork`` is older than ``lo``, or it is the newest node. The caller
+        guarantees that no node of the window reaches a node below ``lo``.
+        """
+        n = len(self._anc)
+        if not 0 <= fork < n:
+            raise UsageError(f"unknown fork node {fork}")
+        if fork < lo <= n:
+            end = n
+        elif 0 <= lo <= fork == n - 1:
+            end = fork
+        else:
+            raise UsageError(f"window {lo}.. of fork {fork}: the fork must be "
+                             f"below the window or the newest node")
+        fork_row = self._row(fork)
+        if fork_row >> lo:
+            raise InvariantError(f"window {lo}.. of fork {fork} would close a cycle")
+        if lo == end:
+            return
+        outer = self._outer
+        i = len(outer)
+        while i and outer[i - 1][1] > lo:
+            i -= 1
+        inside = outer[i:]
+        if inside and (inside[0][0] < lo or inside[-1][1] > end):
+            raise InvariantError(f"window {lo}..{end - 1} does not nest with the closed "
+                                 f"windows: a node would join two windows")
+        del outer[i:]
+        if fork == n - 1:
+            self._newest_is_sink = False
+        wid = len(self._bits)
+        win, up = self._win, self._up
+        gap = lo
+        for a_lo, a_end, a in inside:
+            win[gap:a_lo] = [wid] * (a_lo - gap)
+            up[a] = wid
+            gap = a_end
+        win[gap:end] = [wid] * (end - gap)
+        up.append(wid)
+        self._bits.append(fork_row | (1 << fork))
+        outer.append((lo, end, wid))
+
+    def _row(self, d: int) -> int:
+        w = self._win[d]
+        return self._anc[d] if w < 0 else self._anc[d] | self._owed(w)
+
+    def _owed(self, w: int) -> int:
+        """The bits window ``w`` and every window above it owe."""
+        up, bits = self._up, self._bits
+        path = []
+        while up[w] != w:
+            path.append(w)
+            w = up[w]
+        for x in reversed(path):  # nearest the root first, so up[x] is compressed
+            if up[x] != w:
+                bits[x] |= bits[up[x]]
+                up[x] = w
+        return bits[path[0]] | bits[w] if path else bits[w]
+
+    def _owing(self, a: int) -> list[bool]:
+        """Per window, whether it owes bit ``a``; the extra last entry, read
+        at index -1, is for nodes in no window."""
+        up, bits = self._up, self._bits
+        owes = [False] * (len(bits) + 1)
+        for w in range(len(bits) - 1, -1, -1):  # _up[w] is w or a later window
+            owes[w] = owes[up[w]] or bool((bits[w] >> a) & 1)
+        return owes
+
+    def _propagate(self, src: int, dst: int, new_bits: int) -> None:
+        anc, win = self._anc, self._win
         n = len(anc)
         if src == n - 1:
             self._newest_is_sink = False
-        new_bits = anc[src] | (1 << src)
-        if anc[dst] | new_bits == anc[dst]:
+        dst_row = self._row(dst)
+        if dst_row | new_bits == dst_row:
             return
-        for d in range(lo, n):
-            if d == dst or (anc[d] >> dst) & 1:
+        owes = self._owing(dst)
+        for d in range(n):
+            if d == dst or owes[win[d]] or (anc[d] >> dst) & 1:
                 anc[d] |= new_bits
 
     def reach(self, a: int, b: int) -> bool:
         n = len(self._anc)
         if not (0 <= a < n and 0 <= b < n):
             raise UsageError(f"unknown node in reach({a}, {b})")
-        return bool((self._anc[b] >> a) & 1)
+        if (self._anc[b] >> a) & 1:
+            return True
+        w = self._win[b]
+        return w >= 0 and bool((self._owed(w) >> a) & 1)
 
     def row(self, a: int) -> int:
         """Descendants of ``a`` as a bitmask (test hook; scans every row)."""
-        bits = "".join("1" if (r >> a) & 1 else "0" for r in reversed(self._anc))
+        owes = self._owing(a)
+        bits = "".join("1" if owes[w] or (r >> a) & 1 else "0"
+                       for r, w in zip(reversed(self._anc), reversed(self._win)))
         return int(bits or "0", 2)

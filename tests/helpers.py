@@ -66,6 +66,20 @@ def replay_collect(seq, reach):
     return answers
 
 
+def descendants(edges, starts):
+    """Nodes an edge list reaches from ``starts`` by a nonempty path."""
+    out = {}
+    for u, v in edges:
+        out.setdefault(u, []).append(v)
+    seen, todo = set(), list(starts)
+    while todo:
+        for v in out.get(todo.pop(), ()):
+            if v not in seen:
+                seen.add(v)
+                todo.append(v)
+    return seen
+
+
 def oracle_answers(seq):
     """Ground-truth {strand: frozenset of strands that precede it}."""
     dag = oracle.build(seq)

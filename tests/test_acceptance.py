@@ -376,3 +376,24 @@ def test_criterion_11_race_contract_on_repeated_writes():
     _line(11, True, f"race contract holds on {runs} runs over 120 traces folded onto "
                     f"3-8 words ({rewritten} rewrite a word, {racy} racy, "
                     f"{fewer} with pairs left unreported)")
+
+
+def test_criterion_12_plus_scaling_on_sync_heavy_traces():
+    # The futures-mixed recipe nests spawn windows hundreds deep, and every
+    # sync with both sides attached closes one. From 30k to 60k events k
+    # grows 2.0x; the k^2 model predicts about 4x the time, and a closure that
+    # re-ORs each row once per enclosing window measured 5.8-7.5x.
+    def median_elapsed(seq):
+        times = []
+        for _ in range(3):
+            times.append(engine.detect(seq, "plus", MODE_GENERAL).stats.elapsed)
+        return statistics.median(times)
+
+    small, big = (gen_random(n_events=n, p_spawn=0.15, p_create=0.03, p_get=0.04, seed=3)
+                  for n in (30_000, 60_000))
+    ks, kb = small.counts.future_ops, big.counts.future_ops
+    assert 1.9 <= kb / ks <= 2.1
+    ms, mb = median_elapsed(small), median_elapsed(big)
+    ratio = mb / ms
+    _line(12, ratio <= 4.5, f"doubling k ({ks} -> {kb}) scales plus time by {ratio:.2f} "
+                            f"({ms:.3f}s -> {mb:.3f}s, median of 3; <= 4.5)")

@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import futurerd
-from futurerd import cli, engine, reachdag, trace
+from futurerd import cli, engine, oracle, reachdag, trace
 from futurerd.multibags_plus import MultiBagsPlus
 from futurerd.shadow import WRITE_WRITE, RaceReport, ShadowTable
 from helpers import cr, gt, rt, seq_of, sp, sy, wr
@@ -305,6 +305,24 @@ def test_closure_limit_exits_2_and_names_the_attached_sets(tmp_path, capsys, mon
          "-o", str(fj)])
     assert run(["detect", "--algo", "plus", "--mode", "general",
                 "--trace", str(fj)]) == cli.EXIT_OK
+
+
+def test_verify_over_the_oracle_budget_exits_2_and_names_the_budget(tmp_path, capsys,
+                                                                    monkeypatch):
+    out = tmp_path / "t.jsonl"
+    run(["gen", "random", "--events", "150", "--seed", "4", "-o", str(out)])
+    strands = trace.load(str(out)).counts.strands
+    monkeypatch.setattr(oracle, "REACH_BUDGET", strands * strands // 8 - 1)
+    capsys.readouterr()
+    assert run(["verify", "--algo", "plus", "--trace", str(out)]) == cli.EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        f"error: the brute-force dag refuses {strands} strands: its reachability rows "
+        f"could take {strands * strands // 8:,} bytes, over the budget of "
+        f"{strands * strands // 8 - 1:,} bytes\n")
+    monkeypatch.setattr(oracle, "REACH_BUDGET", strands * strands // 8)
+    assert run(["verify", "--algo", "plus", "--trace", str(out)]) == cli.EXIT_OK
 
 
 def test_verify_clean_and_faulty(tmp_path, capsys, monkeypatch):

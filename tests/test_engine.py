@@ -329,7 +329,9 @@ def test_verify_fails_on_an_unsound_pair_or_a_missed_racy_word(monkeypatch):
     assert not rep.ok
 
 
-def test_verify_refuses_oversized_traces():
+def test_verify_refuses_oversized_traces(monkeypatch):
+    # 5,201 strands could take 3.2 MiB of oracle rows, over a 2 MiB budget
+    monkeypatch.setattr(oracle, "REACH_BUDGET", 2 << 20)
     events = []
     for h in range(2600):
         events.append(cr(h + 1, h + 1))

@@ -7,8 +7,8 @@ from futurerd.errors import InputError, InvariantError, UsageError
 from futurerd.generators import gen_lcs_general, gen_random
 from futurerd.multibags import MultiBags
 from futurerd.multibags_plus import MultiBagsPlus, NspRecord
-from helpers import (cr, deep_fork_join_then, gt, oracle_answers, rd, replay_collect, rt, seq_of,
-                     sp, sp_reaches, sy, wr)
+from helpers import (cr, deep_fork_join_then, descendants, gt, oracle_answers, rd, replay_collect,
+                     rt, seq_of, sp, sp_reaches, sy, wr)
 
 
 def drive(events, after=None):
@@ -220,11 +220,48 @@ def test_sync_both_attached_adds_at_most_two_nodes():
     assert replay_collect(seq, MultiBagsPlus()) == oracle_answers(seq)
 
 
+def spy_windows(monkeypatch, check=None):
+    """Log the windows ``MultiBagsPlus`` closes and the edges of its dag.
+
+    Each window is logged as ``(fork, lo, len(r), sources)``, where
+    ``sources`` are the dag nodes of the sync's two source sets, read from
+    ``d_nsp`` before the real ``on_sync`` runs. The edge log holds every
+    ``add_edge`` and, for each closed window, an edge from its fork to each
+    of its nodes. ``check(fork, lo, len(r), sources)`` runs before each
+    window closes, while the log does not hold its edges yet.
+    """
+    windows, edges, sources = [], [], []
+    on_sync = MultiBagsPlus.on_sync
+    close, add_edge = reachdag.ReachDag.close_window, reachdag.ReachDag.add_edge
+
+    def sync_spy(mbp, child, frame):
+        if not mbp._dormant:
+            sources.append(tuple(mbp.d_nsp.find_record(s).r_node
+                                 for s in (child.fork + 1, child.sink + 1)))
+        on_sync(mbp, child, frame)
+
+    def close_spy(dag, fork, lo):
+        windows.append((fork, lo, len(dag), sources[-1]))
+        if check is not None:
+            check(*windows[-1])
+        close(dag, fork, lo)
+        edges.extend((fork, j) for j in range(lo, len(dag)) if j != fork)
+
+    def edge_spy(dag, src, dst):
+        edges.append((src, dst))
+        add_edge(dag, src, dst)
+
+    monkeypatch.setattr(MultiBagsPlus, "on_sync", sync_spy)
+    monkeypatch.setattr(reachdag.ReachDag, "close_window", close_spy)
+    monkeypatch.setattr(reachdag.ReachDag, "add_edge", edge_spy)
+    return windows, edges
+
+
 def test_nested_both_attached_sync_under_a_promoted_fork(monkeypatch):
     # Child X runs a both-attached sync whose left side, child Y, runs one of
     # its own. Both forks (the first strands of X and Y) are unattached until
     # their syncs promote them, so Y's fork gets a node above its children's
-    # nodes, and X's fork edge into it must reach those lower-id descendants.
+    # nodes, and X's window, which holds it, must reach those lower-id nodes.
     events = [
         sp(1),                                              # X, strand 1: outer fork
         wr(0x100),
@@ -238,71 +275,62 @@ def test_nested_both_attached_sync_under_a_promoted_fork(monkeypatch):
     ]
     seq = seq_of(*events)
     mbp = MultiBagsPlus()
-    fork_edges = []
-    inner = reachdag.ReachDag.add_fork_edge
-
-    def spy(dag, src, dst, lo):
-        fork_edges.append((src, dst, lo, dag.row(dst)))
-        inner(dag, src, dst, lo)
-
-    monkeypatch.setattr(reachdag.ReachDag, "add_fork_edge", spy)
+    windows, edges = spy_windows(monkeypatch)
     assert replay_collect(seq, mbp) == oracle_answers(seq)
     assert mbp.both_attached_syncs == 2
-    assert len(fork_edges) == 4
-    (y_fork, y_left, _, _), (_, y_right, _, _) = fork_edges[:2]
-    x_fork, x_left, x_lo, desc = fork_edges[2]
-    assert x_left == y_fork
-    assert y_left < y_fork and y_right < y_fork  # descendants below their ancestor
-    assert desc >> x_lo << x_lo == desc  # but none below the spawn's floor
-    for node in (y_fork, y_left, y_right):
+    assert len(windows) == 2
+    (y_fork, y_lo, y_len, y_sources), (x_fork, x_lo, _, x_sources) = windows
+    assert x_sources[0] == y_fork  # X's left source is Y's fork
+    assert y_fork == y_len - 1 and x_lo <= y_lo  # promoted, inside X's window
+    assert all(y_lo <= s < y_fork for s in y_sources)  # descendants below their ancestor
+    assert min(descendants(edges, [y_fork])) >= x_lo  # but none below X's spawn floor
+    for node in (y_fork, *range(y_lo, y_fork)):
         assert mbp.r.reach(x_fork, node)
     races = {(r.addr, r.kind, r.prior, r.current)
              for r in engine.detect(seq, "plus", "general").races}
     assert races == oracle.naive_races(oracle.build(seq)) and len(races) == 1
 
 
+def random_window_traces():
+    for seed in range(40):
+        yield seed, gen_random(n_events=220, p_spawn=0.18, p_create=0.1, p_get=0.12, seed=seed)
+
+
 def test_fork_edge_scan_bound_holds_on_random_traces(monkeypatch):
     # The spawn window: at a both-attached sync every descendant of a source
-    # node was created after the spawn, so the fork edges may skip older rows.
+    # node was created after the spawn, so a window from the spawn's len(r)
+    # on can stand for the fork->source edges.
     checked = []
-    inner = reachdag.ReachDag.add_fork_edge
 
-    def spy(dag, src, dst, lo):
-        desc = dag.row(dst)
-        assert desc >> lo << lo == desc, (src, dst, lo)
-        checked.append(desc & ((1 << dst) - 1) != 0)
-        inner(dag, src, dst, lo)
+    def check(fork, lo, _, sources):
+        for src in sources:
+            desc = descendants(edges, [src])
+            assert min(desc, default=lo) >= lo, (fork, src, lo)
+            checked.append(min(desc, default=src) < src)
 
-    monkeypatch.setattr(reachdag.ReachDag, "add_fork_edge", spy)
-    for seed in range(40):
-        seq = gen_random(n_events=220, p_spawn=0.18, p_create=0.1, p_get=0.12, seed=seed)
+    _, edges = spy_windows(monkeypatch, check)
+    for seed, seq in random_window_traces():
+        edges.clear()
         assert replay_collect(seq, MultiBagsPlus()) == oracle_answers(seq), seed
-    assert len(checked) > 50 and any(checked)  # some targets have lower-id descendants
+    assert len(checked) > 50 and any(checked)  # some sources have lower-id descendants
 
 
 def test_fork_edge_targets_cover_the_spawn_window(monkeypatch):
-    # At a both-attached sync, the two fork-edge targets and their
-    # descendants are exactly the nodes made since the spawn (r_floor..), but
-    # the fork's own, so one OR over that row range could stand for both scans.
-    pending, promoted = [], []
-    inner = reachdag.ReachDag.add_fork_edge
+    # At a both-attached sync, the two sources and the nodes they reach are
+    # exactly the nodes made since the spawn (r_floor..), but the fork's own,
+    # so one window over that range stands for both fork->source edges.
+    promoted = []
 
-    def spy(dag, src, dst, lo):
-        pending.append((src, lo, dag.row(dst) | 1 << dst))
-        if len(pending) == 2:
-            (src1, lo1, covered1), (src2, lo2, covered2) = pending
-            pending.clear()
-            assert (src1, lo1) == (src2, lo2)
-            window = (1 << len(dag)) - (1 << lo1)
-            assert covered1 | covered2 == window & ~(1 << src1), (src1, lo1, len(dag))
-            promoted.append(src1 >= lo1)
-        inner(dag, src, dst, lo)
+    def check(fork, lo, n, sources):
+        covered = descendants(edges, sources) | set(sources)
+        assert covered == set(range(lo, n)) - {fork}, (fork, lo, n)
+        promoted.append(fork >= lo)
 
-    monkeypatch.setattr(reachdag.ReachDag, "add_fork_edge", spy)
-    for seed in range(40):
-        seq = gen_random(n_events=220, p_spawn=0.18, p_create=0.1, p_get=0.12, seed=seed)
+    _, edges = spy_windows(monkeypatch, check)
+    for _, seq in random_window_traces():
+        edges.clear()
         engine.replay(seq, MultiBagsPlus())
-    assert not pending and len(promoted) > 100
+    assert len(promoted) > 100
     assert any(promoted) and not all(promoted)  # the fork's node is in the window or older
 
 

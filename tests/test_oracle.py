@@ -3,7 +3,7 @@ import random
 import pytest
 
 from futurerd import oracle
-from futurerd.errors import InputError, UsageError
+from futurerd.errors import InputError
 from futurerd.generators import gen_lcs_structured, gen_random
 from futurerd.trace import EventSequence
 from helpers import cr, gt, rd, rt, seq_of, sp, sy, wr
@@ -146,17 +146,36 @@ def test_invalid_trace_rejected():
         oracle.build(seq_of(rt()))
 
 
-def test_reachability_cap():
+def test_reachability_cap(monkeypatch):
+    # 5,003 strands could take 3.0 MiB of rows, over a 2 MiB budget
+    monkeypatch.setattr(oracle, "REACH_BUDGET", 2 << 20)
     events = []
     for h in range(2501):  # 5002 strands total
         events.append(cr(h + 1, h + 1))
         events.append(rt())
     dag = oracle.build(EventSequence(events))
     assert dag.n == 5003
-    with pytest.raises(UsageError):
+    with pytest.raises(InputError):
         dag.reaches(0, 1)
 
 
 def test_dot_dump():
     dot = oracle.to_dot(oracle.build(seq_of(cr(1, 1), rt(), gt(1))))
     assert dot.startswith("digraph") and '[label="create"]' in dot and "n3" in dot
+
+
+def test_reaches_refuses_rows_over_the_budget(monkeypatch):
+    dag = oracle.build(seq_of(cr(1, 1), rt(), gt(1)))  # 4 strands: rows of up to 2 bytes
+    monkeypatch.setattr(oracle, "REACH_BUDGET", 1)
+    with pytest.raises(InputError, match="refuses 4 strands.* 2 bytes.* budget of 1 bytes"):
+        dag.reaches(0, 3)
+    monkeypatch.setattr(oracle, "REACH_BUDGET", 2)
+    assert dag.reaches(0, 3)
+
+
+def test_default_budget_admits_46340_strands():
+    assert oracle.REACH_BUDGET == 256 << 20
+    assert oracle.REACH_CAP == 46_340
+    oracle.check_reach_budget(oracle.REACH_CAP)
+    with pytest.raises(InputError):
+        oracle.check_reach_budget(oracle.REACH_CAP + 1)

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from futurerd import reachdag
 from futurerd.errors import ClosureLimitError, InputError, InvariantError, UsageError
 from futurerd.reachdag import ReachDag
+from helpers import descendants
 
 
 def floyd_warshall(n, edges):
@@ -48,7 +49,7 @@ def assert_matches_fw(dag, n, edges):
         assert dag.row(i) == sum(1 << j for j in range(n) if fw[i][j]), i
 
 
-def windowed_dag_ops(seed, depth=2):
+def windowed_dag_ops(seed, depth=2, close_windows=False):
     """Random dag grown the way ``MultiBagsPlus`` grows its closure.
 
     Every edge enters the newest node, except the fork->source edges that
@@ -57,12 +58,27 @@ def windowed_dag_ops(seed, depth=2):
     window nested first on that side and promoted there. A fork is an older
     node or one created once both sides are done, so a source's descendants
     can have lower ids than the source or its fork. Every descendant of a
-    source lies in the window, which is the bound ``add_fork_edge`` is given.
+    source lies in the window, whose first node is returned with each source.
+
+    With ``close_windows`` each window is closed by ``close_window`` and
+    logged as an edge from its fork to each of its nodes, and some edges join
+    two older nodes, so they scan the rows: one in each window with
+    probability 1/2, and one after each outermost window.
     """
     rng = random.Random(seed)
     dag = ReachDag()
     edges = []
-    bounded = []  # (dst, lo) of every fork edge
+    bounded = []  # (source, first node of its window) of every fork edge
+
+    def general_edge(lo):
+        """An edge between two nodes of ``lo..``, neither the newest, unless
+        it would close a cycle."""
+        if len(dag) - lo < 3:
+            return
+        u, x = sorted(rng.sample(range(lo, len(dag) - 1), 2))
+        if u not in descendants(edges, [x]):
+            dag.add_edge(u, x)
+            edges.append((u, x))
 
     def node(n_preds, lo, hi=None):
         """A new node with up to ``n_preds`` in-edges from nodes ``lo..hi-1``."""
@@ -92,12 +108,18 @@ def windowed_dag_ops(seed, depth=2):
                     last = node(rng.randrange(1, 3), src)
             sources.append(src)
             sinks.append(last)
+        if close_windows and rng.random() < 0.5:
+            general_edge(lo)
         # an older fork, or one promoted now, above its window's nodes
         fork = rng.randrange(lo) if rng.random() < 0.3 else node(1, 0, lo)
-        for src in sources:
-            dag.add_fork_edge(fork, src, lo)
-            edges.append((fork, src))
-            bounded.append((src, lo))
+        if close_windows:
+            dag.close_window(fork, lo)
+            edges.extend((fork, j) for j in range(lo, len(dag)) if j != fork)
+        else:
+            for src in sources:
+                dag.add_edge(fork, src)
+                edges.append((fork, src))
+        bounded.extend((src, lo) for src in sources)
         join = dag.add_node()
         for u in sorted(set(sinks)):
             dag.add_edge(u, join)
@@ -107,6 +129,8 @@ def windowed_dag_ops(seed, depth=2):
     dag.add_node()
     for _ in range(rng.randrange(1, 4)):
         window(depth)
+        if close_windows:
+            general_edge(0)
     return dag, edges, bounded
 
 
@@ -223,9 +247,8 @@ def test_edge_already_implied_is_a_no_op():
     dag.add_edge(f, x)  # x, a descendant of f, has a lower id than f
     dag.add_edge(p, x)  # p already reaches x through f
     rows = [dag.row(i) for i in range(3)]
-    # p already reaches f, so the edge returns before any scan: a bound that
-    # would skip x (id 1 < 2) changes nothing
-    dag.add_fork_edge(p, f, f)
+    # p already reaches f, so the edge returns before any scan
+    dag.add_edge(p, f)
     assert [dag.row(i) for i in range(3)] == rows
     assert_matches_fw(dag, 3, [(p, f), (f, x), (p, x)])
 
@@ -243,13 +266,87 @@ def test_bounded_scan_matches_floyd_warshall():
     assert out_of_order > 0  # the corpus does wire nodes to lower-id descendants
 
 
-def test_fork_edge_bound_must_admit_its_target():
+def test_close_window_bound_must_admit_the_fork():
     dag = ReachDag()
-    a, b = dag.add_node(), dag.add_node()
-    with pytest.raises(UsageError):
-        dag.add_fork_edge(a, b, b + 1)
-    dag.add_fork_edge(a, b, b)
-    assert dag.reach(a, b)
+    a, b, c = (dag.add_node() for _ in range(3))
+    # the fork must be a known node, below the window or the newest node
+    for fork, lo in [(3, 0), (-1, 0), (a, -1), (a, 4), (b, 0), (b, b), (c, -1)]:
+        with pytest.raises(UsageError):
+            dag.close_window(fork, lo)
+    assert [dag.row(i) for i in range(3)] == [0, 0, 0]
+    dag.close_window(a, 3)  # empty windows are accepted
+    dag.close_window(c, c)
+    assert [dag.row(i) for i in range(3)] == [0, 0, 0]
+    dag.close_window(a, b)
+    assert dag.reach(a, b) and dag.reach(a, c) and not dag.reach(b, c)
+    dag = ReachDag()
+    p, x, y, f = (dag.add_node() for _ in range(4))
+    dag.close_window(f, x)  # a newest fork above its window
+    assert dag.reach(f, x) and dag.reach(f, y) and not dag.reach(f, f)
+    dag.add_edge(p, f)  # the fork has out-edges now, so its window learns p too
+    assert dag.reach(p, x) and dag.reach(p, y)
+
+
+def test_closed_windows_match_floyd_warshall(monkeypatch):
+    # Each closed window is logged as an edge from its fork to each of its
+    # nodes, so Floyd-Warshall checks the owed bits, through every reach pair
+    # and every row.
+    windows, edges_in = [], []
+    close, add_edge = ReachDag.close_window, ReachDag.add_edge
+
+    def close_spy(dag, fork, lo):
+        windows.append((fork, lo, len(dag)))
+        close(dag, fork, lo)
+
+    def edge_spy(dag, src, dst):
+        edges_in.append((dag._win[src] >= 0, dst == len(dag) - 1))
+        add_edge(dag, src, dst)
+
+    monkeypatch.setattr(ReachDag, "close_window", close_spy)
+    monkeypatch.setattr(ReachDag, "add_edge", edge_spy)
+    deep = 0
+    for seed in range(80):
+        windows.clear()
+        dag, edges, _ = windowed_dag_ops(seed, close_windows=True)
+        n = len(dag)
+        assert_matches_fw(dag, n, edges)
+        deep += sum(sum(lo <= d < hi and d != fork for fork, lo, hi in windows) >= 3
+                    for d in range(n))
+    assert any(fork >= lo for fork, lo, _ in windows)  # promoted forks
+    assert any(fork < lo for fork, lo, _ in windows)  # older forks
+    assert any(newest for in_window, newest in edges_in if in_window)  # edges out of windows
+    assert sum(not newest for _, newest in edges_in) > 20  # edges that scan the rows
+    assert deep > 100  # nodes in three closed windows or more
+
+
+def test_close_window_rejects_a_cycle():
+    dag = ReachDag()
+    a, b, c = (dag.add_node() for _ in range(3))
+    dag.add_edge(b, c)
+    with pytest.raises(InvariantError, match="cycle"):
+        dag.close_window(c, a)  # b, in the window, reaches the newest fork
+    dag.add_edge(b, a)
+    with pytest.raises(InvariantError, match="cycle"):
+        dag.close_window(a, b)  # b reaches the older fork a
+
+
+def test_close_window_rejects_windows_that_do_not_nest():
+    dag = ReachDag()
+    for _ in range(4):
+        dag.add_node()
+    dag.close_window(0, 2)  # window 2..3
+    with pytest.raises(InvariantError, match="nest"):
+        dag.close_window(3, 1)  # 1..2 would leave out its fork 3, a node of 2..3
+    dag.add_node()
+    with pytest.raises(InvariantError, match="nest"):
+        dag.close_window(1, 3)  # 3..4 would share node 3 with 2..3
+    dag.close_window(1, 2)  # 2..4 holds 2..3
+    dag.close_window(0, 1)  # 1..4 holds 2..4
+    dag.add_node()
+    with pytest.raises(InvariantError, match="nest"):
+        dag.close_window(5, 2)  # 2..4 inside the closed 1..4: windows close inside out
+    assert_matches_fw(dag, 6, [(0, 2), (0, 3), (1, 2), (1, 3), (1, 4),
+                               (0, 1), (0, 2), (0, 3), (0, 4)])
 
 
 # -- closure-memory guard ---------------------------------------------------------
