@@ -42,7 +42,9 @@ brute-force dag at every step:
   and creator->continuation.
 * A get makes (up to) two: the strand before the get, and the getter, with
   edges from both the pre-get strand's set and the future's sink set into
-  the getter's set.
+  the getter's set. The sink set is attached already: a future's frame
+  syncs its spawns before it returns, and each of its top-level strands
+  starts in an attached set.
 * A sync either collapses a clean fork-join region into the fork's set
   (both sides unattached), or grafts the fork/join onto the one attached
   side and leaves the clean side a proxy pair, or (both sides attached)
@@ -64,9 +66,10 @@ Every other strand is in the set of the latest start at or below it,
 because a closed window has collapsed into its fork's set. Strand 0 and the strands before the
 first start form the root's set.
 
-Every edge of ``r`` enters the node just created, which costs one OR, except
-the two fork->source edges of a both-attached sync. Those enter older nodes,
-and they rely on the *spawn window* invariant. Every set that holds a strand
+Each ``add_edge`` enters the node just created from an older one, the one
+kind of edge ``ReachDag.add_edge`` takes, and costs one OR. The two
+fork->source edges of a both-attached sync enter older nodes instead, and
+they rely on the *spawn window* invariant. Every set that holds a strand
 run between a spawn and its sync was created in that window, so its dag node
 was created there too. Every edge added in the window ends at a node of the
 window. So the two source nodes and their descendants are exactly the nodes
@@ -275,7 +278,7 @@ class MultiBagsPlus(MultiBags):
         pre = self.d_nsp.find(self._cur)
         pre_node = self._attachify(pre)
         sink = self.d_nsp.find(future.sink)
-        sink_node = self._attachify(sink)  # futures start attached, so normally a no-op
+        sink_node = self._rnode(sink)
         r_get = self.r.add_node()
         self.r.add_edge(pre_node, r_get)
         if sink != pre:

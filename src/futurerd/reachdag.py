@@ -5,27 +5,19 @@ The closure is kept as one growable *ancestor* row per node: bit i of the
 row of j is set when i reaches j. ``reach`` is strict: a node never reaches
 itself.
 
-Node ids follow creation order, but that is not a topological order: a
-caller may wire a new node into older ones (``MultiBagsPlus`` promotes a
-fork to a node only at its both-attached sync, after its children have
-theirs), so a descendant can have a lower id than its ancestor. What callers
-do guarantee is that edges follow execution order, so an edge never closes
-a cycle.
-
-Adding ``src -> dst`` ORs the row of ``src`` and ``1 << src`` into the row
-of ``dst`` and of every descendant of ``dst``:
-
-* an edge into the newest node, while that node has no out-edge, is one OR:
-  the node has no descendants;
-* an edge whose bits ``dst`` already has is a no-op, since every descendant
-  of ``dst`` has them too;
-* any other edge scans every row for the descendants of ``dst``.
+``add_edge(src, dst)`` takes only an edge into the newest node ``dst``
+from an older node ``src``, while ``dst`` forks no closed window. ``dst``
+then has no descendants, so the edge is one OR of the row of ``src`` and
+``1 << src`` into the row of ``dst``, and it cannot close a cycle. Any other
+edge raises ``UsageError``.
 
 ``close_window(fork, lo)`` makes ``fork`` reach every node from ``lo`` on
 but itself, in one step and without touching a row. It stands for the
 fork->source edges of ``MultiBagsPlus``' both-attached syncs, whose spawn
-windows are closed under descendants and nest. The window keeps the fork's
-bits once, and its nodes owe them:
+windows are closed under descendants and nest. A fork promoted at its sync
+is the newest node, above its window, so node ids are not a topological
+order: a descendant can have a lower id than its ancestor. The window keeps
+the fork's bits once, and its nodes owe them:
 
 * ``_win[d]`` is the innermost closed window that holds node ``d``, or -1;
 * ``_up[w]`` is the window that adopted window ``w`` (``w`` itself while it
@@ -59,7 +51,7 @@ class ReachDag:
         self._up: list[int] = []  # per window: the window that adopted it, or itself
         self._bits: list[int] = []  # per window: the bits it owes up to _up
         self._outer: list[tuple[int, int, int]] = []  # outermost windows: (lo, end, id), by lo
-        self._newest_is_sink = True  # the newest node has no out-edge yet
+        self._newest_is_sink = True  # the newest node forks no closed window
 
     def __len__(self) -> int:
         return len(self._anc)
@@ -74,22 +66,10 @@ class ReachDag:
         return n
 
     def add_edge(self, src: int, dst: int) -> None:
-        anc = self._anc
-        n = len(anc)
-        if not (0 <= src < n and 0 <= dst < n):
-            raise UsageError(f"unknown node in edge {src}->{dst}")
-        # Callers only add edges along execution order; a cycle means the
-        # caller's bookkeeping is broken, not that the input was bad.
-        if src == dst:
-            raise InvariantError(f"self edge on node {src}")
-        src_row = self._row(src)
-        if (src_row >> dst) & 1:
-            raise InvariantError(f"edge {src}->{dst} would close a cycle")
-        new_bits = src_row | (1 << src)
-        if dst == n - 1 and self._newest_is_sink:
-            anc[dst] |= new_bits
-        else:
-            self._propagate(src, dst, new_bits)
+        if not (0 <= src < dst == len(self._anc) - 1 and self._newest_is_sink):
+            raise UsageError(f"edge {src}->{dst} does not enter the newest node from "
+                             f"an older one, before that node forks a window")
+        self._anc[dst] |= self._row(src) | (1 << src)
 
     def close_window(self, fork: int, lo: int) -> None:
         """Make ``fork`` reach every node from ``lo`` on, except itself.
@@ -160,19 +140,6 @@ class ReachDag:
         for w in range(len(bits) - 1, -1, -1):  # _up[w] is w or a later window
             owes[w] = owes[up[w]] or bool((bits[w] >> a) & 1)
         return owes
-
-    def _propagate(self, src: int, dst: int, new_bits: int) -> None:
-        anc, win = self._anc, self._win
-        n = len(anc)
-        if src == n - 1:
-            self._newest_is_sink = False
-        dst_row = self._row(dst)
-        if dst_row | new_bits == dst_row:
-            return
-        owes = self._owing(dst)
-        for d in range(n):
-            if d == dst or owes[win[d]] or (anc[d] >> dst) & 1:
-                anc[d] |= new_bits
 
     def reach(self, a: int, b: int) -> bool:
         n = len(self._anc)

@@ -7,7 +7,6 @@ from hypothesis import strategies as st
 from futurerd import reachdag
 from futurerd.errors import ClosureLimitError, InputError, InvariantError, UsageError
 from futurerd.reachdag import ReachDag
-from helpers import descendants
 
 
 def floyd_warshall(n, edges):
@@ -26,19 +25,26 @@ def floyd_warshall(n, edges):
     return reach
 
 
-def random_dag_ops(n, n_edges, seed):
-    """Random node/edge sequence whose edges respect insertion order."""
-    rng = random.Random(seed)
+def dag_from_edges(n, edges):
+    """``n`` nodes and ``edges`` from lower to higher ids, each edge added
+    while its destination is the newest node."""
     dag = ReachDag()
-    for _ in range(n):
+    for v in range(n):
         dag.add_node()
+        for u, w in edges:
+            if w == v:
+                dag.add_edge(u, v)
+    return dag
+
+
+def random_dag_ops(n, n_edges, seed):
+    """Random dag of ``n`` nodes and ``n_edges`` edges from lower to higher ids."""
+    rng = random.Random(seed)
     edges = []
     while len(edges) < n_edges:
         u = rng.randrange(n - 1)
-        v = rng.randrange(u + 1, n)
-        dag.add_edge(u, v)
-        edges.append((u, v))
-    return dag, edges
+        edges.append((u, rng.randrange(u + 1, n)))
+    return dag_from_edges(n, edges), edges
 
 
 def assert_matches_fw(dag, n, edges):
@@ -49,36 +55,20 @@ def assert_matches_fw(dag, n, edges):
         assert dag.row(i) == sum(1 << j for j in range(n) if fw[i][j]), i
 
 
-def windowed_dag_ops(seed, depth=2, close_windows=False):
+def windowed_dag_ops(seed, depth=2):
     """Random dag grown the way ``MultiBagsPlus`` grows its closure.
 
-    Every edge enters the newest node, except the fork->source edges that
-    close a window. A window is the nodes created since it opened. Each of
-    its two sides starts at a source node: a new node, or the fork of a
+    Every edge enters the newest node, and ``close_window`` stands for the
+    fork->source edges. A window is the nodes created since it opened. Each
+    of its two sides starts at a source node: a new node, or the fork of a
     window nested first on that side and promoted there. A fork is an older
     node or one created once both sides are done, so a source's descendants
-    can have lower ids than the source or its fork. Every descendant of a
-    source lies in the window, whose first node is returned with each source.
-
-    With ``close_windows`` each window is closed by ``close_window`` and
-    logged as an edge from its fork to each of its nodes, and some edges join
-    two older nodes, so they scan the rows: one in each window with
-    probability 1/2, and one after each outermost window.
+    can have lower ids than the source or its fork. Each closed window is
+    logged as an edge from its fork to each of its nodes.
     """
     rng = random.Random(seed)
     dag = ReachDag()
     edges = []
-    bounded = []  # (source, first node of its window) of every fork edge
-
-    def general_edge(lo):
-        """An edge between two nodes of ``lo..``, neither the newest, unless
-        it would close a cycle."""
-        if len(dag) - lo < 3:
-            return
-        u, x = sorted(rng.sample(range(lo, len(dag) - 1), 2))
-        if u not in descendants(edges, [x]):
-            dag.add_edge(u, x)
-            edges.append((u, x))
 
     def node(n_preds, lo, hi=None):
         """A new node with up to ``n_preds`` in-edges from nodes ``lo..hi-1``."""
@@ -92,7 +82,7 @@ def windowed_dag_ops(seed, depth=2, close_windows=False):
     def window(level):
         """Open a window, close it with its fork edges; (fork, join)."""
         lo = len(dag)
-        sources, sinks = [], []
+        sinks = []
         for _ in range(2):
             src = None
             if level and rng.random() < 0.4:
@@ -106,20 +96,11 @@ def windowed_dag_ops(seed, depth=2, close_windows=False):
                     last = window(level - 1)[1]
                 else:
                     last = node(rng.randrange(1, 3), src)
-            sources.append(src)
             sinks.append(last)
-        if close_windows and rng.random() < 0.5:
-            general_edge(lo)
         # an older fork, or one promoted now, above its window's nodes
         fork = rng.randrange(lo) if rng.random() < 0.3 else node(1, 0, lo)
-        if close_windows:
-            dag.close_window(fork, lo)
-            edges.extend((fork, j) for j in range(lo, len(dag)) if j != fork)
-        else:
-            for src in sources:
-                dag.add_edge(fork, src)
-                edges.append((fork, src))
-        bounded.extend((src, lo) for src in sources)
+        dag.close_window(fork, lo)
+        edges.extend((fork, j) for j in range(lo, len(dag)) if j != fork)
         join = dag.add_node()
         for u in sorted(set(sinks)):
             dag.add_edge(u, join)
@@ -129,9 +110,7 @@ def windowed_dag_ops(seed, depth=2, close_windows=False):
     dag.add_node()
     for _ in range(rng.randrange(1, 4)):
         window(depth)
-        if close_windows:
-            general_edge(0)
-    return dag, edges, bounded
+    return dag, edges
 
 
 def test_node_indices_are_dense():
@@ -150,19 +129,18 @@ def test_fresh_node_reaches_nothing():
 
 def test_single_edge_and_chain():
     dag = ReachDag()
-    a, b, c = (dag.add_node() for _ in range(3))
+    a, b = dag.add_node(), dag.add_node()
     dag.add_edge(a, b)
     assert dag.reach(a, b) and not dag.reach(b, a)
+    c = dag.add_node()
     dag.add_edge(b, c)
     assert dag.reach(a, c)
 
 
 def test_diamond_matches_floyd_warshall():
-    dag = ReachDag()
-    a, b, c, d = (dag.add_node() for _ in range(4))
+    a, b, c, d = range(4)
     edges = [(a, b), (a, c), (b, d), (c, d)]
-    for u, v in edges:
-        dag.add_edge(u, v)
+    dag = dag_from_edges(4, edges)
     assert dag.reach(a, d)
     assert_matches_fw(dag, 4, edges)
 
@@ -172,27 +150,55 @@ def test_random_12_nodes_20_edges_matches_floyd_warshall():
     assert_matches_fw(dag, 12, edges)
 
 
-def test_rows_grow_monotonically():
-    dag, _ = random_dag_ops(10, 0, seed=1)
-    rng = random.Random(2)
-    prev = [dag.row(i) for i in range(10)]
-    for _ in range(15):
-        u = rng.randrange(9)
-        v = rng.randrange(u + 1, 10)
-        dag.add_edge(u, v)
-        cur = [dag.row(i) for i in range(10)]
-        assert all(c & p == p for p, c in zip(prev, cur))
-        prev = cur
+def test_rows_grow_monotonically(monkeypatch):
+    # Every edge and every closed window, nested ones included, only adds
+    # bits to the rows.
+    grew = 0
+
+    def checked(op):
+        def spy(dag, *args):
+            nonlocal grew
+            prev = [dag.row(i) for i in range(len(dag))]
+            op(dag, *args)
+            cur = [dag.row(i) for i in range(len(dag))]
+            assert all(c & p == p for p, c in zip(prev, cur))
+            grew += cur != prev
+        return spy
+
+    monkeypatch.setattr(ReachDag, "add_edge", checked(ReachDag.add_edge))
+    monkeypatch.setattr(ReachDag, "close_window", checked(ReachDag.close_window))
+    for seed in range(4):
+        windowed_dag_ops(seed)
+    assert grew > 200
 
 
-def test_self_edge_and_cycle_are_internal_errors():
+def test_refused_edges_raise_and_change_no_row():
+    # Only an older node may enter the newest one, and only until the newest
+    # node forks a closed window.
     dag = ReachDag()
     a, b = dag.add_node(), dag.add_node()
-    with pytest.raises(InvariantError):
-        dag.add_edge(a, a)
     dag.add_edge(a, b)
-    with pytest.raises(InvariantError):
-        dag.add_edge(b, a)
+    c = dag.add_node()
+    dag.add_edge(b, c)
+    f = dag.add_node()
+
+    def refused(src, dst):
+        rows = [dag.row(i) for i in range(len(dag))]
+        with pytest.raises(UsageError):
+            dag.add_edge(src, dst)
+        assert [dag.row(i) for i in range(len(dag))] == rows
+
+    refused(f, f)  # a self edge
+    refused(a, c)  # into an older node
+    refused(c, b)  # into an older node, closing a cycle
+    refused(f, a)  # out of the newest node
+    refused(4, f)  # from an unknown node
+    refused(-1, f)
+    dag.close_window(f, b)  # a newest fork above its window b..c
+    refused(a, f)
+    g = dag.add_node()
+    dag.add_edge(f, g)
+    assert_matches_fw(dag, 5, [(a, b), (b, c), (f, b), (f, c), (f, g)])
 
 
 def test_unknown_node_is_usage_error():
@@ -211,59 +217,25 @@ def test_closure_property(n, seed):
     assert_matches_fw(dag, n, edges)
 
 
-# -- edges that do not enter the newest node ------------------------------------
+# -- closed windows ------------------------------------------------------------
 
 
 def test_promoted_fork_above_its_descendants_matches_floyd_warshall():
     # Sources and their bodies come first; the fork is promoted to the newest
-    # node and only then wired to the sources, so its descendants have lower
-    # ids. The join then takes edges from both sinks.
-    dag = ReachDag()
-    pred, s1, s2 = (dag.add_node() for _ in range(3))
-    edges = [(pred, s1), (pred, s2)]
-    x = dag.add_node()
-    edges.append((s1, x))
-    y = dag.add_node()
-    edges.append((s2, y))
-    for u, v in edges:
-        dag.add_edge(u, v)
-    fork = dag.add_node()
-    dag.add_edge(pred, fork)
-    dag.add_edge(fork, s1)
-    dag.add_edge(fork, s2)
+    # node and only then closes its window, so its descendants have lower
+    # ids. The window stands for the edges to the two sources. The join then
+    # takes edges from both sinks.
+    pred, s1, s2, x, y, fork = range(6)
+    edges = [(pred, s1), (pred, s2), (s1, x), (s2, y), (pred, fork)]
+    dag = dag_from_edges(6, edges)
+    dag.close_window(fork, s1)
     join = dag.add_node()
     dag.add_edge(x, join)
     dag.add_edge(y, join)
-    edges += [(pred, fork), (fork, s1), (fork, s2), (x, join), (y, join)]
+    edges += [(fork, s1), (fork, s2), (x, join), (y, join)]
     assert dag.reach(fork, x) and dag.reach(fork, join) and x < fork
     assert not dag.reach(s1, y) and not dag.reach(fork, pred)
     assert_matches_fw(dag, len(dag), edges)
-
-
-def test_edge_already_implied_is_a_no_op():
-    dag = ReachDag()
-    p, x, f = (dag.add_node() for _ in range(3))
-    dag.add_edge(p, f)
-    dag.add_edge(f, x)  # x, a descendant of f, has a lower id than f
-    dag.add_edge(p, x)  # p already reaches x through f
-    rows = [dag.row(i) for i in range(3)]
-    # p already reaches f, so the edge returns before any scan
-    dag.add_edge(p, f)
-    assert [dag.row(i) for i in range(3)] == rows
-    assert_matches_fw(dag, 3, [(p, f), (f, x), (p, x)])
-
-
-def test_bounded_scan_matches_floyd_warshall():
-    out_of_order = 0
-    for seed in range(60):
-        dag, edges, bounded = windowed_dag_ops(seed)
-        n = len(dag)
-        assert_matches_fw(dag, n, edges)
-        fw = floyd_warshall(n, edges)
-        for dst, lo in bounded:
-            assert all(j >= lo for j in range(n) if fw[dst][j]), (seed, dst, lo)
-        out_of_order += sum(fw[u][v] and v < u for u in range(n) for v in range(n))
-    assert out_of_order > 0  # the corpus does wire nodes to lower-id descendants
 
 
 def test_close_window_bound_must_admit_the_fork():
@@ -280,11 +252,9 @@ def test_close_window_bound_must_admit_the_fork():
     dag.close_window(a, b)
     assert dag.reach(a, b) and dag.reach(a, c) and not dag.reach(b, c)
     dag = ReachDag()
-    p, x, y, f = (dag.add_node() for _ in range(4))
+    x, y, f = (dag.add_node() for _ in range(3))
     dag.close_window(f, x)  # a newest fork above its window
     assert dag.reach(f, x) and dag.reach(f, y) and not dag.reach(f, f)
-    dag.add_edge(p, f)  # the fork has out-edges now, so its window learns p too
-    assert dag.reach(p, x) and dag.reach(p, y)
 
 
 def test_closed_windows_match_floyd_warshall(monkeypatch):
@@ -299,23 +269,23 @@ def test_closed_windows_match_floyd_warshall(monkeypatch):
         close(dag, fork, lo)
 
     def edge_spy(dag, src, dst):
-        edges_in.append((dag._win[src] >= 0, dst == len(dag) - 1))
+        edges_in.append(dag._win[src] >= 0)
         add_edge(dag, src, dst)
 
     monkeypatch.setattr(ReachDag, "close_window", close_spy)
     monkeypatch.setattr(ReachDag, "add_edge", edge_spy)
-    deep = 0
+    deep = promoted = older = 0
     for seed in range(80):
         windows.clear()
-        dag, edges, _ = windowed_dag_ops(seed, close_windows=True)
+        dag, edges = windowed_dag_ops(seed)
         n = len(dag)
         assert_matches_fw(dag, n, edges)
         deep += sum(sum(lo <= d < hi and d != fork for fork, lo, hi in windows) >= 3
                     for d in range(n))
-    assert any(fork >= lo for fork, lo, _ in windows)  # promoted forks
-    assert any(fork < lo for fork, lo, _ in windows)  # older forks
-    assert any(newest for in_window, newest in edges_in if in_window)  # edges out of windows
-    assert sum(not newest for _, newest in edges_in) > 20  # edges that scan the rows
+        promoted += sum(fork >= lo for fork, lo, _ in windows)
+        older += sum(fork < lo for fork, lo, _ in windows)
+    assert promoted > 100 and older > 100
+    assert any(edges_in)  # edges out of windows
     assert deep > 100  # nodes in three closed windows or more
 
 
@@ -325,7 +295,9 @@ def test_close_window_rejects_a_cycle():
     dag.add_edge(b, c)
     with pytest.raises(InvariantError, match="cycle"):
         dag.close_window(c, a)  # b, in the window, reaches the newest fork
-    dag.add_edge(b, a)
+    dag = ReachDag()
+    a, b = dag.add_node(), dag.add_node()
+    dag.close_window(b, a)  # the newest fork b reaches a
     with pytest.raises(InvariantError, match="cycle"):
         dag.close_window(a, b)  # b reaches the older fork a
 
@@ -365,14 +337,3 @@ def test_add_node_refuses_to_grow_past_the_limit(monkeypatch):
 
 def test_default_limit_is_two_to_the_seventeen():
     assert reachdag.MAX_NODES == 1 << 17
-
-
-def test_edge_into_newest_node_that_has_descendants():
-    # The newest node already reaches an older one, so an edge into it is not
-    # a single OR: the older descendant must learn the new ancestor too.
-    dag = ReachDag()
-    w, x, y = (dag.add_node() for _ in range(3))
-    dag.add_edge(y, x)
-    dag.add_edge(w, y)
-    assert dag.reach(w, x)
-    assert_matches_fw(dag, 3, [(y, x), (w, y)])
