@@ -7,8 +7,8 @@ be piped into the others. Exit codes: 0 = no race found,
 non-UTF-8 trace, an unwritable output file, a trace over the closure
 limit (``reachdag.MAX_NODES``, 2^17 attached sets), or, for ``verify``, a
 trace over the brute-force dag's budget (``oracle.REACH_BUDGET``),
-3 = verification divergence, a broken race contract, or an internal
-invariant failure.
+3 = verification divergence, a broken race contract, an internal
+invariant failure, or any other crash (its traceback is printed).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import logging
 import os
 import sys
 import time
+import traceback
 
 from . import engine, generators, oracle, trace
 from .errors import InputError, InvariantError, UsageError
@@ -155,13 +156,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_gen(args) -> int:
     try:  # a generator's UsageError names a bad command-line argument here
-        if args.family == "lcs-structured":
-            seq = generators.gen_lcs_structured(args.n, seed=args.seed,
-                                                inject_race=args.inject_race)
-        elif args.family == "lcs-general":
-            seq = generators.gen_lcs_general(args.n, seed=args.seed,
-                                             inject_race=args.inject_race)
-        else:
+        if args.family == "random":
             seq = generators.gen_random(
                 n_events=args.events,
                 p_spawn=args.p_spawn,
@@ -170,6 +165,10 @@ def _cmd_gen(args) -> int:
                 seed=args.seed,
                 inject_race=args.inject_race,
             )
+        else:
+            lcs = (generators.gen_lcs_structured if args.family == "lcs-structured"
+                   else generators.gen_lcs_general)
+            seq = lcs(args.n, seed=args.seed, inject_race=args.inject_race)
     except UsageError as exc:
         raise InputError(str(exc)) from exc
     _write(args.out, trace.serialize(seq))
@@ -224,9 +223,18 @@ def main() -> None:
     over and over, and free nothing. ``run_cli`` and the library leave the
     collector alone; a program that calls ``detect`` on large traces may
     turn it off itself.
+
+    Exit code 1 means races only: any exception that ``run_cli`` does not
+    map to an exit code, a bug or a ``MemoryError`` say, prints its
+    traceback and exits 3.
     """
     gc.disable()
-    sys.exit(run_cli())
+    try:
+        code = run_cli()
+    except Exception:
+        traceback.print_exc()
+        code = EXIT_BROKEN
+    sys.exit(code)
 
 
 if __name__ == "__main__":

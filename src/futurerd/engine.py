@@ -155,8 +155,8 @@ def replay(seq: Iterable[Event], reach, shadow=None, races=None, after_strand=No
     """
     report = walk(seq, mode, reach, shadow, races, after_strand)
     if report.violations:
-        lines = "; ".join(v.message for v in report.violations[:5])
-        raise InputError(f"invalid trace ({len(report.violations)} violation(s)): {lines}")
+        lines = "; ".join(v.message for v in report.violations)
+        raise InputError(f"invalid trace ({report.violation_count} violation(s)): {lines}")
     if report.error is not None:
         try:
             raise report.error
@@ -264,6 +264,10 @@ def verify(seq: EventSequence, algo: str, sample: int | None = None, seed: int =
 
 
 def stats_only(seq: EventSequence) -> dict:
-    """Counts for a trace without running detection."""
-    c = seq.counts
+    """Counts for a trace without running detection.
+
+    The counting walk checks the frame grammar, and an invalid trace raises
+    ``InputError`` as ``replay`` does.
+    """
+    c = replay(seq, None)
     return {**asdict(c), "n": c.fork_points, "k": c.future_ops}

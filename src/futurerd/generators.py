@@ -13,6 +13,10 @@ Three families:
   create/get, and memory accesses; race-free by construction unless asked to
   plant exactly one race.
 
+The two block-grid families differ only in their traversal order and their
+``get`` events; the grid's base address and each block's body are built by
+:func:`_grid_base` and :func:`_block_body`.
+
 All generated accesses are 4-byte aligned; every address is written at most
 once per trace, which is what makes the race analysis of generated traces
 exact: a planted race is exactly one conflicting pair.
@@ -20,6 +24,7 @@ exact: a planted race is exactly one conflicting pair.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 from .errors import UsageError
@@ -27,10 +32,38 @@ from .trace import CREATE, GET, READ, RET, SPAWN, SYNC, WRITE, Event, EventSeque
 
 WORD = 4
 _ADDR_BASE = 1 << 20
+MAX_DEPTH = 12  # gen_random opens frames at most this many levels below the root
 
 
-def _cell_addr(base: int, n: int, i: int, j: int) -> int:
-    return base + WORD * (i * n + j)
+def _grid_base(nblocks: int, seed: int, inject_race: bool) -> int:
+    """Check a grid's arguments and return its base address, drawn from ``seed``."""
+    if nblocks < 1:
+        raise UsageError("nblocks must be >= 1")
+    if inject_race and nblocks < 2:
+        raise UsageError("cannot inject a race with a single block")
+    return _ADDR_BASE + WORD * 256 * random.Random(seed).randrange(64)
+
+
+def _block_body(ev: list[Event], base: int, n: int, i: int, j: int, read_up: bool,
+                inject_race: bool) -> None:
+    """Append the body of block (i, j) of the ``n x n`` grid of cells at ``base``.
+
+    The block reads the cells of its upper neighbor (when ``read_up``), its
+    left and its upper-left neighbors, then writes its own cell and returns.
+    With ``inject_race``, block (1, n-2) first writes the cell of block
+    (0, n-1), which is logically parallel to it: one write-write race.
+    """
+    own = base + WORD * (i * n + j)
+    if read_up:
+        ev.append(Event(READ, addr=own - WORD * n))
+    if j >= 1:
+        ev.append(Event(READ, addr=own - WORD))
+    if i >= 1 and j >= 1:
+        ev.append(Event(READ, addr=own - WORD * (n + 1)))
+    if inject_race and (i, j) == (1, n - 2):
+        ev.append(Event(WRITE, addr=base + WORD * (n - 1)))
+    ev.append(Event(WRITE, addr=own))
+    ev.append(Event(RET))
 
 
 def gen_lcs_structured(nblocks: int, seed: int = 0, inject_race: bool = False) -> EventSequence:
@@ -47,34 +80,18 @@ def gen_lcs_structured(nblocks: int, seed: int = 0, inject_race: bool = False) -
     cell owned by the logically parallel block (0, nblocks-1), planting
     exactly one write-write race.
     """
-    if nblocks < 1:
-        raise UsageError("nblocks must be >= 1")
-    if inject_race and nblocks < 2:
-        raise UsageError("cannot inject a race with a single block")
-    rng = random.Random(seed)
-    base = _ADDR_BASE + WORD * 256 * rng.randrange(64)
+    base = _grid_base(nblocks, seed, inject_race)
     n = nblocks
-    handle = {}
-    next_id = 1
+    handle: dict[tuple[int, int], int] = {}  # in creation order, from 1
     ev: list[Event] = []
     for wave in range(2 * n - 1):
         for i in range(max(0, wave - (n - 1)), min(wave, n - 1) + 1):
             j = wave - i
             if j >= 1:
-                ev.append(Event(GET, handle=handle[(i, j - 1)]))
-            handle[(i, j)] = next_id
-            ev.append(Event(CREATE, fn=next_id, handle=next_id))
-            next_id += 1
-            if i >= 1 and j < n - 1:
-                ev.append(Event(READ, addr=_cell_addr(base, n, i - 1, j)))
-            if j >= 1:
-                ev.append(Event(READ, addr=_cell_addr(base, n, i, j - 1)))
-            if i >= 1 and j >= 1:
-                ev.append(Event(READ, addr=_cell_addr(base, n, i - 1, j - 1)))
-            if inject_race and (i, j) == (1, n - 2):
-                ev.append(Event(WRITE, addr=_cell_addr(base, n, 0, n - 1)))
-            ev.append(Event(WRITE, addr=_cell_addr(base, n, i, j)))
-            ev.append(Event(RET))
+                ev.append(Event(GET, handle=handle[i, j - 1]))
+            h = handle[i, j] = len(handle) + 1
+            ev.append(Event(CREATE, fn=h, handle=h))
+            _block_body(ev, base, n, i, j, i >= 1 and j < n - 1, inject_race)
     return EventSequence(ev)
 
 
@@ -87,40 +104,30 @@ def gen_lcs_general(nblocks: int, seed: int = 0, inject_race: bool = False) -> E
     sibling futures, so this family is rejected by the structured detector
     and needs the general one.
     """
-    if nblocks < 1:
-        raise UsageError("nblocks must be >= 1")
-    if inject_race and nblocks < 2:
-        raise UsageError("cannot inject a race with a single block")
-    rng = random.Random(seed)
-    base = _ADDR_BASE + WORD * 256 * rng.randrange(64)
+    base = _grid_base(nblocks, seed, inject_race)
     n = nblocks
     ev: list[Event] = []
     for i in range(n):
         for j in range(n):
-            fid = 1 + i * n + j
-            ev.append(Event(CREATE, fn=fid, handle=fid))
+            h = 1 + i * n + j
+            ev.append(Event(CREATE, fn=h, handle=h))
             if i >= 1:
-                ev.append(Event(GET, handle=1 + (i - 1) * n + j))
+                ev.append(Event(GET, handle=h - n))
             if j >= 1:
-                ev.append(Event(GET, handle=1 + i * n + (j - 1)))
-            if i >= 1:
-                ev.append(Event(READ, addr=_cell_addr(base, n, i - 1, j)))
-            if j >= 1:
-                ev.append(Event(READ, addr=_cell_addr(base, n, i, j - 1)))
-            if i >= 1 and j >= 1:
-                ev.append(Event(READ, addr=_cell_addr(base, n, i - 1, j - 1)))
-            if inject_race and (i, j) == (1, n - 2):
-                ev.append(Event(WRITE, addr=_cell_addr(base, n, 0, n - 1)))
-            ev.append(Event(WRITE, addr=_cell_addr(base, n, i, j)))
-            ev.append(Event(RET))
+                ev.append(Event(GET, handle=h - 1))
+            _block_body(ev, base, n, i, j, i >= 1, inject_race)
     return EventSequence(ev)
 
 
 class _GenFrame:
-    __slots__ = ("kind", "handle", "readable", "base", "exported", "pending_syncs")
+    """A frame open in ``gen_random``.
 
-    def __init__(self, kind: str, handle: int | None, readable: list[int]):
-        self.kind = kind
+    A non-root frame was spawned exactly when its handle is None.
+    """
+
+    __slots__ = ("handle", "readable", "base", "exported", "pending_syncs")
+
+    def __init__(self, handle: int | None, readable: list[int]):
         self.handle = handle
         self.readable = readable  # addresses this frame may read without racing
         self.base = len(readable)  # readable is shared; entries past base go at ret
@@ -136,7 +143,6 @@ def gen_random(
     p_access: float | None = None,
     seed: int = 0,
     inject_race: bool = False,
-    max_depth: int = 12,
 ) -> EventSequence:
     """Random well-formed trace in general mode.
 
@@ -157,95 +163,77 @@ def gen_random(
     if p_access is None:
         p_access = max(0.0, 1.0 - p_spawn - p_create - p_get - 0.12)
     rng = random.Random(seed)
+    next_id = itertools.count(1).__next__
+    fresh_addr = itertools.count(_ADDR_BASE, WORD).__next__
     ev: list[Event] = []
-    stack = [_GenFrame("root", None, [])]
+    stack = [_GenFrame(None, [])]
     closed_handles: list[int] = []
     handle_exports: dict[int, list[int]] = {}
-    next_id = 1
-    next_addr = _ADDR_BASE
-    injected = False
+    plant = inject_race  # a race is still to be planted
 
-    def fresh_addr() -> int:
-        nonlocal next_addr
-        a = next_addr
-        next_addr += WORD
-        return a
-
-    def do_write(frame: _GenFrame) -> None:
+    def write(frame: _GenFrame) -> None:
         a = fresh_addr()
         ev.append(Event(WRITE, addr=a))
         frame.readable.append(a)
         frame.exported.append(a)
 
-    def do_ret() -> None:
-        nonlocal injected
-        child = stack.pop()
-        del child.readable[child.base:]
+    def close_one(frame: _GenFrame) -> bool:
+        """Sync ``frame``'s last spawned child, else return from ``frame``.
+
+        False, and no event, at a root with no child to sync.
+        """
+        nonlocal plant
+        if frame.pending_syncs:
+            exported = frame.pending_syncs.pop()
+            ev.append(Event(SYNC))
+            frame.readable.extend(exported)
+            frame.exported.extend(exported)
+            return True
+        if len(stack) == 1:
+            return False
+        stack.pop()
+        del frame.readable[frame.base:]
         ev.append(Event(RET))
-        parent = stack[-1]
-        if child.kind == "spawn":
-            parent.pending_syncs.append(child.exported)
+        if frame.handle is None:
+            stack[-1].pending_syncs.append(frame.exported)
         else:
-            closed_handles.append(child.handle)
-            handle_exports[child.handle] = child.exported
-        if inject_race and not injected and child.exported:
+            closed_handles.append(frame.handle)
+            handle_exports[frame.handle] = frame.exported
+        if plant and frame.exported:
             # The child is not joined yet, so one read of something it wrote
             # is exactly one racing pair.
-            ev.append(Event(READ, addr=child.exported[0]))
-            injected = True
+            ev.append(Event(READ, addr=frame.exported[0]))
+            plant = False
+        return True
 
-    def do_sync(frame: _GenFrame) -> None:
-        exported = frame.pending_syncs.pop()
-        ev.append(Event(SYNC))
-        frame.readable.extend(exported)
-        frame.exported.extend(exported)
-
+    p_fork = p_spawn + p_create
+    p_join = p_fork + p_get
     while len(ev) < n_events:
         frame = stack[-1]
         u = rng.random()
-        if u < p_spawn and len(stack) <= max_depth:
-            ev.append(Event(SPAWN, fn=next_id))
-            next_id += 1
-            stack.append(_GenFrame("spawn", None, frame.readable))
-        elif u < p_spawn + p_create and len(stack) <= max_depth:
-            h = next_id
-            next_id += 1
-            ev.append(Event(CREATE, fn=h, handle=h))
-            stack.append(_GenFrame("create", h, frame.readable))
-        elif u < p_spawn + p_create + p_get and closed_handles:
+        if u < p_fork and len(stack) <= MAX_DEPTH:
+            h = next_id()
+            handle = None if u < p_spawn else h
+            ev.append(Event(SPAWN if handle is None else CREATE, fn=h, handle=handle))
+            stack.append(_GenFrame(handle, frame.readable))
+        elif u < p_join and closed_handles:
             h = rng.choice(closed_handles)
             ev.append(Event(GET, handle=h))
             frame.readable.extend(handle_exports[h])
             frame.exported.extend(handle_exports[h])
-        elif u < p_spawn + p_create + p_get + p_access:
+        elif u < p_join + p_access:
             if rng.random() < 0.5 and frame.readable:
                 ev.append(Event(READ, addr=rng.choice(frame.readable)))
             else:
-                do_write(frame)
-        else:
-            if frame.pending_syncs:
-                do_sync(frame)
-            elif len(stack) > 1:
-                do_ret()
-            else:
-                do_write(frame)
+                write(frame)
+        elif not close_one(frame):
+            write(frame)
+    while close_one(stack[-1]):
+        pass
 
-    while True:
-        frame = stack[-1]
-        if frame.pending_syncs:
-            do_sync(frame)
-        elif len(stack) > 1:
-            do_ret()
-        else:
-            break
-
-    if inject_race and not injected:
+    if plant:
         # No opportunity arose organically; append one deliberately.
-        h = next_id
-        ev.append(Event(CREATE, fn=h, handle=h))
-        a = fresh_addr()
-        ev.append(Event(WRITE, addr=a))
-        ev.append(Event(RET))
-        ev.append(Event(READ, addr=a))
-
+        h, a = next_id(), fresh_addr()
+        ev += [Event(CREATE, fn=h, handle=h), Event(WRITE, addr=a), Event(RET),
+               Event(READ, addr=a)]
     return EventSequence(ev)

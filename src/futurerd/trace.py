@@ -228,9 +228,10 @@ def _json_event(line: str, lineno: int) -> Event:
         raise ParseError(lineno, "invalid JSON (nested too deeply)") from None
     if not isinstance(obj, dict):
         raise ParseError(lineno, "event must be a JSON object")
-    kind = _KIND_OF_WIRE.get(obj.get("t"))
+    t = obj.get("t")
+    kind = _KIND_OF_WIRE.get(t) if isinstance(t, str) else None  # a list or dict is unhashable
     if kind is None:
-        raise ParseError(lineno, f"unknown event kind {obj.get('t')!r}")
+        raise ParseError(lineno, f"unknown event kind {t!r}")
     if kind == SPAWN:
         return Event(SPAWN, fn=_field(obj, "f", lineno))
     if kind == CREATE:
@@ -347,14 +348,21 @@ class Violation:
     message: str
 
 
+# A walk keeps this many violations and counts the rest, so that a trace of
+# bad lines costs no memory per line.
+KEPT_VIOLATIONS = 5
+
+
 @dataclass
 class ValidationReport:
-    """One ``walk``'s violations, counts, and first ``InputError`` from a hook."""
+    """One ``walk``'s violations (the first ``KEPT_VIOLATIONS`` of ``violation_count``),
+    counts, and first ``InputError`` from a hook."""
 
     mode: str
     violations: list[Violation] = field(default_factory=list)
     counts: TraceCounts = field(default_factory=TraceCounts)
     error: InputError | None = None
+    violation_count: int = 0
 
     @property
     def ok(self) -> bool:
@@ -389,8 +397,9 @@ def walk(seq: Iterable[Event], mode: str, reach=None, shadow=None, races=None,
     * ``reach.root`` is the root frame's record.
 
     Violations, and the first ``InputError`` a hook raises, are kept in the
-    report, never raised. After either, the hooks and the shadow are dropped
-    and the rest of the trace is only checked and counted.
+    report, never raised: the first ``KEPT_VIOLATIONS`` violations, and
+    ``violation_count`` counts them all. After either, the hooks and the
+    shadow are dropped and the rest of the trace is only checked and counted.
     """
     if mode not in (MODE_STRUCTURED, MODE_GENERAL):
         raise UsageError(f"unknown mode {mode!r}")
@@ -420,6 +429,12 @@ def walk(seq: Iterable[Event], mode: str, reach=None, shadow=None, races=None,
     frames: list[list] = [[reach.root if hooked else None, None, []]]
     reads = writes = spawns = creates = syncs = gets = rets = 0
     cur = 0
+
+    def flag(index: int, code: str, message: str) -> None:
+        report.violation_count += 1
+        if len(violations) < KEPT_VIOLATIONS:
+            violations.append(Violation(index, code, message))
+
     i = -1
     for i, (k, fn, h, a) in enumerate(seq):
         if k == READ:
@@ -483,7 +498,7 @@ def walk(seq: Iterable[Event], mode: str, reach=None, shadow=None, races=None,
                     bad = ("unsynced-spawn",
                            f"frame returns with {len(child[2])} unsynced spawned child(ren)")
         if bad is not None:
-            violations.append(Violation(i, *bad))
+            flag(i, *bad)
             hooked = live = False  # from here on, only check and count
         elif hooked:
             try:
@@ -506,12 +521,10 @@ def walk(seq: Iterable[Event], mode: str, reach=None, shadow=None, races=None,
 
     end = i + 1
     if len(frames) > 1:
-        violations.append(Violation(end, "unclosed-frames",
-                                    f"{len(frames) - 1} frame(s) never return"))
+        flag(end, "unclosed-frames", f"{len(frames) - 1} frame(s) never return")
     elif frames[0][2]:
         n = len(frames[0][2])
-        violations.append(Violation(end, "unsynced-spawn",
-                                    f"root ends with {n} unsynced spawned child(ren)"))
+        flag(end, "unsynced-spawn", f"root ends with {n} unsynced spawned child(ren)")
     report.counts = TraceCounts(events=end, strands=cur + 1, reads=reads, writes=writes,
                                 spawns=spawns, creates=creates, syncs=syncs, gets=gets, rets=rets)
     return report
@@ -523,6 +536,8 @@ def validate(seq: Iterable[Event], mode: str) -> ValidationReport:
     A clean report means: frames are balanced, every ``get`` names a known
     handle whose frame has already closed, every ``spawn`` is matched by a
     ``sync`` in its own frame before that frame returns, and (in structured
-    mode) no handle is gotten more than once.
+    mode) no handle is gotten more than once. The report keeps only the
+    first ``KEPT_VIOLATIONS`` (five) violations; ``violation_count`` is the
+    total.
     """
     return walk(seq, mode)

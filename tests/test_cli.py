@@ -148,6 +148,23 @@ def test_invalid_trace_exits_2_even_after_races(tmp_path, capsys):
         "error: invalid trace (1 violation(s)): sync with no outstanding spawned child\n")
 
 
+def test_a_trace_of_bad_lines_keeps_five_violations_in_memory(tmp_path, capsys):
+    n = 200_000
+    path = tmp_path / "syncs.jsonl"
+    path.write_text('{"t":"sync"}\n' * n)
+    tracemalloc.start()
+    try:
+        assert run(["detect", "--algo", "plus", "--mode", "general",
+                    "--trace", str(path)]) == cli.EXIT_BAD_INPUT
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert capsys.readouterr().err == (
+        f"error: invalid trace ({n} violation(s)): "
+        + "; ".join(["sync with no outstanding spawned child"] * 5) + "\n")
+    assert peak < 1 << 20, peak
+
+
 _RACY = trace.serialize(seq_of(sp(1), wr(64), rt(), wr(64), sy()))  # races at line 4
 
 
@@ -399,6 +416,14 @@ def test_stats_subcommand(tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["events"] >= 100 and doc["strands"] == doc["spawns"] + doc[
         "creates"] + doc["syncs"] + doc["gets"] + doc["rets"] + 1
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"t":"sync"}\n{"t":"ret"}\n')
+    assert run(["stats", "--trace", str(bad)]) == cli.EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "error: invalid trace (2 violation(s)): sync with no outstanding spawned child; "
+        "ret event in the implicit root frame\n")
 
 
 def test_dump_dag(tmp_path):
@@ -510,6 +535,23 @@ def test_only_the_command_turns_the_cycle_collector_off(tmp_path, monkeypatch):
         assert not gc.isenabled()
     finally:
         (gc.enable if was_enabled else gc.disable)()
+
+
+@pytest.mark.parametrize("exc", [RuntimeError("a bug"), MemoryError()])
+def test_a_crash_exits_3_with_its_traceback_never_1(exc, monkeypatch, capsys):
+    def crash(argv=None):
+        raise exc
+
+    monkeypatch.setattr(cli, "run_cli", crash)
+    was_enabled = gc.isenabled()
+    try:
+        with pytest.raises(SystemExit) as stop:
+            cli.main()
+    finally:
+        (gc.enable if was_enabled else gc.disable)()
+    assert stop.value.code == cli.EXIT_BROKEN
+    err = capsys.readouterr().err
+    assert err.startswith("Traceback") and type(exc).__name__ in err
 
 
 def test_futurerd_log_info_reaches_stderr_from_the_cli(tmp_path):

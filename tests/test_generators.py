@@ -73,6 +73,19 @@ def test_inject_needs_two_blocks():
         gen_lcs_general(1, inject_race=True)
 
 
+# The command line refuses these values before a generator sees them, so the
+# library's own checks are tested here.
+@pytest.mark.parametrize("call", [
+    lambda: gen_lcs_structured(0),
+    lambda: gen_lcs_general(0),
+    lambda: gen_random(p_get=1.5),
+    lambda: gen_random(p_spawn=-0.1),
+])
+def test_generators_refuse_bad_arguments(call):
+    with pytest.raises(UsageError):
+        call()
+
+
 def test_random_pure_fork_join():
     seq = gen_random(n_events=120, p_spawn=0.3, p_create=0.0, p_get=0.0, seed=4)
     c = seq.counts
@@ -169,6 +182,17 @@ _DIGESTS = [
     ("lcs-general", 4, False, "c2cdbbc4714d732da2218e2142a317c22e06cf1c4c5b6f500b3d304cce4b3c27"),
     ("lcs-general", 4, True, "50bdd3770686ed3b57a70779f4464af8618de754b7d892123068cf3f119dfa5f"),
     ("lcs-general", 9, True, "9df39518c758d3c1ad3c6538f05814428b45e0d8ec4d9bf7d1303771198a3e73"),
+    # The smallest grids, where the first and last row and column coincide.
+    ("lcs-structured", 1, False, "956ca7829f5f9d0ccf045fe542ca78c15a5825ee866efce47e4b46caad188ea0"),
+    ("lcs-structured", 2, False, "9ce33a8e8cf7123a63fc00f4b62419bd7c5b376e0e8926f3c526d49dbb152d94"),
+    ("lcs-structured", 2, True, "7a683f0dffc254f998abafb7661d100769819619ef5ff9a697bbcf09e9e7ee57"),
+    ("lcs-structured", 3, False, "5e46878a35925249d3482f82b03ddedc6385975da454e6afb917bebae1f678ef"),
+    ("lcs-structured", 3, True, "052a33fd7c01999744593178f9a8aecd0db1036eb8e42375eca1cd70cad384a0"),
+    ("lcs-general", 1, False, "956ca7829f5f9d0ccf045fe542ca78c15a5825ee866efce47e4b46caad188ea0"),
+    ("lcs-general", 2, False, "e26e194d1753fcc96d8c546ccdfab7b52e993461b86b814f4e56c24edad36884"),
+    ("lcs-general", 2, True, "2d4d24aea49c350ca28eab04e0de5c0ee4fd171b3ac6ebfb93f76ebb42223668"),
+    ("lcs-general", 3, False, "5cf5d8aa0bb4b2914eab496bc64aeaa92d515d5cf79ac82e6d7750f51a644684"),
+    ("lcs-general", 3, True, "adaa552dc35b4bb290956bc2fefc25ddc0f783a6f2fe1771b8130133ceb25070"),
 ]
 
 

@@ -122,7 +122,7 @@ def test_crlf_lines_parse():
     assert parse(text).events == [sp(1), rd(4), rt(), sy()]
 
 
-# Invalid lines, each with the message it has always raised (line 2 here).
+# Invalid lines, each with the message it raises (line 2 here).
 @pytest.mark.parametrize("line, message", [
     ('{"t":"r","a":01}', "invalid JSON (Expecting ',' delimiter)"),
     ('{"t":"spawn","f":01}', "invalid JSON (Expecting ',' delimiter)"),
@@ -136,6 +136,8 @@ def test_crlf_lines_parse():
     ('{"t":"sync"}x', "invalid JSON (Extra data)"),
     ('{"t":"r","a":4}}', "invalid JSON (Extra data)"),
     ('{"t":"ret"} {"t":"ret"}', "invalid JSON (Extra data)"),
+    ('{"t":[1]}', "unknown event kind [1]"),
+    ('{"t":{"a":1}}', "unknown event kind {'a': 1}"),
 ])
 def test_invalid_lines_raise_the_json_path_error(line, message):
     with pytest.raises(ParseError) as exc:
