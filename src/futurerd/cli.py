@@ -8,12 +8,14 @@ non-UTF-8 trace, an unwritable output file, a trace over the closure
 limit (``reachdag.MAX_NODES``, 2^17 attached sets), or, for ``verify``, a
 trace over the brute-force dag's budget (``oracle.REACH_BUDGET``),
 3 = verification divergence, a broken race contract, an internal
-invariant failure, or any other crash (its traceback is printed).
+invariant failure, the death of the trace reader process before the end of
+the trace, or any other crash (its traceback is printed).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import gc
 import io
 import json
@@ -24,7 +26,7 @@ import time
 import traceback
 
 from . import engine, generators, oracle, trace
-from .errors import InputError, InvariantError, UsageError
+from .errors import InputError, InvariantError, ReaderError, UsageError
 
 EXIT_OK = 0
 EXIT_RACES = 1
@@ -84,13 +86,18 @@ def _build_parser() -> argparse.ArgumentParser:
     return p
 
 
-def _load(path: str, listed: bool = False) -> trace.EventSequence:
+@contextlib.contextmanager
+def _load(path: str, listed: bool = False):
     """The trace at ``path``, or on standard input for "-", parsed as it is walked.
 
-    ``listed`` parses it into a list first, for a command that walks it more
-    than once: standard input has one pass only. A trace that cannot be
-    opened or decoded raises ``OSError`` or ``UnicodeDecodeError`` on the
-    pass that reads it, which ``run_cli`` reports as bad input.
+    A ``trace.ReaderTrace`` parses it in a forked reader process, ahead of
+    the one walk, and is closed, its reader killed and reaped, when the
+    ``with`` block ends. Without ``os.fork`` the walk parses a
+    ``trace.TraceFile`` itself. ``listed`` parses the trace into a list
+    first, in this process, for a command that walks it more than once:
+    standard input has one pass only. A trace that cannot be opened or
+    decoded raises ``OSError`` or ``UnicodeDecodeError``, which ``run_cli``
+    reports as bad input.
     """
     if path == "-":
         if sys.stdin is None:
@@ -98,7 +105,13 @@ def _load(path: str, listed: bool = False) -> trace.EventSequence:
         seq = trace.TraceFile(stream=io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8"))
     else:
         seq = trace.load(path)
-    return trace.EventSequence(seq.events) if listed else seq
+    if listed:
+        yield trace.EventSequence(seq.events)
+    elif not hasattr(os, "fork"):
+        yield seq
+    else:
+        with trace.ReaderTrace(seq) as reader:
+            yield reader
 
 
 def _write(path: str, text: str) -> None:
@@ -113,9 +126,9 @@ def _write(path: str, text: str) -> None:
 def _cmd_detect(args) -> int:
     start = time.perf_counter()
     # --dump-dag walks the trace again, so it lists the trace before detection.
-    seq = _load(args.trace, listed=args.dump_dag is not None)
-    parse_s = time.perf_counter() - start
-    report = engine.detect(seq, args.algo, args.mode)
+    with _load(args.trace, listed=args.dump_dag is not None) as seq:
+        parse_s = time.perf_counter() - start
+        report = engine.detect(seq, args.algo, args.mode)
     if args.dump_dag:  # the walk has validated the trace, in a mode at least as strict
         _write(args.dump_dag, oracle.to_dot(oracle.build_valid(seq)))
     if args.json:
@@ -132,6 +145,9 @@ def _cmd_detect(args) -> int:
             if args.dump_dag:
                 print(f"  parse: {parse_s:.6f}s")
                 print(f"  replay: {st.elapsed:.6f}s")
+            elif isinstance(seq, trace.ReaderTrace):  # the reader's CPU, beside the walk
+                print(f"  parse_cpu: {seq.parse_s:.6f}s")
+                print(f"  replay: {st.elapsed:.6f}s")
             else:  # the walk reads and parses the trace as it goes
                 print(f"  parse+replay: {st.elapsed:.6f}s")
             print(f"  elapsed: {parse_s + st.elapsed:.6f}s")
@@ -139,8 +155,8 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    seq = _load(args.trace)
-    report = engine.verify(seq, args.algo, sample=args.sample, seed=args.seed)
+    with _load(args.trace, listed=True) as seq:
+        report = engine.verify(seq, args.algo, sample=args.sample, seed=args.seed)
     if report.divergence is not None:
         print(f"DIVERGENCE {report.divergence.describe()}", file=sys.stderr)
         return EXIT_BROKEN
@@ -180,8 +196,9 @@ def _cmd_gen(args) -> int:
 
 
 def _cmd_stats(args) -> int:
-    seq = _load(args.trace)
-    print(json.dumps(engine.stats_only(seq), indent=2))
+    with _load(args.trace) as seq:
+        counts = engine.stats_only(seq)
+    print(json.dumps(counts, indent=2))
     return EXIT_OK
 
 
@@ -211,6 +228,9 @@ def run_cli(argv=None) -> int:
         return EXIT_BAD_INPUT
     except (InvariantError, UsageError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
+        return EXIT_BROKEN
+    except ReaderError as exc:  # no verdict on a trace that was not read to its end
+        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BROKEN
 
 

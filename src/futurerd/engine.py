@@ -47,7 +47,9 @@ class Stats:
     find_ops: int = 0
     attached_sets: int = 0
     both_attached_syncs: int = 0
-    elapsed: float = 0.0  # seconds in replay: grammar check and parsing a streamed trace included
+    # Wall seconds of the walk: the grammar check included, and either parsing a
+    # trace streamed in-process or waiting on a forked reader's frames.
+    elapsed: float = 0.0
 
     def to_json_dict(self) -> dict:
         d = asdict(self)
@@ -168,8 +170,9 @@ def replay(seq: Iterable[Event], reach, shadow=None, races=None, after_strand=No
 def detect(seq: EventSequence, algo: str, mode: str) -> DetectReport:
     """Race detection over a full trace, in one walk.
 
-    ``seq`` is read once, so a ``TraceFile`` is parsed as it is walked and no
-    event list is built; a malformed line raises ``ParseError`` mid-walk.
+    ``seq`` is read once, so a ``TraceFile`` is parsed as it is walked, or a
+    ``ReaderTrace`` by its reader process, and no event list is built; a
+    malformed line raises ``ParseError`` mid-walk.
     Reports every race (deduplicated by address, kind, and strand pair) in
     first-occurrence order, plus run statistics.
     """

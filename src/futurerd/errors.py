@@ -2,7 +2,9 @@
 
 Three failure classes are kept apart on purpose: callers misusing the API,
 bad input traces, and bugs in our own bookkeeping. The CLI maps them to
-distinct exit codes.
+distinct exit codes. A fourth, ``ReaderError``, exits like a bug: the
+command's trace reader process died, so the trace was not read to its end
+and no verdict can be given.
 """
 
 
@@ -21,6 +23,10 @@ class ParseError(InputError):
     def __init__(self, lineno: int, message: str):
         super().__init__(f"line {lineno}: {message}")
         self.lineno = lineno
+        self.message = message
+
+    def __reduce__(self):  # ``args`` holds the formatted text, not the two arguments
+        return type(self), (self.lineno, self.message)
 
 
 class ClosureLimitError(InputError):
@@ -32,6 +38,14 @@ class ClosureLimitError(InputError):
             f"of {limit} (the closure takes up to k^2/8 bytes for k attached sets)"
         )
         self.attached_sets = attached_sets
+        self.limit = limit
+
+    def __reduce__(self):
+        return type(self), (self.attached_sets, self.limit)
+
+
+class ReaderError(Exception):
+    """The forked trace reader died or crashed before it finished the trace."""
 
 
 class InvariantError(AssertionError):

@@ -26,21 +26,30 @@ A walk reads its events once, in order, from any iterable: ``iterparse`` parses
 them a batch of lines at a time as they are read, and ``load`` returns a
 ``TraceFile``, which parses its file afresh on each pass. So a walk over a file
 holds no event list, and its memory follows the trace's live state rather than
-its length.
+its length. A ``ReaderTrace`` runs the same parser in a forked reader process,
+which parses ahead of the walk on another core.
 """
 
 from __future__ import annotations
 
+import gc
 import io
 import json
+import marshal
+import os
+import pickle
 import re
+import signal
+import struct
+import time
+import traceback
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
 from dataclasses import dataclass, field
 from itertools import chain, islice
-from typing import NamedTuple
+from typing import NamedTuple, NoReturn
 
-from .errors import InputError, ParseError, UsageError
+from .errors import InputError, ParseError, ReaderError, UsageError
 
 SPAWN = "spawn"
 CREATE = "create"
@@ -140,10 +149,13 @@ class TraceFile(EventSequence):
     def __iter__(self) -> Iterator[Event]:
         if self.path is not None:
             return chain.from_iterable(_batches(path=self.path))
+        return iterparse(self._take_stream())
+
+    def _take_stream(self):
         stream, self._stream = self._stream, None
         if stream is None:
             raise UsageError("a streamed trace has one pass only")
-        return iterparse(stream)
+        return stream
 
     @property
     def events(self) -> list[Event]:
@@ -244,12 +256,14 @@ def _json_event(line: str, lineno: int) -> Event:
 
 
 # The parser reads _CHUNK_LINES lines at a time and hands its consumer a
-# batch once it holds _BATCH_EVENTS events. Each switch between parsing and
-# walking costs CPU cache misses, as each evicts the other's working set (the
-# line cache on one side, the shadow and the bags on the other), so batches
-# must be large: with 1,024-event batches the ``detect`` command ran about
-# 9 % slower than with a list parsed first (fj-structured), with 8,192 it ran
-# at par. A batch holds at most about 1 MB.
+# batch once it holds _BATCH_EVENTS events. When parser and walk share one
+# process, each switch between them costs CPU cache misses, as each evicts
+# the other's working set (the line cache on one side, the shadow and the
+# bags on the other), so batches must be large: with 1,024-event batches the
+# ``detect`` command ran about 9 % slower than with a list parsed first
+# (fj-structured), with 8,192 it ran at par. A batch holds at most about 1 MB.
+# A forked reader (``ReaderTrace``) parses on its own core and sends frames
+# of _FRAME_EVENTS events instead, small so that the walk starts early.
 _CHUNK_LINES = 1024
 _BATCH_EVENTS = 8192
 
@@ -259,19 +273,20 @@ def iterparse(source) -> Iterator[Event]:
 
     Lines in the canonical form that ``serialize`` writes take a regex fast
     path; any other line goes through ``json.loads``. Blank lines are
-    ignored. Lines are parsed in batches, ahead of the consumer, so a
-    malformed line raises :class:`ParseError`, with its line number, up to
-    one batch (``_BATCH_EVENTS`` events) before the iteration reaches it.
+    ignored. Lines are parsed in batches, ahead of the consumer; a malformed
+    line raises :class:`ParseError`, with its line number, once the events
+    before it have been iterated.
     """
     return chain.from_iterable(_batches(io.StringIO(source) if isinstance(source, str)
                                         else source))
 
 
-def _batches(lines=None, path=None) -> Iterator[list[Event]]:
-    """``iterparse``'s events in lists, from ``lines`` or the file at ``path``.
+def _batches(lines=None, path=None, size=_BATCH_EVENTS) -> Iterator[list[Event]]:
+    """``iterparse``'s events in lists of about ``size``, from ``lines`` or the file at ``path``.
 
     The file is opened by the first ``next`` and closed when the generator
-    ends or is closed.
+    ends or is closed. The events before a malformed line that are not yet
+    handed over come as one more list before its ``ParseError``.
     """
     with open(path, "r", encoding="utf-8") if path is not None else nullcontext(lines) as lines:
         lines = iter(lines)
@@ -292,10 +307,15 @@ def _batches(lines=None, path=None) -> Iterator[list[Event]]:
                         line = raw.strip()
                         if not line:
                             continue
-                        ev = _json_event(line, lineno)
+                        try:
+                            ev = _json_event(line, lineno)
+                        except ParseError:
+                            if batch:
+                                yield batch
+                            raise
                 append(ev)
             start += len(chunk)
-            if len(batch) >= _BATCH_EVENTS:
+            if len(batch) >= size:
                 yield batch
                 batch = []
                 append = batch.append
@@ -336,6 +356,149 @@ def load(path) -> EventSequence:
 def dump(seq: EventSequence, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(serialize(seq))
+
+
+# -- the forked reader -----------------------------------------------------------
+
+# A frame on the reader's pipe is a 4-byte length and a marshal-ed body: a
+# list of plain (kind, fn, handle, addr) tuples, or the last frame, one of
+# ("end", the reader's CPU seconds), ("error", a pickled ParseError, OSError
+# or UnicodeDecodeError) and ("crash", the traceback of any other exception).
+_FRAME_EVENTS = 1024
+_HEAD = struct.Struct("<I")
+# About 30 frames. At the default 64 KiB the two processes took turns rather
+# than running side by side, and ``detect`` ran 24 % slower than in-process
+# on fj-structured.
+_PIPE_BYTES = 1 << 20
+
+
+class ReaderTrace:
+    """A one-pass trace that a forked reader process parses while the walk reads it.
+
+    ``ReaderTrace(source)`` opens ``source``, a ``TraceFile``, in this
+    process, so that an unopenable file raises ``OSError`` here, and forks
+    one reader. The reader runs the in-process parser, ``_batches``, and
+    sends its events down a pipe in frames of ``_FRAME_EVENTS`` events, then
+    an end frame with its CPU seconds, which ``parse_s`` holds once the
+    iteration has read it. The reader's ``ParseError``, ``OSError`` or
+    ``UnicodeDecodeError`` is raised by the iteration once the events before
+    it have been iterated. Its death before the end frame, or any other
+    exception in it, raises ``ReaderError``.
+
+    ``close`` closes the pipe, kills the reader and reaps it. The iteration
+    calls it when it ends; an owner that may stop early uses the object as a
+    context manager. As with any ``os.fork``, the process should run no
+    other threads.
+    """
+
+    def __init__(self, source: TraceFile) -> None:
+        import fcntl  # POSIX only, as is os.fork
+
+        self.parse_s: float | None = None  # the reader's CPU seconds, from its end frame
+        lines = (open(source.path, "r", encoding="utf-8") if source.path is not None
+                 else source._take_stream())
+        try:
+            r, w = os.pipe()
+            try:
+                fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
+            except (AttributeError, OSError):  # not Linux, or over the system's limit
+                pass
+            try:
+                self._pid = os.fork()
+            except OSError:
+                os.close(r)
+                os.close(w)
+                raise
+            if self._pid == 0:
+                os.close(r)
+                _read_ahead(lines, w)
+            os.close(w)
+            self._pipe = os.fdopen(r, "rb")
+        finally:
+            if source.path is not None:  # the reader has its own copy
+                lines.close()
+        self._passed = False
+
+    def __iter__(self) -> Iterator[tuple]:
+        if self._passed:
+            raise UsageError("a ReaderTrace has one pass only")
+        self._passed = True
+        return chain.from_iterable(self._read_frames())
+
+    def __enter__(self) -> ReaderTrace:
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+    def close(self) -> None:
+        """Close the pipe, kill the reader and reap it; once done, do nothing."""
+        self._pipe.close()
+        if self._pid is not None:
+            pid, self._pid = self._pid, None
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+    def _read_frames(self) -> Iterator[list[tuple]]:
+        read = self._pipe.read
+        try:
+            while len(head := read(_HEAD.size)) == _HEAD.size:
+                size = _HEAD.unpack(head)[0]
+                body = read(size)
+                if len(body) < size:
+                    break
+                frame = marshal.loads(body)
+                if type(frame) is list:
+                    yield frame
+                    continue
+                tag, value = frame
+                if tag == "end":
+                    self.parse_s = value
+                    return
+                if tag == "error":
+                    raise pickle.loads(value)
+                raise ReaderError(f"the trace reader failed:\n{value}")
+            # The pipe ended without an end frame: the reader was killed or crashed.
+            pid, self._pid = self._pid, None
+            self._pipe.close()
+            status = os.waitpid(pid, 0)[1]
+            code = os.waitstatus_to_exitcode(status)
+            how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
+            raise ReaderError(f"the trace reader (pid {pid}) {how} before the end of the trace")
+        finally:
+            self.close()
+
+
+def _read_ahead(lines, fd: int) -> NoReturn:
+    """The reader process: parse ``lines`` into frames on the pipe ``fd``, then exit.
+
+    It ends with ``os._exit``, so that no ``atexit`` handler or output
+    buffer it shares with the command runs twice.
+    """
+    def send(obj) -> None:
+        body = marshal.dumps(obj)
+        data = memoryview(_HEAD.pack(len(body)) + body)
+        while data:
+            data = data[os.write(fd, data):]
+
+    # The parser makes no reference cycles, and a collection would touch, and
+    # so copy, every object the reader shares with the command's process.
+    gc.disable()
+    code = 1
+    try:
+        start = time.process_time()
+        try:
+            for batch in _batches(lines, size=_FRAME_EVENTS):
+                send(list(map(tuple, batch)))  # marshal takes no tuple subclass
+            last = ("end", time.process_time() - start)
+        except (InputError, OSError, UnicodeDecodeError) as exc:
+            last = ("error", pickle.dumps(exc))
+        except Exception:
+            last = ("crash", traceback.format_exc())
+        send(last)
+        code = 0
+    finally:
+        os._exit(code)
 
 
 # -- the walk -------------------------------------------------------------------

@@ -3,6 +3,7 @@ import io
 import json
 import logging
 import os
+import signal
 import subprocess
 import sys
 import tracemalloc
@@ -11,7 +12,7 @@ from pathlib import Path
 import pytest
 
 import futurerd
-from futurerd import cli, engine, oracle, reachdag, trace
+from futurerd import cli, engine, gen_lcs_general, gen_lcs_structured, gen_random, oracle, reachdag, trace
 from futurerd.multibags_plus import MultiBagsPlus
 from futurerd.shadow import WRITE_WRITE, RaceReport, ShadowTable
 from helpers import cr, gt, rt, seq_of, sp, sy, wr
@@ -72,8 +73,8 @@ def _timings(text):
     secs = {}
     for line in text.splitlines():
         key, _, val = line.strip().partition(": ")
-        if val.endswith("s") and key in ("load", "parse", "validate", "replay", "parse+replay",
-                                         "elapsed"):
+        if val.endswith("s") and key in ("load", "parse", "parse_cpu", "validate", "replay",
+                                         "parse+replay", "elapsed"):
             secs[key] = float(val[:-1])
     return secs
 
@@ -82,8 +83,17 @@ def test_detect_stats_prints_the_phase_timings(tmp_path, capsys):
     out = tmp_path / "t.jsonl"
     run(["gen", "lcs-structured", "--n", "3", "--inject-race", "-o", str(out)])
     argv = ["detect", "--algo", "multibags", "--mode", "structured", "--trace", str(out)]
-    # The walk parses the trace as it reads it: one timing covers both.
+    # A forked reader parses the trace while the walk reads it: the reader's
+    # CPU seconds, and the walk's wall seconds, waits on the reader included.
     assert run(argv + ["--stats"]) == cli.EXIT_RACES
+    secs = _timings(capsys.readouterr().out)
+    assert set(secs) == {"parse_cpu", "replay", "elapsed"}
+    assert min(secs.values()) >= 0
+    assert secs["elapsed"] >= secs["replay"]
+    # Without os.fork, the walk parses the trace itself: one timing covers both.
+    with pytest.MonkeyPatch.context() as m:
+        m.delattr(os, "fork")
+        assert run(argv + ["--stats"]) == cli.EXIT_RACES
     secs = _timings(capsys.readouterr().out)
     assert set(secs) == {"parse+replay", "elapsed"}
     assert min(secs.values()) >= 0
@@ -289,6 +299,102 @@ def test_no_file_stays_open_after_an_early_stop_or_an_error(tmp_path, capsys, mo
             futurerd.detect(trace.load(good), "plus", "general")
     capsys.readouterr()
     assert len(opened) == 3 and all(fh.closed for fh in opened)
+
+
+def test_detect_through_the_reader_prints_what_the_library_reports(tmp_path, capsys):
+    traces = {
+        "random": gen_random(n_events=3000, p_spawn=0.15, p_create=0.05, p_get=0.05, seed=2,
+                             inject_race=True),
+        "lcs-structured": gen_lcs_structured(12, seed=1, inject_race=True),
+        "lcs-general": gen_lcs_general(12, seed=1, inject_race=True),
+    }
+    for name, seq in traces.items():
+        path = tmp_path / f"{name}.jsonl"
+        trace.dump(seq, path)
+        runs = [("plus", "general")]
+        if name == "lcs-structured":
+            runs.append(("multibags", "structured"))
+        for algo, mode in runs:
+            code = run(["detect", "--algo", algo, "--mode", mode, "--trace", str(path), "--json"])
+            report = engine.detect(trace.load(path), algo, mode)
+            assert report.races and code == cli.EXIT_RACES
+            assert capsys.readouterr().out == report.to_json() + "\n"
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_no_reader_outlives_the_command(tmp_path, capsys, monkeypatch):
+    good = tmp_path / "good.jsonl"
+    trace.dump(gen_random(n_events=5000, p_spawn=0.15, p_create=0.05, p_get=0.05, seed=2), good)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(good.read_bytes() + b'{"t":"w","a":\n')
+    argv = ["detect", "--algo", "plus", "--mode", "general", "--json", "--trace"]
+    assert run(argv + [str(good)]) == cli.EXIT_OK
+    _no_child_left()
+    assert run(argv + [str(bad)]) == cli.EXIT_BAD_INPUT
+    _no_child_left()
+    calls = []
+    real = MultiBagsPlus.on_return
+
+    def broken(self, child, frame):  # a walk that raises part-way, with a bug
+        calls.append(child)
+        if len(calls) == 300:
+            raise RuntimeError("broken hook")
+        real(self, child, frame)
+
+    monkeypatch.setattr(MultiBagsPlus, "on_return", broken)
+    with pytest.raises(RuntimeError, match="broken hook"):
+        run(argv + [str(good)])
+    _no_child_left()
+
+
+@pytest.mark.parametrize("exc, code, message", [
+    (None, cli.EXIT_BROKEN, "was killed by signal 9 before the end of the trace"),
+    (RuntimeError("a reader bug"), cli.EXIT_BROKEN, "RuntimeError: a reader bug"),
+    (OSError(5, "Input/output error"), cli.EXIT_BAD_INPUT, "error: [Errno 5] Input/output error\n"),
+], ids=["killed", "crashed", "read-error"])
+def test_a_reader_that_dies_after_its_first_frame_gives_no_verdict(exc, code, message, tmp_path,
+                                                                   capsys, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    trace.dump(gen_random(n_events=5000, p_spawn=0.15, p_create=0.05, p_get=0.05, seed=2,
+                          inject_race=True), path)
+    real = trace._batches
+
+    def dying(*args, **kwargs):  # the reader runs it: one batch, then death by ``exc``
+        parsed = real(*args, **kwargs)
+        yield next(parsed)
+        parsed.close()
+        if exc is None:
+            os.kill(os.getpid(), signal.SIGKILL)
+        raise exc
+
+    monkeypatch.setattr(trace, "_batches", dying)
+    for argv in (["detect", "--algo", "plus", "--mode", "general", "--json"], ["stats"]):
+        assert run(argv + ["--trace", str(path)]) == code
+        captured = capsys.readouterr()
+        assert captured.out == "" and message in captured.err
+        if code == cli.EXIT_BROKEN:
+            assert captured.err.startswith("error: the trace reader ")
+        _no_child_left()
+
+
+def test_without_fork_the_command_parses_in_process(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    trace.dump(gen_lcs_structured(6, seed=1, inject_race=True), path)
+    argv = ["detect", "--algo", "multibags", "--mode", "structured", "--trace", str(path),
+            "--json"]
+    assert run(argv) == cli.EXIT_RACES
+    forked = capsys.readouterr()
+    monkeypatch.delattr(os, "fork")
+    monkeypatch.setattr(trace, "ReaderTrace", None)  # any use of it would fail
+    assert run(argv) == cli.EXIT_RACES
+    assert capsys.readouterr() == forked
+    _stdin(monkeypatch, path.read_bytes())
+    assert run(argv[:-3] + ["--trace", "-", "--json"]) == cli.EXIT_RACES
+    assert capsys.readouterr() == forked
 
 
 def test_violation_outranks_an_earlier_hook_error(tmp_path, capsys):

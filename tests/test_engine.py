@@ -129,6 +129,18 @@ def test_detect_verify_and_their_errors_leave_no_cyclic_garbage(monkeypatch):
             engine.detect(trace.TraceFile(stream=io.StringIO(racy + '{"t":"w","a":\n')),
                           "plus", "general")
         assert gc.collect() == 0
+        # Through a forked reader: to the end, to a parse error, and refused unread.
+        with trace.ReaderTrace(trace.TraceFile(stream=io.StringIO(racy))) as reader:
+            assert engine.detect(reader, "multibags", "structured").races
+        assert gc.collect() == 0
+        with trace.ReaderTrace(trace.TraceFile(stream=io.StringIO(racy + "{\n"))) as reader:
+            with pytest.raises(ParseError):
+                engine.detect(reader, "multibags", "structured")
+        assert gc.collect() == 0
+        with trace.ReaderTrace(trace.TraceFile(stream=io.StringIO(racy))) as reader:
+            with pytest.raises(InputError, match="requires structured mode"):
+                engine.detect(reader, "multibags", "general")
+        assert gc.collect() == 0
     finally:
         gc.enable()
 

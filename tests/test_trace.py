@@ -1,6 +1,7 @@
 import io
 import itertools
 import json
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -407,3 +408,68 @@ def test_walk_drops_the_shadow_after_a_violation():
     assert list(races) == [(64, "write-write", 1, 2)]
     assert shadow.cells_touched == 1 and shadow.queries == 1
     assert (rep.counts.reads, rep.counts.writes) == (1, 3)
+
+
+# -- the forked reader ---------------------------------------------------------------
+
+
+def _reader(text):
+    return trace.ReaderTrace(trace.TraceFile(stream=io.StringIO(text)))
+
+
+def _drain(events):
+    """The events as plain tuples, and the text of the ParseError that ended them, if any."""
+    got = []
+    try:
+        for ev in events:
+            got.append(tuple(ev))
+    except ParseError as exc:
+        return got, str(exc)
+    return got, None
+
+
+_BIG = st.integers(min_value=10**20, max_value=10**21 - 1)  # 21 digits
+_LINES = st.one_of(
+    _EVENTS.map(_dumps),
+    _EVENTS.map(lambda ev: _dumps(ev).replace(":", ": ").replace(",", ", ")),
+    st.builds('{{"t":"spawn","f":{}}}'.format, _BIG),
+    st.builds('{{"t": "get", "h": {}}}'.format, _BIG),
+    st.builds('{{"t":"w","a":{}}}'.format, st.just(2**64) | _BIG),
+    st.sampled_from(["", "  "]),
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n"])), max_size=30))
+def test_the_reader_yields_what_iterparse_yields(lines):
+    text = "".join(line + end for line, end in lines)
+    with _reader(text) as reader:
+        assert _drain(reader) == _drain(trace.iterparse(text))
+
+
+def test_a_parse_error_comes_after_the_events_before_it_on_both_paths():
+    n = 3 * trace._FRAME_EVENTS + 10
+    text = '{"t":"r","a":4}\n' * n + "\n" + '{"t":"q"}\n'
+    with _reader(text) as reader:
+        via_reader = _drain(reader)
+    assert via_reader == _drain(trace.iterparse(text)) == (
+        [("read", None, None, 4)] * n, f"line {n + 2}: unknown event kind 'q'")
+
+
+def test_the_reader_has_one_pass_and_reports_its_parse_time():
+    reader = _reader('{"t":"w","a":4}\n{"t":"r","a":8}\n')
+    assert reader.parse_s is None
+    assert walk(reader, MODE_GENERAL).counts.events == 2
+    assert reader.parse_s >= 0
+    with pytest.raises(UsageError, match="one pass only"):
+        iter(reader)
+    reader.close()  # a second close does nothing
+
+
+def test_parse_errors_survive_pickling():
+    from futurerd.errors import ClosureLimitError
+
+    for exc in (ParseError(7, "bad"), ClosureLimitError(9, 4)):
+        back = pickle.loads(pickle.dumps(exc))
+        assert type(back) is type(exc) and str(back) == str(exc)
+    assert pickle.loads(pickle.dumps(ParseError(7, "bad"))).lineno == 7
