@@ -39,8 +39,11 @@ import marshal
 import os
 import pickle
 import re
+import select
 import signal
 import struct
+import sys
+import threading
 import time
 import traceback
 from collections.abc import Iterable, Iterator
@@ -387,7 +390,8 @@ class ReaderTrace:
 
     ``close`` closes the pipe, kills the reader and reaps it. The iteration
     calls it when it ends; an owner that may stop early uses the object as a
-    context manager. As with any ``os.fork``, the process should run no
+    context manager. A reader whose pipe has no reader left exits: at its
+    next frame, and on Linux at once. As with any ``os.fork``, the process should run no
     other threads.
     """
 
@@ -484,6 +488,7 @@ def _read_ahead(lines, fd: int) -> NoReturn:
     # The parser makes no reference cycles, and a collection would touch, and
     # so copy, every object the reader shares with the command's process.
     gc.disable()
+    _exit_with_the_command(fd)
     code = 1
     try:
         start = time.process_time()
@@ -499,6 +504,26 @@ def _read_ahead(lines, fd: int) -> NoReturn:
         code = 0
     finally:
         os._exit(code)
+
+
+def _exit_with_the_command(fd: int) -> None:
+    """End the reader as soon as no process reads its pipe ``fd``: the command died.
+
+    Blocked on a stalled input, such as a pipe whose producer waits, the
+    reader would otherwise see the closed pipe only at its next frame. Linux
+    reports POLLERR on a pipe's write end once its read end is closed, so a
+    daemon thread waits for that.
+    """
+    if sys.platform != "linux":
+        return
+
+    def watch() -> None:
+        poller = select.poll()
+        poller.register(fd, 0)  # errors and hang-ups only
+        poller.poll()
+        os._exit(1)
+
+    threading.Thread(target=watch, daemon=True).start()
 
 
 # -- the walk -------------------------------------------------------------------

@@ -6,6 +6,7 @@ import os
 import signal
 import subprocess
 import sys
+import time
 import tracemalloc
 from pathlib import Path
 
@@ -379,6 +380,43 @@ def test_a_reader_that_dies_after_its_first_frame_gives_no_verdict(exc, code, me
         if code == cli.EXIT_BROKEN:
             assert captured.err.startswith("error: the trace reader ")
         _no_child_left()
+
+
+def _alive(pid):
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            return fh.read().rsplit(")", 1)[1].split()[0] != "Z"
+    except FileNotFoundError:
+        return False
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="finds the reader in /proc")
+def test_a_killed_command_takes_its_reader_along_on_a_stalled_input():
+    src = str(Path(futurerd.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.Popen([sys.executable, "-m", "futurerd.cli", "detect", "--algo", "plus",
+                             "--mode", "general", "--trace", "-"], stdin=subprocess.PIPE,
+                            stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
+    try:
+        proc.stdin.write(b'{"t":"r","a":4}\n' * 5000)  # then the producer stalls
+        proc.stdin.flush()
+        deadline = time.monotonic() + 10
+        while not (readers := Path(f"/proc/{proc.pid}/task/{proc.pid}/children").read_text()):
+            assert time.monotonic() < deadline
+            time.sleep(0.01)
+        reader = int(readers.split()[0])
+        time.sleep(0.5)  # the reader parses what it has and blocks on the stalled input
+        proc.kill()
+        proc.wait()
+        deadline = time.monotonic() + 5
+        while _alive(reader):
+            assert time.monotonic() < deadline, "the reader outlived the command"
+            time.sleep(0.01)
+    finally:
+        proc.kill()
+        proc.wait()
+        proc.stdin.close()
 
 
 def test_without_fork_the_command_parses_in_process(tmp_path, capsys, monkeypatch):
