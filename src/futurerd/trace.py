@@ -369,9 +369,10 @@ def dump(seq: EventSequence, path) -> None:
 # or UnicodeDecodeError) and ("crash", the traceback of any other exception).
 _FRAME_EVENTS = 1024
 _HEAD = struct.Struct("<I")
-# About 30 frames. At the default 64 KiB the two processes took turns rather
-# than running side by side, and ``detect`` ran 24 % slower than in-process
-# on fj-structured.
+# About 75 frames at 13.5 bytes an event, so that either process can stall,
+# when the host deschedules it say, for a few hundred milliseconds' worth of
+# events before the other waits. The default 64 KiB holds 4 frames; on the
+# benchmark's traces it measured the same as 1 MiB on a 2-core host.
 _PIPE_BYTES = 1 << 20
 
 
@@ -390,9 +391,9 @@ class ReaderTrace:
 
     ``close`` closes the pipe, kills the reader and reaps it. The iteration
     calls it when it ends; an owner that may stop early uses the object as a
-    context manager. A reader whose pipe has no reader left exits: at its
-    next frame, and on Linux at once. As with any ``os.fork``, the process should run no
-    other threads.
+    context manager. If this process dies, the reader exits: at its next
+    frame, and on Linux at once. As with any ``os.fork``, this process
+    should run no other threads.
     """
 
     def __init__(self, source: TraceFile) -> None:
@@ -464,9 +465,7 @@ class ReaderTrace:
                 raise ReaderError(f"the trace reader failed:\n{value}")
             # The pipe ended without an end frame: the reader was killed or crashed.
             pid, self._pid = self._pid, None
-            self._pipe.close()
-            status = os.waitpid(pid, 0)[1]
-            code = os.waitstatus_to_exitcode(status)
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             how = f"was killed by signal {-code}" if code < 0 else f"exited with code {code}"
             raise ReaderError(f"the trace reader (pid {pid}) {how} before the end of the trace")
         finally:
