@@ -266,7 +266,7 @@ def _json_event(line: str, lineno: int) -> Event:
 # ``detect`` command ran about 9 % slower than with a list parsed first
 # (fj-structured), with 8,192 it ran at par. A batch holds at most about 1 MB.
 # A forked reader (``ReaderTrace``) parses on its own core and sends frames
-# of _FRAME_EVENTS events instead, small so that the walk starts early.
+# of _FRAME_EVENTS (1,024) events instead, small so that the walk starts early.
 _CHUNK_LINES = 1024
 _BATCH_EVENTS = 8192
 
