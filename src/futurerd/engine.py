@@ -148,23 +148,13 @@ def make_reachability(algo: str):
 
 def replay(seq: Iterable[Event], reach, shadow=None, races=None, after_strand=None,
            mode: str = MODE_GENERAL) -> TraceCounts:
-    """``trace.walk`` with the hooks of ``reach``, raising on a bad trace.
+    """``trace.walk`` with the hooks of ``reach``: its counts, or its ``InputError``.
 
-    An invalid trace raises ``InputError`` naming its first five violations,
-    even when a hook failed or races were found before them. On a valid
-    trace, the first ``InputError`` a hook raised is raised as it is.
-    Returns the walk's counts.
+    See ``ValidationReport.counts_or_raise``: an invalid trace raises an
+    error naming its first five violations, even when a hook failed or races
+    were found before them.
     """
-    report = walk(seq, mode, reach, shadow, races, after_strand)
-    if report.violations:
-        lines = "; ".join(v.message for v in report.violations)
-        raise InputError(f"invalid trace ({report.violation_count} violation(s)): {lines}")
-    if report.error is not None:
-        try:
-            raise report.error
-        finally:
-            del report  # its traceback holds this frame; keep no cycle through it
-    return report.counts
+    return walk(seq, mode, reach, shadow, races, after_strand).counts_or_raise()
 
 
 def detect(seq: EventSequence, algo: str, mode: str) -> DetectReport:
@@ -223,14 +213,13 @@ def verify(seq: EventSequence, algo: str, sample: int | None = None, seed: int =
     against the race contract (see ``VerifyReport``).
 
     A ``TraceFile`` is parsed into a list once; the list is walked three
-    times: the grammar check, the dag's own replay, and the detector's.
+    times: the grammar check, the dag's own replay, and the detector's. The
+    grammar check refuses an invalid trace with the ``InputError`` that
+    ``replay`` raises, before the dag is built.
     """
     mode = MODE_STRUCTURED if algo == ALGO_MULTIBAGS else MODE_GENERAL
     seq = EventSequence(seq.events)
-    vreport = validate(seq, mode)
-    if not vreport.ok:
-        raise InputError(f"invalid trace: {vreport.violations[0].message}")
-    strands = vreport.counts.strands
+    strands = validate(seq, mode).counts_or_raise().strands
     oracle_mod.check_reach_budget(strands)
     dag = oracle_mod.build_valid(seq)  # valid in ``mode``, so in general mode too
     reach = make_reachability(algo)

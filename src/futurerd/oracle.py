@@ -87,10 +87,8 @@ class OracleDag:
 
 
 def build(seq: EventSequence) -> OracleDag:
-    """Replay a trace into an explicit dag; an invalid trace raises InputError."""
-    report = validate(seq, MODE_GENERAL)
-    if not report.ok:
-        raise InputError(f"cannot build dag from invalid trace: {report.violations[0].message}")
+    """Replay a trace into an explicit dag; an invalid trace raises ``replay``'s InputError."""
+    validate(seq, MODE_GENERAL).counts_or_raise()
     return build_valid(seq)
 
 

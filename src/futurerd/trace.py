@@ -258,17 +258,16 @@ def _json_event(line: str, lineno: int) -> Event:
     return Event(kind)
 
 
-# The parser reads _CHUNK_LINES lines at a time and hands its consumer a
-# batch once it holds _BATCH_EVENTS events. When parser and walk share one
-# process, each switch between them costs CPU cache misses, as each evicts
-# the other's working set (the line cache on one side, the shadow and the
-# bags on the other), so batches must be large: with 1,024-event batches the
-# ``detect`` command ran about 9 % slower than with a list parsed first
-# (fj-structured), with 8,192 it ran at par. A batch holds at most about 1 MB.
-# A forked reader (``ReaderTrace``) parses on its own core and sends frames
-# of _FRAME_EVENTS (1,024) events instead, small so that the walk starts early.
-_CHUNK_LINES = 1024
-_BATCH_EVENTS = 8192
+# The parser hands over the events of each ``size`` lines as one list. When
+# parser and walk share one process, each switch between them costs CPU cache
+# misses, as each evicts the other's working set (the line cache on one side,
+# the shadow and the bags on the other), so batches are large: 8,192 lines ran
+# at par with a list parsed first, and 1,024-line batches used 4-12 % more CPU
+# on each benchmark trace. A forked reader (``ReaderTrace``) parses on its own
+# core and sends a frame for each _FRAME_LINES (1,024) lines, small so that
+# the walk starts early: 8,192-line frames made fj-structured's ``detect``
+# 16 % slower (6 pairs of 6, 2-core host). So neither size serves the other.
+_BATCH_LINES = 8192
 
 
 def iterparse(source) -> Iterator[Event]:
@@ -284,20 +283,21 @@ def iterparse(source) -> Iterator[Event]:
                                         else source))
 
 
-def _batches(lines=None, path=None, size=_BATCH_EVENTS) -> Iterator[list[Event]]:
-    """``iterparse``'s events in lists of about ``size``, from ``lines`` or the file at ``path``.
+def _batches(lines=None, path=None, size=_BATCH_LINES) -> Iterator[list[Event]]:
+    """``iterparse``'s events, one list for each ``size`` lines that hold any,
+    from ``lines`` or the file at ``path``.
 
     The file is opened by the first ``next`` and closed when the generator
-    ends or is closed. The events before a malformed line that are not yet
-    handed over come as one more list before its ``ParseError``.
+    ends or is closed. The events before a malformed line in its batch come
+    as one more list before its ``ParseError``.
     """
     with open(path, "r", encoding="utf-8") if path is not None else nullcontext(lines) as lines:
         lines = iter(lines)
         cache: dict[str, Event] = {}
-        batch: list[Event] = []
-        append = batch.append
-        start = 1  # the line number of the chunk's first line
-        while chunk := list(islice(lines, _CHUNK_LINES)):
+        start = 1  # the line number of the batch's first line
+        while chunk := list(islice(lines, size)):
+            batch: list[Event] = []
+            append = batch.append
             for lineno, raw in enumerate(chunk, start):
                 ev = cache.get(raw)
                 if ev is None:
@@ -317,13 +317,9 @@ def _batches(lines=None, path=None, size=_BATCH_EVENTS) -> Iterator[list[Event]]
                                 yield batch
                             raise
                 append(ev)
-            start += len(chunk)
-            if len(batch) >= size:
+            if batch:
                 yield batch
-                batch = []
-                append = batch.append
-        if batch:
-            yield batch
+            start += size
 
 
 def parse(source) -> EventSequence:
@@ -367,13 +363,13 @@ def dump(seq: EventSequence, path) -> None:
 # list of plain (kind, fn, handle, addr) tuples, or the last frame, one of
 # ("end", the reader's CPU seconds), ("error", a pickled ParseError, OSError
 # or UnicodeDecodeError) and ("crash", the traceback of any other exception).
-_FRAME_EVENTS = 1024
+# A frame holds the events of _FRAME_LINES lines, about 13.5 KB on the
+# benchmark's traces, and the kernel's pipe, 64 KiB on Linux, holds about 4.
+# A 1 MiB pipe let the reader run further ahead: the benchmark's
+# ``detect_rel`` read 2-5 % lower on fj-structured and hot-sparse (6 of 8
+# pairs each, 2-core host), within the benchmark's bound.
+_FRAME_LINES = 1024
 _HEAD = struct.Struct("<I")
-# About 75 frames at 13.5 bytes an event, so that either process can stall,
-# when the host deschedules it say, for a few hundred milliseconds' worth of
-# events before the other waits. The default 64 KiB holds 4 frames; on the
-# benchmark's traces it measured the same as 1 MiB on a 2-core host.
-_PIPE_BYTES = 1 << 20
 
 
 class ReaderTrace:
@@ -382,9 +378,9 @@ class ReaderTrace:
     ``ReaderTrace(source)`` opens ``source``, a ``TraceFile``, in this
     process, so that an unopenable file raises ``OSError`` here, and forks
     one reader. The reader runs the in-process parser, ``_batches``, and
-    sends its events down a pipe in frames of ``_FRAME_EVENTS`` events, then
-    an end frame with its CPU seconds, which ``parse_s`` holds once the
-    iteration has read it. The reader's ``ParseError``, ``OSError`` or
+    sends the events of each ``_FRAME_LINES`` lines down a pipe as one
+    frame, then an end frame with its CPU seconds, which ``parse_s`` holds
+    once the iteration has read it. The reader's ``ParseError``, ``OSError`` or
     ``UnicodeDecodeError`` is raised by the iteration once the events before
     it have been iterated. Its death before the end frame, or any other
     exception in it, raises ``ReaderError``.
@@ -397,17 +393,11 @@ class ReaderTrace:
     """
 
     def __init__(self, source: TraceFile) -> None:
-        import fcntl  # POSIX only, as is os.fork
-
         self.parse_s: float | None = None  # the reader's CPU seconds, from its end frame
         lines = (open(source.path, "r", encoding="utf-8") if source.path is not None
                  else source._take_stream())
         try:
             r, w = os.pipe()
-            try:
-                fcntl.fcntl(w, fcntl.F_SETPIPE_SZ, _PIPE_BYTES)
-            except (AttributeError, OSError):  # not Linux, or over the system's limit
-                pass
             try:
                 self._pid = os.fork()
             except OSError:
@@ -492,7 +482,7 @@ def _read_ahead(lines, fd: int) -> NoReturn:
     try:
         start = time.process_time()
         try:
-            for batch in _batches(lines, size=_FRAME_EVENTS):
+            for batch in _batches(lines, size=_FRAME_LINES):
                 send(list(map(tuple, batch)))  # marshal takes no tuple subclass
             last = ("end", time.process_time() - start)
         except (InputError, OSError, UnicodeDecodeError) as exc:
@@ -554,6 +544,23 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.violations
+
+    def counts_or_raise(self) -> TraceCounts:
+        """The counts of a walk that found no fault, or else its ``InputError``.
+
+        An invalid trace raises one naming its first ``KEPT_VIOLATIONS``
+        violations, even when a hook failed before them; otherwise the
+        first ``InputError`` a hook raised is raised as it is.
+        """
+        if self.violations:
+            lines = "; ".join(v.message for v in self.violations)
+            raise InputError(f"invalid trace ({self.violation_count} violation(s)): {lines}")
+        if self.error is not None:
+            try:
+                raise self.error
+            finally:
+                del self  # its traceback holds this frame; keep no cycle through it
+        return self.counts
 
 
 def walk(seq: Iterable[Event], mode: str, reach=None, shadow=None, races=None,
@@ -673,7 +680,7 @@ def walk(seq: Iterable[Event], mode: str, reach=None, shadow=None, races=None,
                 elif single_touch and h in got:
                     bad = ("single-touch", f"handle {h} gotten more than once")
             got.add(h)
-        else:
+        elif k == RET:
             rets += 1
             if len(frames) == 1:
                 bad = ("return-from-root", "ret event in the implicit root frame")
@@ -684,6 +691,8 @@ def walk(seq: Iterable[Event], mode: str, reach=None, shadow=None, races=None,
                 if child[2]:
                     bad = ("unsynced-spawn",
                            f"frame returns with {len(child[2])} unsynced spawned child(ren)")
+        else:
+            bad = ("unknown-kind", f"unknown event kind {k!r}")
         if bad is not None:
             flag(i, *bad)
             hooked = live = False  # from here on, only check and count
@@ -720,10 +729,11 @@ def walk(seq: Iterable[Event], mode: str, reach=None, shadow=None, races=None,
 def validate(seq: Iterable[Event], mode: str) -> ValidationReport:
     """``walk`` with no hooks: check well-formedness for the given mode.
 
-    A clean report means: frames are balanced, every ``get`` names a known
-    handle whose frame has already closed, every ``spawn`` is matched by a
-    ``sync`` in its own frame before that frame returns, and (in structured
-    mode) no handle is gotten more than once. The report keeps only the
+    A clean report means: every event is of a known kind, frames are
+    balanced, every ``get`` names a known handle whose frame has already
+    closed, every ``spawn`` is matched by a ``sync`` in its own frame before
+    that frame returns, and (in structured mode) no handle is gotten more
+    than once. The report keeps only the
     first ``KEPT_VIOLATIONS`` (five) violations; ``violation_count`` is the
     total.
     """

@@ -570,6 +570,17 @@ def test_stats_subcommand(tmp_path, capsys):
         "ret event in the implicit root frame\n")
 
 
+@pytest.mark.parametrize("algo", ["plus", "multibags"])
+def test_verify_words_an_invalid_trace_as_stats_does(algo, tmp_path, capsys):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text('{"t":"sync"}\n{"t":"ret"}\n')
+    assert run(["stats", "--trace", str(bad)]) == cli.EXIT_BAD_INPUT
+    stats_err = capsys.readouterr().err
+    assert run(["verify", "--algo", algo, "--trace", str(bad)]) == cli.EXIT_BAD_INPUT
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == stats_err
+
+
 def test_dump_dag(tmp_path):
     out = tmp_path / "t.jsonl"
     dot = tmp_path / "t.dot"

@@ -176,6 +176,31 @@ def test_detect_rejects_invalid_trace_with_violations():
         engine.detect(seq, "plus", "general")
 
 
+_INVALID = [
+    (seq_of(sy(), rt()), "invalid trace (2 violation(s)): sync with no outstanding spawned "
+     "child; ret event in the implicit root frame"),
+    (seq_of(sp(1), trace.Event("w", addr=64), wr(64), sy()),
+     "invalid trace (3 violation(s)): unknown event kind 'w'; sync with no outstanding "
+     "spawned child; 1 frame(s) never return"),
+]
+
+
+@pytest.mark.parametrize("run", [
+    lambda seq: engine.detect(seq, "plus", "general"),
+    lambda seq: engine.detect(seq, "multibags", "structured"),
+    lambda seq: engine.verify(seq, "plus"),
+    lambda seq: engine.verify(seq, "multibags"),
+    engine.stats_only,
+    oracle.build,
+], ids=["detect-plus", "detect-multibags", "verify-plus", "verify-multibags", "stats_only",
+        "oracle.build"])
+@pytest.mark.parametrize("seq, message", _INVALID, ids=["sync-ret", "unknown-kind"])
+def test_every_entry_point_words_an_invalid_trace_the_same_way(run, seq, message):
+    with pytest.raises(InputError) as exc:
+        run(seq)
+    assert type(exc.value) is InputError and str(exc.value) == message
+
+
 def test_detect_unknown_algo_or_mode():
     seq = seq_of()
     with pytest.raises(UsageError):

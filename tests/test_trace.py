@@ -217,7 +217,7 @@ def test_walk_counts_the_events_it_reads_from_a_generator():
 
 
 def test_line_numbers_count_blank_lines_across_batches():
-    n = trace._BATCH_EVENTS + trace._CHUNK_LINES // 2
+    n = trace._BATCH_LINES + trace._BATCH_LINES // 2
     with pytest.raises(ParseError) as exc:
         parse("\n" * n + '{"t":"w","a":4}\n' * n + '{"t":"q"}\n')
     assert exc.value.lineno == 2 * n + 1
@@ -294,6 +294,16 @@ def test_sync_without_spawn_and_unknown_and_duplicate_handles():
     assert [v.code for v in rep.violations] == ["unknown-handle"]
     rep = validate(seq_of(cr(1, 5), rt(), cr(2, 5), rt()), MODE_GENERAL)
     assert [v.code for v in rep.violations] == ["duplicate-handle"]
+
+
+def test_an_unknown_event_kind_is_a_violation_not_a_return():
+    # "w" is the wire name of a write, not an event kind.
+    seq = seq_of(sp(1), trace.Event("w", addr=64), wr(64), sy())
+    rep = validate(seq, MODE_GENERAL)
+    assert [(v.index, v.code) for v in rep.violations] == [
+        (1, "unknown-kind"), (3, "sync-without-spawn"), (4, "unclosed-frames")]
+    assert rep.violations[0].message == "unknown event kind 'w'"
+    assert rep.counts.rets == 0
 
 
 def test_clean_trace_is_clean_in_both_modes():
@@ -428,6 +438,14 @@ def _drain(events):
     return got, None
 
 
+def _both_paths(text):
+    """``_drain`` of ``text`` through ``iterparse`` and through a ``ReaderTrace``, which agree."""
+    with _reader(text) as reader:
+        via_reader = _drain(reader)
+    assert via_reader == _drain(trace.iterparse(text))
+    return via_reader
+
+
 _BIG = st.integers(min_value=10**20, max_value=10**21 - 1)  # 21 digits
 _LINES = st.one_of(
     _EVENTS.map(_dumps),
@@ -442,18 +460,52 @@ _LINES = st.one_of(
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(_LINES, st.sampled_from(["\n", "\r\n"])), max_size=30))
 def test_the_reader_yields_what_iterparse_yields(lines):
-    text = "".join(line + end for line, end in lines)
-    with _reader(text) as reader:
-        assert _drain(reader) == _drain(trace.iterparse(text))
+    _both_paths("".join(line + end for line, end in lines))
 
 
 def test_a_parse_error_comes_after_the_events_before_it_on_both_paths():
-    n = 3 * trace._FRAME_EVENTS + 10
+    n = trace._BATCH_LINES + 3 * trace._FRAME_LINES + 10
     text = '{"t":"r","a":4}\n' * n + "\n" + '{"t":"q"}\n'
-    with _reader(text) as reader:
-        via_reader = _drain(reader)
-    assert via_reader == _drain(trace.iterparse(text)) == (
+    assert _both_paths(text) == (
         [("read", None, None, 4)] * n, f"line {n + 2}: unknown event kind 'q'")
+
+
+def test_a_run_of_blank_lines_longer_than_a_batch_on_both_paths():
+    n = trace._BATCH_LINES + trace._FRAME_LINES + 3
+    text = '{"t":"w","a":4}\n' + "\n" * n + '{"t":"r","a":8}\n{"t":"q"}\n'
+    assert _both_paths(text) == (
+        [("write", None, None, 4), ("read", None, None, 8)],
+        f"line {n + 3}: unknown event kind 'q'")
+
+
+@pytest.mark.parametrize("size", [trace._FRAME_LINES, trace._BATCH_LINES])
+def test_a_malformed_line_that_opens_a_batch_follows_a_full_one(size):
+    lines = ['{"t":"w","a":4}\n'] * size + ['{"t":"q"}\n']
+    batches = trace._batches(iter(lines), size=size)
+    assert len(next(batches)) == size
+    with pytest.raises(ParseError, match=f"line {size + 1}:"):
+        next(batches)  # no empty list first
+    assert _both_paths("".join(lines)) == (
+        [("write", None, None, 4)] * size, f"line {size + 1}: unknown event kind 'q'")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.sampled_from(['{"t":"w","a":4}\n', '{"t":"sync"}\n', "\n"]), max_size=40),
+       st.integers(min_value=1, max_value=6))
+def test_each_batch_holds_the_events_of_size_lines(lines, size):
+    expected = [parse("".join(lines[i:i + size])).events for i in range(0, len(lines), size)]
+    assert list(trace._batches(iter(lines), size=size)) == [b for b in expected if b]
+
+
+def test_each_reader_frame_holds_the_events_of_frame_lines():
+    lines = (['{"t":"w","a":4}\n', "\n", '{"t":"r","a":8}\n'] * trace._FRAME_LINES
+             + ["\n"] * trace._FRAME_LINES + ['{"t":"sync"}\n'])
+    with _reader("".join(lines)) as reader:
+        frames = list(reader._read_frames())
+    assert frames == [list(map(tuple, b))
+                      for b in trace._batches(iter(lines), size=trace._FRAME_LINES)]
+    # Two of each three lines hold an event; the fourth 1,024 lines hold none.
+    assert [len(f) for f in frames] == [683, 682, 683, 1]
 
 
 def test_the_reader_has_one_pass_and_reports_its_parse_time():
