@@ -24,6 +24,7 @@ import os
 import sys
 import time
 import traceback
+from dataclasses import asdict
 
 from . import engine, generators, oracle, trace
 from .errors import InputError, InvariantError, ReaderError, UsageError
@@ -124,11 +125,13 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_detect(args) -> int:
-    start = time.perf_counter()
-    # --dump-dag walks the trace again, so it lists the trace before detection.
-    with _load(args.trace, listed=args.dump_dag is not None) as seq:
-        parse_s = time.perf_counter() - start
+    listed = args.dump_dag is not None  # a second walk, so the trace is listed first
+    start, cpu = time.perf_counter(), time.process_time()
+    with _load(args.trace, listed=listed) as seq:
+        parse_cpu = time.process_time() - cpu if listed else None
+        walk_start = time.perf_counter()
         report = engine.detect(seq, args.algo, args.mode)
+        end = time.perf_counter()
     if args.dump_dag:  # the walk has validated the trace, in a mode at least as strict
         _write(args.dump_dag, oracle.to_dot(oracle.build_valid(seq)))
     if args.json:
@@ -139,18 +142,16 @@ def _cmd_detect(args) -> int:
                 print(f"race {r.kind} at 0x{r.addr:x}: strand {r.prior} vs strand {r.current}")
         print(f"{len(report.races)} race(s) found")
         if args.stats:
-            st = report.stats
-            for key, val in st.to_json_dict().items():
+            for key, val in asdict(report.stats).items():
                 print(f"  {key}: {val}")
-            if args.dump_dag:
-                print(f"  parse: {parse_s:.6f}s")
-                print(f"  replay: {st.elapsed:.6f}s")
-            elif isinstance(seq, trace.ReaderTrace):  # the reader's CPU, beside the walk
-                print(f"  parse_cpu: {seq.parse_s:.6f}s")
-                print(f"  replay: {st.elapsed:.6f}s")
+            if isinstance(seq, trace.ReaderTrace):  # the reader's CPU, beside the walk
+                parse_cpu = seq.parse_s
+            if parse_cpu is not None:
+                print(f"  parse_cpu: {parse_cpu:.6f}s")
+                print(f"  replay: {end - walk_start:.6f}s")
             else:  # the walk reads and parses the trace as it goes
-                print(f"  parse+replay: {st.elapsed:.6f}s")
-            print(f"  elapsed: {parse_s + st.elapsed:.6f}s")
+                print(f"  parse+replay: {end - walk_start:.6f}s")
+            print(f"  elapsed: {end - start:.6f}s")
     return EXIT_RACES if report.races else EXIT_OK
 
 
@@ -204,11 +205,6 @@ def _cmd_stats(args) -> int:
 
 def run_cli(argv=None) -> int:
     args = _build_parser().parse_args(argv)
-    level = {"off": logging.CRITICAL + 10, "info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("FUTURERD_LOG", "off").lower(), logging.CRITICAL + 10
-    )
-    logging.basicConfig(level=level, format="futurerd: %(message)s")
-    logging.getLogger("futurerd").setLevel(level)
     try:
         if args.command == "detect":
             return _cmd_detect(args)
@@ -240,15 +236,19 @@ def main() -> None:
     Turns CPython's cycle collector off for the one command the process
     runs. The detector makes no reference cycles (a test pins this), so the
     collector would only rescan the shadow cells and their reader lists,
-    over and over, and free nothing. ``run_cli`` and the library leave the
-    collector alone; a program that calls ``detect`` on large traces may
-    turn it off itself.
+    over and over, and free nothing. It also sets up the process's logging
+    from ``FUTURERD_LOG`` (off, info or debug; off by default). ``run_cli``
+    and the library leave the collector and the logging alone; a program
+    that calls ``detect`` on large traces may turn the collector off itself.
 
     Exit code 1 means races only: any exception that ``run_cli`` does not
     map to an exit code, a bug or a ``MemoryError`` say, prints its
     traceback and exits 3.
     """
     gc.disable()
+    level = {"info": logging.INFO, "debug": logging.DEBUG}.get(
+        os.environ.get("FUTURERD_LOG", "off").lower(), logging.CRITICAL + 10)
+    logging.basicConfig(level=level, format="futurerd: %(message)s")
     try:
         code = run_cli()
     except Exception:

@@ -8,7 +8,6 @@ from __future__ import annotations
 import json
 import logging
 import random
-import time
 from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 
@@ -21,7 +20,6 @@ from .trace import (
     MODE_GENERAL,
     MODE_STRUCTURED,
     Event,
-    EventSequence,
     TraceCounts,
     validate,
     walk,
@@ -37,6 +35,9 @@ log = logging.getLogger("futurerd.engine")
 
 @dataclass
 class Stats:
+    """Counts of one ``detect`` run, all fixed by the trace and the algorithm:
+    no timing, so a report is reproducible; a caller times the call itself."""
+
     t1_events: int = 0
     m: int = 0  # memory accesses
     n: int = 0  # spawns + creates (places where parallelism is created)
@@ -47,14 +48,6 @@ class Stats:
     find_ops: int = 0
     attached_sets: int = 0
     both_attached_syncs: int = 0
-    # Wall seconds of the walk: the grammar check included, and either parsing a
-    # trace streamed in-process or waiting on a forked reader's frames.
-    elapsed: float = 0.0
-
-    def to_json_dict(self) -> dict:
-        d = asdict(self)
-        del d["elapsed"]  # timings vary from run to run; reports must be reproducible
-        return d
 
 
 @dataclass
@@ -72,7 +65,7 @@ class DetectReport:
                 {"addr": r.addr, "kind": r.kind, "prior": r.prior, "current": r.current}
                 for r in self.races
             ],
-            "stats": self.stats.to_json_dict(),
+            "stats": asdict(self.stats),
         }
 
     def to_json(self) -> str:
@@ -86,7 +79,7 @@ class DetectReport:
             f'{{"addr":{r.addr},"kind":"{r.kind}","prior":{r.prior},"current":{r.current}}}'
             for r in self.races
         ])
-        stats = json.dumps(self.stats.to_json_dict(), separators=(",", ":"))
+        stats = json.dumps(asdict(self.stats), separators=(",", ":"))
         return (f'{{"algo":{json.dumps(self.algo)},"mode":{json.dumps(self.mode)},'
                 f'"races":[{races}],"stats":{stats}}}')
 
@@ -157,23 +150,21 @@ def replay(seq: Iterable[Event], reach, shadow=None, races=None, after_strand=No
     return walk(seq, mode, reach, shadow, races, after_strand).counts_or_raise()
 
 
-def detect(seq: EventSequence, algo: str, mode: str) -> DetectReport:
+def detect(seq: Iterable[Event], algo: str, mode: str) -> DetectReport:
     """Race detection over a full trace, in one walk.
 
-    ``seq`` is read once, so a ``TraceFile`` is parsed as it is walked, or a
-    ``ReaderTrace`` by its reader process, and no event list is built; a
-    malformed line raises ``ParseError`` mid-walk.
+    ``seq``, any iterable of ``(kind, fn, handle, addr)`` events, is read once: a
+    ``TraceFile`` is parsed as it is walked, a ``ReaderTrace`` by its reader, and
+    no event list is built; a malformed line raises ``ParseError`` mid-walk.
     Reports every race (deduplicated by address, kind, and strand pair) in
-    first-occurrence order, plus run statistics.
+    first-occurrence order, plus the run's counts (``Stats``).
     """
     if algo == ALGO_MULTIBAGS and mode == MODE_GENERAL:
         raise InputError("the multibags algorithm requires structured mode")
     reach = make_reachability(algo)  # unknown algorithms and modes raise UsageError
     shadow = ShadowTable()
     races: dict = {}
-    start = time.perf_counter()
     c = replay(seq, reach, shadow, races, mode=mode)
-    elapsed = time.perf_counter() - start
 
     stats = Stats(
         t1_events=c.events,
@@ -186,7 +177,6 @@ def detect(seq: EventSequence, algo: str, mode: str) -> DetectReport:
         find_ops=reach.find_ops,
         attached_sets=reach.attached_sets,
         both_attached_syncs=reach.both_attached_syncs,
-        elapsed=elapsed,
     )
     if stats.m + c.spawns + c.creates + c.syncs + c.gets + c.rets != stats.t1_events:
         raise InvariantError("event accounting does not add up")
@@ -204,7 +194,8 @@ class _Stop(Exception):
     pass
 
 
-def verify(seq: EventSequence, algo: str, sample: int | None = None, seed: int = 0) -> VerifyReport:
+def verify(seq: Iterable[Event], algo: str, sample: int | None = None,
+           seed: int = 0) -> VerifyReport:
     """Replay a detector and compare every answer against the brute-force dag.
 
     Below EXHAUSTIVE_LIMIT strands (and when ``sample`` is unset) every
@@ -212,13 +203,13 @@ def verify(seq: EventSequence, algo: str, sample: int | None = None, seed: int =
     seeded sample per step. Either way the final race sets are checked
     against the race contract (see ``VerifyReport``).
 
-    A ``TraceFile`` is parsed into a list once; the list is walked three
-    times: the grammar check, the dag's own replay, and the detector's. The
-    grammar check refuses an invalid trace with the ``InputError`` that
-    ``replay`` raises, before the dag is built.
+    ``seq``, any iterable ``detect`` takes, is read into a list once, which is
+    walked three times: the grammar check, the dag's own replay, and the
+    detector's. The grammar check refuses an invalid trace with the
+    ``InputError`` that ``replay`` raises, before the dag is built.
     """
     mode = MODE_STRUCTURED if algo == ALGO_MULTIBAGS else MODE_GENERAL
-    seq = EventSequence(seq.events)
+    seq = list(iter(seq))  # not list(seq), whose length hint would parse a TraceFile
     strands = validate(seq, mode).counts_or_raise().strands
     oracle_mod.check_reach_budget(strands)
     dag = oracle_mod.build_valid(seq)  # valid in ``mode``, so in general mode too
@@ -255,7 +246,7 @@ def verify(seq: EventSequence, algo: str, sample: int | None = None, seed: int =
     return report
 
 
-def stats_only(seq: EventSequence) -> dict:
+def stats_only(seq: Iterable[Event]) -> dict:
     """Counts for a trace without running detection.
 
     The counting walk checks the frame grammar, and an invalid trace raises

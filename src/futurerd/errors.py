@@ -40,9 +40,6 @@ class ClosureLimitError(InputError):
         self.attached_sets = attached_sets
         self.limit = limit
 
-    def __reduce__(self):
-        return type(self), (self.attached_sets, self.limit)
-
 
 class ReaderError(Exception):
     """The forked trace reader died or crashed before it finished the trace."""

@@ -9,6 +9,7 @@ whose bitsets could pass ``REACH_BUDGET``.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -22,7 +23,7 @@ from .trace import (
     SPAWN,
     SYNC,
     WRITE,
-    EventSequence,
+    Event,
     validate,
 )
 
@@ -86,14 +87,16 @@ class OracleDag:
         return bool((self._desc[u] >> v) & 1)
 
 
-def build(seq: EventSequence) -> OracleDag:
+def build(seq: Iterable[Event]) -> OracleDag:
     """Replay a trace into an explicit dag; an invalid trace raises ``replay``'s InputError."""
+    seq = list(iter(seq))  # walked twice, so a one-pass iterator is listed first
     validate(seq, MODE_GENERAL).counts_or_raise()
     return build_valid(seq)
 
 
-def build_valid(seq: EventSequence) -> OracleDag:
-    """``build`` for a trace that has already passed ``validate``; it checks nothing."""
+def build_valid(seq: Iterable[Event]) -> OracleDag:
+    """``build`` for an iterable of ``(kind, fn, handle, addr)`` events that has
+    already passed ``validate``; it reads them once and checks nothing."""
     dag = OracleDag()
 
     def new_node(frame_kind: str) -> int:
@@ -108,21 +111,20 @@ def build_valid(seq: EventSequence) -> OracleDag:
     frames: list[list] = [["root", None, None, []]]
     cur = new_node("root")
 
-    for ev in seq:
-        k = ev.kind
+    for k, _, h, a in seq:
         if k == READ or k == WRITE:
             # keyed by word, like the shadow memory and its race reports
-            dag.accesses[cur].append((ev.addr & ~3, "r" if k == READ else "w"))
+            dag.accesses[cur].append((a & ~3, "r" if k == READ else "w"))
         elif k == SPAWN or k == CREATE:
             dag.node_kinds[cur].add("spawn" if k == SPAWN else "creator")
             frames[-1][2] = cur
-            frames.append([k, ev.handle, None, []])
+            frames.append([k, h, None, []])
             child = new_node(k)
             dag.out[cur].append((child, SPAWN_EDGE if k == SPAWN else CREATE_EDGE))
             if k == CREATE:
-                dag.creator_of[ev.handle] = cur
-                dag.first_of[ev.handle] = child
-                dag.getters_of.setdefault(ev.handle, [])
+                dag.creator_of[h] = cur
+                dag.first_of[h] = child
+                dag.getters_of.setdefault(h, [])
             cur = child
         elif k == RET:
             kind, handle, _, _ = frames.pop()
@@ -143,9 +145,9 @@ def build_valid(seq: EventSequence) -> OracleDag:
         else:  # GET
             nxt = new_node(frames[-1][0])
             dag.out[cur].append((nxt, CONTINUE_EDGE))
-            dag.out[dag.sink_of[ev.handle]].append((nxt, GET_EDGE))
+            dag.out[dag.sink_of[h]].append((nxt, GET_EDGE))
             dag.node_kinds[nxt].add("getter")
-            dag.getters_of[ev.handle].append(nxt)
+            dag.getters_of[h].append(nxt)
             cur = nxt
 
     for kinds in dag.node_kinds:

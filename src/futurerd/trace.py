@@ -328,7 +328,8 @@ def parse(source) -> EventSequence:
 
 
 def serialize(seq: EventSequence) -> str:
-    """Render a trace back to its JSON-Lines form (one canonical line per event)."""
+    """Render a trace back to its JSON-Lines form (one canonical line per event);
+    an event of a kind the format lacks raises ``UsageError``."""
     out: list[str] = []
     append = out.append
     for k, fn, h, a in seq:
@@ -342,8 +343,10 @@ def serialize(seq: EventSequence) -> str:
             append(f'{{"t":"create","f":{fn},"h":{h}}}')
         elif k == GET:
             append(f'{{"t":"get","h":{h}}}')
-        else:
+        elif k == SYNC or k == RET:
             append(f'{{"t":"{k}"}}')
+        else:
+            raise UsageError(f"unknown event kind {k!r}")
     return "\n".join(out) + ("\n" if out else "")
 
 
@@ -353,8 +356,10 @@ def load(path) -> EventSequence:
 
 
 def dump(seq: EventSequence, path) -> None:
+    """Write ``serialize(seq)`` to ``path``; a trace it refuses leaves no file."""
+    text = serialize(seq)
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(serialize(seq))
+        fh.write(text)
 
 
 # -- the forked reader -----------------------------------------------------------
@@ -636,19 +641,14 @@ def walk(seq: Iterable[Event], mode: str, reach=None, shadow=None, races=None,
             if live:
                 rep = on_read(a, cur, precedes)
                 if rep is not None:
-                    key = rep.key()
-                    if key not in races:
-                        races[key] = rep
+                    races.setdefault(rep.key(), rep)
             continue
         if k == WRITE:
             writes += 1
             if live:
                 for rep in on_write(a, cur, precedes):
-                    key = rep.key()
-                    if key not in races:
-                        races[key] = rep
+                    races.setdefault(rep.key(), rep)
             continue
-        cur += 1
         bad = None
         if k == SPAWN:
             spawns += 1
@@ -691,8 +691,11 @@ def walk(seq: Iterable[Event], mode: str, reach=None, shadow=None, races=None,
                 if child[2]:
                     bad = ("unsynced-spawn",
                            f"frame returns with {len(child[2])} unsynced spawned child(ren)")
-        else:
-            bad = ("unknown-kind", f"unknown event kind {k!r}")
+        else:  # not a control event, so no strand begins
+            flag(i, "unknown-kind", f"unknown event kind {k!r}")
+            hooked = live = False
+            continue
+        cur += 1
         if bad is not None:
             flag(i, *bad)
             hooked = live = False  # from here on, only check and count

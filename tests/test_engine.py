@@ -2,6 +2,7 @@ import gc
 import hashlib
 import io
 import json
+from dataclasses import asdict
 
 import pytest
 
@@ -233,7 +234,7 @@ def test_stats_fields_and_invariants():
     assert st.strands == c.strands
     assert st.queries <= 2 * st.m + c.writes
     assert st.attached_sets <= 3 * c.creates + 2 * c.gets + 2 * st.both_attached_syncs + 1
-    assert st.elapsed > 0
+    assert asdict(st) == json.loads(rep.to_json())["stats"]  # counts only, all reported
     assert st.union_ops > 0 and st.find_ops > 0
 
 
@@ -338,6 +339,23 @@ def test_verify_race_sets_compared():
     rep = engine.verify(seq, "plus")
     assert rep.ok
     assert rep.detector_races == rep.oracle_races != set()
+
+
+def test_verify_takes_the_iterparse_iterator_as_it_takes_a_list():
+    lcs = gen_lcs_structured(3, seed=0, inject_race=True)
+    fj = fold_words(gen_random(n_events=600, p_spawn=0.2, p_create=0.0, p_get=0.0, seed=4),
+                    pool=6, seed=4)
+    futures = fold_words(gen_random(n_events=600, seed=5), pool=6, seed=5)
+    for seq, algos in ((lcs, ("multibags", "plus")), (fj, ("multibags", "plus")),
+                       (futures, ("plus",))):
+        text = trace.serialize(seq)
+        for algo in algos:
+            streamed = engine.verify(trace.iterparse(text), algo)
+            listed = engine.verify(trace.parse(text), algo)
+            assert streamed.ok and streamed.oracle_races, algo
+            assert (streamed.ok, streamed.checked, streamed.detector_races,
+                    streamed.oracle_races) == (listed.ok, listed.checked,
+                                               listed.detector_races, listed.oracle_races)
 
 
 def test_verify_fails_on_an_unsound_pair_or_a_missed_racy_word(monkeypatch):

@@ -5,8 +5,18 @@ import pytest
 from futurerd import oracle
 from futurerd.errors import InputError
 from futurerd.generators import gen_lcs_structured, gen_random
-from futurerd.trace import EventSequence
+from futurerd.trace import EventSequence, iterparse, serialize
 from helpers import cr, gt, rd, rt, seq_of, sp, sy, wr
+
+
+def test_the_dag_reads_plain_event_tuples_and_the_iterparse_iterator():
+    for seq in (gen_lcs_structured(3, seed=1, inject_race=True),
+                gen_random(n_events=400, p_spawn=0.15, p_create=0.1, p_get=0.1, seed=2)):
+        dag = oracle.build_valid(seq)
+        for other in (oracle.build_valid([tuple(e) for e in seq]),
+                      oracle.build(iterparse(serialize(seq)))):
+            assert (other.out, other.accesses, other.node_kinds) == (
+                dag.out, dag.accesses, dag.node_kinds)
 
 
 def test_empty_trace_is_one_node_no_edges():

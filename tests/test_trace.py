@@ -306,6 +306,24 @@ def test_an_unknown_event_kind_is_a_violation_not_a_return():
     assert rep.counts.rets == 0
 
 
+def test_an_unknown_event_kind_begins_no_strand():
+    seq = seq_of(sp(1), rt(), trace.Event("w", addr=64), sy())
+    rep = validate(seq, MODE_GENERAL)
+    assert [(v.index, v.code) for v in rep.violations] == [(2, "unknown-kind")]
+    assert rep.counts.strands == 4  # the root's strand and one per control event
+    assert rep.counts.events == 4
+
+
+def test_serialize_refuses_an_unknown_kind_and_dump_writes_no_file(tmp_path):
+    for bad in (trace.Event("w", addr=64), trace.Event("bogus")):
+        with pytest.raises(UsageError, match=f"unknown event kind {bad.kind!r}"):
+            serialize(seq_of(wr(8), bad))
+        path = tmp_path / "bad.jsonl"
+        with pytest.raises(UsageError):
+            trace.dump(seq_of(wr(8), bad), str(path))
+        assert not path.exists()
+
+
 def test_clean_trace_is_clean_in_both_modes():
     seq = seq_of(sp(1), wr(8), rt(), sy(), cr(2, 3), wr(12), rt(), gt(3), rd(12))
     assert validate(seq, MODE_GENERAL).ok
@@ -519,9 +537,6 @@ def test_the_reader_has_one_pass_and_reports_its_parse_time():
 
 
 def test_parse_errors_survive_pickling():
-    from futurerd.errors import ClosureLimitError
-
-    for exc in (ParseError(7, "bad"), ClosureLimitError(9, 4)):
-        back = pickle.loads(pickle.dumps(exc))
-        assert type(back) is type(exc) and str(back) == str(exc)
-    assert pickle.loads(pickle.dumps(ParseError(7, "bad"))).lineno == 7
+    back = pickle.loads(pickle.dumps(ParseError(7, "bad")))
+    assert type(back) is ParseError and str(back) == str(ParseError(7, "bad"))
+    assert back.lineno == 7
