@@ -93,7 +93,8 @@ def _load(path: str, listed: bool = False):
 
     A ``trace.ReaderTrace`` parses it in a forked reader process, ahead of
     the one walk, and is closed, its reader killed and reaped, when the
-    ``with`` block ends. Without ``os.fork`` the walk parses a
+    ``with`` block ends. Without ``os.fork``, or when the reader cannot
+    start (no process or descriptor to spare), the walk parses a
     ``trace.TraceFile`` itself. ``listed`` parses the trace into a list
     first, in this process, for a command that walks it more than once:
     standard input has one pass only. A trace that cannot be opened or
@@ -111,8 +112,12 @@ def _load(path: str, listed: bool = False):
     elif not hasattr(os, "fork"):
         yield seq
     else:
-        with trace.ReaderTrace(seq) as reader:
-            yield reader
+        try:
+            reader = trace.ReaderTrace(seq)
+        except ReaderError:
+            reader = contextlib.nullcontext(seq)
+        with reader as seq:
+            yield seq
 
 
 def _write(path: str, text: str) -> None:

@@ -42,7 +42,7 @@ class ClosureLimitError(InputError):
 
 
 class ReaderError(Exception):
-    """The forked trace reader died or crashed before it finished the trace."""
+    """The forked trace reader could not start, or ended before the trace did."""
 
 
 class InvariantError(AssertionError):

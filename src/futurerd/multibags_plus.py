@@ -144,12 +144,9 @@ class MultiBagsPlus(MultiBags):
     # -- d_nsp helpers ------------------------------------------------------
 
     def _nsp_union(self, into: int, other: int) -> int:
-        into_attached = self.d_nsp.record(into).r_node is not None
         other_rec = self.d_nsp.record(other)
-        if into_attached and other_rec.r_node is not None:
-            raise InvariantError(f"union of two attached sets {into} and {other}")
         if other_rec.r_node is not None:  # attached side must survive
-            raise InvariantError(f"attached set {other} unioned into unattached {into}")
+            raise InvariantError(f"attached set {other} absorbed into set {into}")
         if other_rec.att_succ is not None:
             # a set with a join proxy is sealed; absorbing it would drop
             # ordering information

@@ -114,7 +114,7 @@ def build_valid(seq: Iterable[Event]) -> OracleDag:
     for k, _, h, a in seq:
         if k == READ or k == WRITE:
             # keyed by word, like the shadow memory and its race reports
-            dag.accesses[cur].append((a & ~3, "r" if k == READ else "w"))
+            dag.accesses[cur].append((a & ~3, k))
         elif k == SPAWN or k == CREATE:
             dag.node_kinds[cur].add("spawn" if k == SPAWN else "creator")
             frames[-1][2] = cur
@@ -171,7 +171,7 @@ def naive_races(dag: OracleDag) -> set[tuple[int, str, int, int]]:
             if key in seen:
                 continue
             seen.add(key)
-            by_addr.setdefault(addr, []).append((s, rw == "w"))
+            by_addr.setdefault(addr, []).append((s, rw == WRITE))
     races = set()
     for addr, accs in by_addr.items():
         # entries are in serial (strand id) order already

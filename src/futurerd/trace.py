@@ -18,7 +18,8 @@ Wire format is JSON Lines, one event per line, UTF-8:
 
 The root function is implicit: it has no opening event and end-of-file closes
 it. Function instance ids (``f``) and future handle ids (``h``) are arbitrary
-unique unsigned integers.
+unique unsigned integers. An ``Event``'s ``kind`` is its line's ``t`` tag, one
+of the constants ``SPAWN`` ... ``WRITE``, so ``Event("w", addr=4)`` is a write.
 
 ``walk`` is the one pass over a trace and the one implementation of its frame
 grammar; ``validate``, ``EventSequence.counts`` and ``engine.replay`` are walks.
@@ -54,13 +55,15 @@ from typing import NamedTuple, NoReturn
 
 from .errors import InputError, ParseError, ReaderError, UsageError
 
+# The parser interns each tag it reads, as CPython does these constants, so a
+# parsed kind is one of these objects and the walk's == matches it by identity.
 SPAWN = "spawn"
 CREATE = "create"
 SYNC = "sync"
 GET = "get"
 RET = "ret"
-READ = "read"
-WRITE = "write"
+READ = "r"
+WRITE = "w"
 
 ACCESS_KINDS = (READ, WRITE)
 
@@ -68,16 +71,6 @@ MODE_STRUCTURED = "structured"
 MODE_GENERAL = "general"
 
 ADDR_LIMIT = 1 << 64  # addresses are uint64
-
-_KIND_OF_WIRE = {
-    "spawn": SPAWN,
-    "create": CREATE,
-    "sync": SYNC,
-    "get": GET,
-    "ret": RET,
-    "r": READ,
-    "w": WRITE,
-}
 
 
 class Event(NamedTuple):
@@ -197,14 +190,14 @@ def _canonical_event(m: re.Match) -> Event | None:
         a = int(a)
         if a >= ADDR_LIMIT:
             return None
-        return _new_tuple(Event, (READ if rw == "r" else WRITE, None, None, a))
+        return _new_tuple(Event, (sys.intern(rw), None, None, a))
     if sf is not None:
         return _new_tuple(Event, (SPAWN, int(sf), None, None))
     if ch is not None:
         return _new_tuple(Event, (CREATE, int(cf), int(ch), None))
     if gh is not None:
         return _new_tuple(Event, (GET, None, int(gh), None))
-    return _new_tuple(Event, (SYNC if sr == "sync" else RET, None, None, None))
+    return _new_tuple(Event, (sys.intern(sr), None, None, None))
 
 
 _TOO_LONG = object()  # an integer with more digits than ``int`` converts
@@ -244,18 +237,17 @@ def _json_event(line: str, lineno: int) -> Event:
     if not isinstance(obj, dict):
         raise ParseError(lineno, "event must be a JSON object")
     t = obj.get("t")
-    kind = _KIND_OF_WIRE.get(t) if isinstance(t, str) else None  # a list or dict is unhashable
-    if kind is None:
-        raise ParseError(lineno, f"unknown event kind {t!r}")
-    if kind == SPAWN:
+    if t == SPAWN:
         return Event(SPAWN, fn=_field(obj, "f", lineno))
-    if kind == CREATE:
+    if t == CREATE:
         return Event(CREATE, fn=_field(obj, "f", lineno), handle=_field(obj, "h", lineno))
-    if kind == GET:
+    if t == GET:
         return Event(GET, handle=_field(obj, "h", lineno))
-    if kind in ACCESS_KINDS:
-        return Event(kind, addr=_field(obj, "a", lineno))
-    return Event(kind)
+    if t in ACCESS_KINDS:
+        return Event(sys.intern(t), addr=_field(obj, "a", lineno))
+    if t == SYNC or t == RET:
+        return Event(sys.intern(t))
+    raise ParseError(lineno, f"unknown event kind {t!r}")
 
 
 # The parser hands over the events of each ``size`` lines as one list. When
@@ -333,10 +325,8 @@ def serialize(seq: EventSequence) -> str:
     out: list[str] = []
     append = out.append
     for k, fn, h, a in seq:
-        if k == READ:
-            append(f'{{"t":"r","a":{a}}}')
-        elif k == WRITE:
-            append(f'{{"t":"w","a":{a}}}')
+        if k == READ or k == WRITE:
+            append(f'{{"t":"{k}","a":{a}}}')
         elif k == SPAWN:
             append(f'{{"t":"spawn","f":{fn}}}')
         elif k == CREATE:
@@ -382,10 +372,12 @@ class ReaderTrace:
 
     ``ReaderTrace(source)`` opens ``source``, a ``TraceFile``, in this
     process, so that an unopenable file raises ``OSError`` here, and forks
-    one reader. The reader runs the in-process parser, ``_batches``, and
-    sends the events of each ``_FRAME_LINES`` lines down a pipe as one
-    frame, then an end frame with its CPU seconds, which ``parse_s`` holds
-    once the iteration has read it. The reader's ``ParseError``, ``OSError`` or
+    one reader. If ``os.pipe`` or ``os.fork`` fails, it raises ``ReaderError``
+    and leaves ``source`` as it was, a stream unread, so that the caller can
+    parse it in-process instead. The reader runs the in-process parser,
+    ``_batches``, and sends the events of each ``_FRAME_LINES`` lines down a
+    pipe as one frame, then an end frame with its CPU seconds, which
+    ``parse_s`` holds once the iteration has read it. The reader's ``ParseError``, ``OSError`` or
     ``UnicodeDecodeError`` is raised by the iteration once the events before
     it have been iterated. Its death before the end frame, or any other
     exception in it, raises ``ReaderError``.
@@ -401,22 +393,25 @@ class ReaderTrace:
         self.parse_s: float | None = None  # the reader's CPU seconds, from its end frame
         lines = (open(source.path, "r", encoding="utf-8") if source.path is not None
                  else source._take_stream())
+        fds: list[int] = []
         try:
-            r, w = os.pipe()
-            try:
-                self._pid = os.fork()
-            except OSError:
-                os.close(r)
-                os.close(w)
-                raise
+            fds += os.pipe()
+            self._pid = os.fork()
             if self._pid == 0:
-                os.close(r)
-                _read_ahead(lines, w)
-            os.close(w)
-            self._pipe = os.fdopen(r, "rb")
+                os.close(fds[0])
+                _read_ahead(lines, fds[1])
+        except OSError as exc:  # no process or descriptor to spare: EAGAIN, EMFILE
+            for fd in fds:
+                os.close(fd)
+            if source.path is None:  # given back, for the caller to parse in-process
+                source._stream = lines
+            raise ReaderError(f"the trace reader could not start: {exc}") from exc
         finally:
             if source.path is not None:  # the reader has its own copy
                 lines.close()
+        r, w = fds
+        os.close(w)
+        self._pipe = os.fdopen(r, "rb")
         self._passed = False
 
     def __iter__(self) -> Iterator[tuple]:
@@ -482,9 +477,9 @@ def _read_ahead(lines, fd: int) -> NoReturn:
     # The parser makes no reference cycles, and a collection would touch, and
     # so copy, every object the reader shares with the command's process.
     gc.disable()
-    _exit_with_the_command(fd)
     code = 1
     try:
+        _exit_with_the_command(fd)
         start = time.process_time()
         try:
             for batch in _batches(lines, size=_FRAME_LINES):

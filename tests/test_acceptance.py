@@ -21,7 +21,7 @@ from futurerd.generators import WORD, gen_lcs_general, gen_lcs_structured, gen_r
 from futurerd.multibags import MultiBags
 from futurerd.multibags_plus import MultiBagsPlus
 from futurerd.reachdag import ReachDag
-from futurerd.trace import MODE_GENERAL, MODE_STRUCTURED, EventSequence, parse, validate
+from futurerd.trace import MODE_GENERAL, MODE_STRUCTURED, WRITE, EventSequence, parse, validate
 from helpers import replay_collect
 
 from test_reachdag import assert_matches_fw, random_dag_ops
@@ -363,7 +363,7 @@ def test_criterion_11_race_contract_on_repeated_writes():
             ev._replace(addr=word_of[ev.addr] + (rng.randrange(WORD) if unaligned else 0))
             for ev in plain.events])
         assert validate(seq, MODE_STRUCTURED if structured else MODE_GENERAL).ok, seed
-        writes = [ev.addr & -WORD for ev in seq.events if ev.kind == "write"]
+        writes = [ev.addr & -WORD for ev in seq.events if ev.kind == WRITE]
         rewritten += len(writes) > len(set(writes))
         for algo in ("plus", "multibags") if structured else ("plus",):
             rep = engine.verify(seq, algo)

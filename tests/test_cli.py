@@ -1,8 +1,10 @@
+import errno
 import gc
 import io
 import json
 import logging
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -434,6 +436,56 @@ def test_without_fork_the_command_parses_in_process(tmp_path, capsys, monkeypatc
     _stdin(monkeypatch, path.read_bytes())
     assert run(argv[:-3] + ["--trace", "-", "--json"]) == cli.EXIT_RACES
     assert capsys.readouterr() == forked
+
+
+@pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open files in /proc")
+@pytest.mark.parametrize("call", ["fork", "pipe"])
+def test_when_the_reader_cannot_start_the_command_parses_in_process(call, tmp_path, capsys,
+                                                                     monkeypatch):
+    path = tmp_path / "t.jsonl"
+    trace.dump(gen_lcs_structured(6, seed=1, inject_race=True), path)
+    runs = [(["detect", "--algo", "multibags", "--mode", "structured", "--json"], source)
+            for source in (str(path), "-")] + [(["stats"], str(path)), (["stats"], "-")]
+
+    def each_run():
+        for argv, source in runs:
+            if source == "-":
+                _stdin(monkeypatch, path.read_bytes())
+            yield run(argv + ["--trace", source]), capsys.readouterr()
+
+    forked = list(each_run())
+    assert [code for code, _ in forked] == [cli.EXIT_RACES] * 2 + [cli.EXIT_OK] * 2
+
+    def refuse(*args):
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, call, refuse)
+    open_files = os.listdir("/proc/self/fd")
+    assert list(each_run()) == forked
+    assert os.listdir("/proc/self/fd") == open_files
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the reader starts its thread on Linux")
+def test_a_reader_that_cannot_start_its_thread_exits_alone(tmp_path):
+    # The reader is a fork of the command: an exception that escaped it would
+    # run the rest of the command a second time, in the reader.
+    path = tmp_path / "t.jsonl"
+    trace.dump(gen_lcs_structured(4, seed=1, inject_race=True), path)
+    src = str(Path(futurerd.__file__).parent.parent)
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    script = ("import threading\n"
+              "def refuse(self):\n"
+              "    raise RuntimeError(\"can't start new thread\")\n"
+              "threading.Thread.start = refuse\n"
+              "from futurerd.cli import main\n"
+              "main()\n")
+    proc = subprocess.run([sys.executable, "-c", script, "detect", "--algo", "multibags",
+                           "--mode", "structured", "--trace", str(path), "--json"],
+                          env=env, capture_output=True, text=True, timeout=60)
+    assert proc.returncode == cli.EXIT_BROKEN and proc.stdout == ""
+    assert re.fullmatch(r"error: the trace reader \(pid \d+\) exited with code 1 before the end "
+                        r"of the trace\n", proc.stderr), proc.stderr
 
 
 def test_violation_outranks_an_earlier_hook_error(tmp_path, capsys):

@@ -180,8 +180,8 @@ def test_detect_rejects_invalid_trace_with_violations():
 _INVALID = [
     (seq_of(sy(), rt()), "invalid trace (2 violation(s)): sync with no outstanding spawned "
      "child; ret event in the implicit root frame"),
-    (seq_of(sp(1), trace.Event("w", addr=64), wr(64), sy()),
-     "invalid trace (3 violation(s)): unknown event kind 'w'; sync with no outstanding "
+    (seq_of(sp(1), trace.Event("write", addr=64), wr(64), sy()),
+     "invalid trace (3 violation(s)): unknown event kind 'write'; sync with no outstanding "
      "spawned child; 1 frame(s) never return"),
 ]
 

@@ -47,6 +47,30 @@ def test_round_trip_seven_events():
     assert serialize(parse(serialize(seq))) == text
 
 
+_ONE_OF_EACH = [sp(1), cr(2, 3), sy(), gt(3), rt(), rd(4), wr(8)]
+
+
+def test_each_kind_is_the_t_tag_serialize_writes_for_it():
+    assert [ev.kind for ev in _ONE_OF_EACH] == [
+        trace.SPAWN, trace.CREATE, trace.SYNC, trace.GET, trace.RET, READ, WRITE]
+    for ev in _ONE_OF_EACH:
+        assert json.loads(serialize(seq_of(ev)))["t"] == ev.kind
+
+
+def test_parsed_kinds_are_the_module_constants():
+    # The walk compares kinds with ==, which matches identical objects first.
+    canonical = serialize(seq_of(*_ONE_OF_EACH))
+    loose = canonical.replace(":", ": ")
+    assert all(trace._CANONICAL(line) for line in canonical.splitlines(keepends=True))
+    assert not any(trace._CANONICAL(line) for line in loose.splitlines(keepends=True))
+    for text in (canonical, loose):  # the regex path, then the json.loads path
+        with _reader(text) as reader:
+            via_reader = list(reader)
+        for events in (parse(text).events, via_reader):
+            assert [ev[0] for ev in events] == [ev.kind for ev in _ONE_OF_EACH]
+            assert all(got[0] is ev.kind for got, ev in zip(events, _ONE_OF_EACH))
+
+
 def test_whitespace_is_ignored_in_round_trip():
     loose = '\n  {"t": "sync"}  \n\n{"t":"r", "a": 8}\n'
     assert serialize(parse(loose)) == '{"t":"sync"}\n{"t":"r","a":8}\n'
@@ -84,7 +108,7 @@ _EVENTS = st.one_of(
 
 def _dumps(ev):
     """The line ``json.dumps`` renders for ``ev`` in canonical key order."""
-    obj = {"t": {READ: "r", WRITE: "w"}.get(ev.kind, ev.kind)}
+    obj = {"t": ev.kind}
     obj.update((key, v) for key, v in zip("fha", ev[1:]) if v is not None)
     return json.dumps(obj, separators=(",", ":"))
 
@@ -297,17 +321,17 @@ def test_sync_without_spawn_and_unknown_and_duplicate_handles():
 
 
 def test_an_unknown_event_kind_is_a_violation_not_a_return():
-    # "w" is the wire name of a write, not an event kind.
-    seq = seq_of(sp(1), trace.Event("w", addr=64), wr(64), sy())
+    # "write" is not an event kind: a write's kind is its wire tag "w".
+    seq = seq_of(sp(1), trace.Event("write", addr=64), wr(64), sy())
     rep = validate(seq, MODE_GENERAL)
     assert [(v.index, v.code) for v in rep.violations] == [
         (1, "unknown-kind"), (3, "sync-without-spawn"), (4, "unclosed-frames")]
-    assert rep.violations[0].message == "unknown event kind 'w'"
+    assert rep.violations[0].message == "unknown event kind 'write'"
     assert rep.counts.rets == 0
 
 
 def test_an_unknown_event_kind_begins_no_strand():
-    seq = seq_of(sp(1), rt(), trace.Event("w", addr=64), sy())
+    seq = seq_of(sp(1), rt(), trace.Event("write", addr=64), sy())
     rep = validate(seq, MODE_GENERAL)
     assert [(v.index, v.code) for v in rep.violations] == [(2, "unknown-kind")]
     assert rep.counts.strands == 4  # the root's strand and one per control event
@@ -315,7 +339,7 @@ def test_an_unknown_event_kind_begins_no_strand():
 
 
 def test_serialize_refuses_an_unknown_kind_and_dump_writes_no_file(tmp_path):
-    for bad in (trace.Event("w", addr=64), trace.Event("bogus")):
+    for bad in (trace.Event("write", addr=64), trace.Event("bogus")):
         with pytest.raises(UsageError, match=f"unknown event kind {bad.kind!r}"):
             serialize(seq_of(wr(8), bad))
         path = tmp_path / "bad.jsonl"
@@ -485,14 +509,14 @@ def test_a_parse_error_comes_after_the_events_before_it_on_both_paths():
     n = trace._BATCH_LINES + 3 * trace._FRAME_LINES + 10
     text = '{"t":"r","a":4}\n' * n + "\n" + '{"t":"q"}\n'
     assert _both_paths(text) == (
-        [("read", None, None, 4)] * n, f"line {n + 2}: unknown event kind 'q'")
+        [(READ, None, None, 4)] * n, f"line {n + 2}: unknown event kind 'q'")
 
 
 def test_a_run_of_blank_lines_longer_than_a_batch_on_both_paths():
     n = trace._BATCH_LINES + trace._FRAME_LINES + 3
     text = '{"t":"w","a":4}\n' + "\n" * n + '{"t":"r","a":8}\n{"t":"q"}\n'
     assert _both_paths(text) == (
-        [("write", None, None, 4), ("read", None, None, 8)],
+        [(WRITE, None, None, 4), (READ, None, None, 8)],
         f"line {n + 3}: unknown event kind 'q'")
 
 
@@ -504,7 +528,7 @@ def test_a_malformed_line_that_opens_a_batch_follows_a_full_one(size):
     with pytest.raises(ParseError, match=f"line {size + 1}:"):
         next(batches)  # no empty list first
     assert _both_paths("".join(lines)) == (
-        [("write", None, None, 4)] * size, f"line {size + 1}: unknown event kind 'q'")
+        [(WRITE, None, None, 4)] * size, f"line {size + 1}: unknown event kind 'q'")
 
 
 @settings(max_examples=60, deadline=None)
