@@ -4,10 +4,11 @@ Subcommands: detect, verify, gen, stats. ``--trace -`` reads the trace from
 standard input and ``gen -o -`` writes it to standard output, so ``gen`` can
 be piped into the others. Exit codes: 0 = no race found,
 1 = race(s) found, 2 = invalid input or arguments, an unreadable or
-non-UTF-8 trace, an unwritable output file, a trace over the closure
-limit (``reachdag.MAX_NODES``, 2^17 attached sets), or, for ``verify``, a
-trace over the brute-force dag's budget (``oracle.REACH_BUDGET``),
-3 = verification divergence, a broken race contract, an internal
+non-UTF-8 trace, an unwritable output file, a trace whose closure rows
+could pass their 2 GiB budget (``reachdag.CLOSURE_BUDGET``, k²/8 bytes for k
+attached sets), or, for ``verify``, a trace whose brute-force reachability
+rows could pass their 256 MiB budget (``oracle.REACH_BUDGET``, S²/8 bytes for
+S strands), 3 = verification divergence, a broken race contract, an internal
 invariant failure, the death of the trace reader process before the end of
 the trace, or any other crash (its traceback is printed).
 """
@@ -240,7 +241,7 @@ def main() -> None:
 
     Turns CPython's cycle collector off for the one command the process
     runs. The detector makes no reference cycles (a test pins this), so the
-    collector would only rescan the shadow cells and their reader lists,
+    collector would only rescan the shadow's entries and reader lists,
     over and over, and free nothing. It also sets up the process's logging
     from ``FUTURERD_LOG`` (off, info or debug; off by default). ``run_cli``
     and the library leave the collector and the logging alone; a program

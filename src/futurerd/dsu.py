@@ -10,7 +10,9 @@ and the returned set id *is* that element's id. ``add_element(sid)`` allocates
 a fresh element straight into a live set; it is the paper's MakeSet followed
 by Union, without the throwaway record, and counts as one of each. ``find(e)``
 maps any element to the id of the live set containing it, and
-``find_record(e)`` to that set's record.
+``find_record(e)`` to that set's record. A live set always holds the element
+that names it (``union_into(a, b)`` keeps ``a``), so the updates find a set's
+root from its id, and only roots map back to set ids.
 
 An S/P bag's record is its bare label, ``LABEL_S`` or ``LABEL_P``, which
 ``relabel`` replaces; a ``d_nsp`` set's record is a mutable ``NspRecord``.
@@ -31,7 +33,6 @@ class DisjointSets:
         self._parent: list[int] = []
         self._rank: list[int] = []
         self._sid_at: list[int] = []  # physical root -> live set id
-        self._root_of: dict[int, int] = {}  # live set id -> physical root
         self._records: dict[int, object] = {}
         self.make_count = 0
         self.find_count = 0
@@ -57,17 +58,18 @@ class DisjointSets:
 
         Amortized cost is the usual inverse-Ackermann bound.
         """
+        self.find_count += 1
         return self._sid_at[self._root(elem)]
 
     def find_record(self, elem: int):
         """``record(find(elem))`` in one call; counts as one find."""
+        self.find_count += 1
         return self._records[self._sid_at[self._root(elem)]]  # a root's set is always live
 
     def _root(self, elem: int) -> int:
-        """The physical root of ``elem``'s tree, compressing the path; one find."""
+        """The physical root of ``elem``'s tree, compressing the path; not counted."""
         if not 0 <= elem < len(self._parent):
             raise UsageError(f"unknown element {elem}")
-        self.find_count += 1
         parent = self._parent
         root = elem
         while parent[root] != root:
@@ -87,7 +89,6 @@ class DisjointSets:
         self._parent.append(e)
         self._rank.append(0)
         self._sid_at.append(e)
-        self._root_of[e] = e
         self._records[e] = record
         self.make_count += 1
         return e
@@ -98,9 +99,9 @@ class DisjointSets:
         Same result, counts and physical link as ``union_into(sid,
         make_set(...))``: the new element hangs under ``sid``'s root.
         """
-        root = self._root_of.get(sid)
-        if root is None:
+        if sid not in self._records:
             self._reject(sid)
+        root = self._root(sid)
         e = len(self._parent)
         self._parent.append(root)
         self._rank.append(0)
@@ -119,20 +120,17 @@ class DisjointSets:
         """
         if a == b:
             raise UsageError(f"union of set {a} with itself")
-        ra = self._root_of.get(a)
-        rb = self._root_of.get(b)
-        if ra is None:
+        if a not in self._records:
             self._reject(a)
-        if rb is None:
+        if b not in self._records:
             self._reject(b)
+        ra, rb = self._root(a), self._root(b)
         if self._rank[ra] < self._rank[rb]:
             ra, rb = rb, ra
         elif self._rank[ra] == self._rank[rb]:
             self._rank[ra] += 1
         self._parent[rb] = ra
         self._sid_at[ra] = a
-        self._root_of[a] = ra
-        del self._root_of[b]
         del self._records[b]
         self.union_count += 1
         return a

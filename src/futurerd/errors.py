@@ -30,15 +30,15 @@ class ParseError(InputError):
 
 
 class ClosureLimitError(InputError):
-    """The trace needs more attached sets than the closure dag may hold."""
+    """The trace needs more attached sets than the closure dag's budget admits."""
 
-    def __init__(self, attached_sets: int, limit: int):
+    def __init__(self, attached_sets: int, budget: int):
         super().__init__(
-            f"trace needs {attached_sets} attached sets, over the closure limit "
-            f"of {limit} (the closure takes up to k^2/8 bytes for k attached sets)"
+            f"the closure dag refuses {attached_sets} attached sets: its rows could take "
+            f"{attached_sets * attached_sets // 8:,} bytes, over the budget of {budget:,} bytes"
         )
         self.attached_sets = attached_sets
-        self.limit = limit
+        self.budget = budget
 
 
 class ReaderError(Exception):

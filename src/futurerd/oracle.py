@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from math import isqrt
 
 from .errors import InputError, UsageError
+from .shadow import READ_WRITE, WRITE_READ, WRITE_WRITE
 from .trace import (
     CREATE,
     GET,
@@ -184,11 +185,11 @@ def naive_races(dag: OracleDag) -> set[tuple[int, str, int, int]]:
                 if dag.reaches(sa, sb):
                     continue
                 if wa and wb:
-                    kind = "write-write"
+                    kind = WRITE_WRITE
                 elif wa:
-                    kind = "write-read"
+                    kind = WRITE_READ
                 else:
-                    kind = "read-write"
+                    kind = READ_WRITE
                 races.add((addr, kind, sa, sb))
     return races
 

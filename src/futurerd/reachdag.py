@@ -32,16 +32,17 @@ once and each window adopted once.
 
 The rows need about k²/16 bytes for k nodes, and k²/8 at worst; the owed
 bits add at most one row per closed window. ``add_node`` refuses to grow
-past ``MAX_NODES``.
+past ``MAX_NODES``, the most nodes whose rows fit ``CLOSURE_BUDGET``.
 """
 
 from __future__ import annotations
 
+from math import isqrt
+
 from .errors import ClosureLimitError, InvariantError, UsageError
 
-# 2^17 nodes is about 1 GiB of ancestor rows in the usual shape (row j holds
-# bits below j) and 2 GiB at worst.
-MAX_NODES = 1 << 17
+CLOSURE_BUDGET = 2 << 30  # bytes of ancestor rows, which take up to k²/8 for k nodes
+MAX_NODES = isqrt(8 * CLOSURE_BUDGET)  # the most nodes the budget admits: 2^17
 
 
 class ReachDag:
@@ -59,7 +60,7 @@ class ReachDag:
     def add_node(self) -> int:
         n = len(self._anc)
         if n >= MAX_NODES:
-            raise ClosureLimitError(n + 1, MAX_NODES)
+            raise ClosureLimitError(n + 1, CLOSURE_BUDGET)
         self._anc.append(0)
         self._win.append(-1)
         self._newest_is_sink = True

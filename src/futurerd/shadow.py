@@ -1,8 +1,10 @@
 """Access-history shadow memory.
 
 Per 4-byte word we keep the last writer strand and the list of reader strands
-since that write. Cells live in one dict keyed by word (``addr >> 2``) and
-are created on first touch, so memory is proportional to the distinct words
+since that write, in two dicts keyed by word (``addr >> 2``): the last writer
+by word, and the readers by word. A write drops the word's reader list, so a
+word written and not read since holds only its writer entry. Entries are
+made on first touch, so memory is proportional to the distinct words
 accessed, however sparse their addresses. Race checks go through a
 caller-supplied ``precedes`` callback so the table stays independent of the
 reachability algorithm in use; ``queries`` counts the calls it makes.
@@ -28,62 +30,52 @@ class RaceReport:
         return (self.addr, self.kind, self.prior, self.current)
 
 
-class _Cell:
-    __slots__ = ("last_writer", "readers")
-
-    def __init__(self):
-        self.last_writer = None
-        self.readers = []
-
-
 class ShadowTable:
     def __init__(self) -> None:
-        self._cells: dict[int, _Cell] = {}
+        self._writer: dict[int, int] = {}  # word -> last writer strand
+        self._readers: dict[int, list[int]] = {}  # word -> reader strands since that write
         self.queries = 0  # precedes calls made so far
 
     @property
     def cells_touched(self) -> int:
         """Number of distinct words accessed so far."""
-        return len(self._cells)
+        return len(self._writer.keys() | self._readers.keys())
 
     def on_read(self, addr: int, strand: int, precedes) -> RaceReport | None:
         """Record a read; report a race against an unordered last writer."""
-        cell = self._cells.get(addr >> 2)
-        if cell is None:
-            cell = self._cells[addr >> 2] = _Cell()
+        word = addr >> 2
         report = None
-        w = cell.last_writer
+        w = self._writer.get(word)
         if w is not None and w != strand:
             self.queries += 1
             if not precedes(w):
                 report = RaceReport(addr & ~3, WRITE_READ, w, strand)
-        readers = cell.readers
-        if not readers or readers[-1] != strand:
+        readers = self._readers.get(word)
+        if readers is None:
+            self._readers[word] = [strand]
+        elif readers[-1] != strand:
             readers.append(strand)
         return report
 
     def on_write(self, addr: int, strand: int, precedes) -> list[RaceReport]:
         """Record a write; report races against unordered readers and writer.
 
-        The reader list is emptied and the last writer replaced whether or
-        not races were found.
+        The word's reader list is dropped and its last writer replaced whether
+        or not races were found.
         """
-        cell = self._cells.get(addr >> 2)
-        if cell is None:
-            cell = self._cells[addr >> 2] = _Cell()
+        word = addr >> 2
         reports = []
         queries = 0
-        for r in cell.readers:
+        for r in self._readers.pop(word, ()):
             if r != strand:
                 queries += 1
                 if not precedes(r):
                     reports.append(RaceReport(addr & ~3, READ_WRITE, r, strand))
-        w = cell.last_writer
+        w = self._writer.get(word)
         if w is not None and w != strand:
             queries += 1
             if not precedes(w):
                 reports.append(RaceReport(addr & ~3, WRITE_WRITE, w, strand))
         self.queries += queries
-        cell.readers = []
-        cell.last_writer = strand
+        self._writer[word] = strand
         return reports

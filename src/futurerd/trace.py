@@ -579,7 +579,8 @@ def walk(seq: Iterable[Event], mode: str, reach=None, shadow=None, races=None,
     ``on_read``/``on_write`` with ``reach.precedes``, and each race report is
     stored in ``races`` under its ``key()``, first occurrence only. Hooks are
     bound when the walk starts; ``shadow`` and ``after_strand`` need a
-    ``reach``. Without hooks the walk makes no call per event.
+    ``reach``, and ``shadow`` needs ``races``. Without hooks the walk makes no
+    call per event.
 
     The walk keeps the frame stack, and each frame entry keeps the detector's
     record of that frame, so a detector keeps none of its own:
@@ -599,6 +600,8 @@ def walk(seq: Iterable[Event], mode: str, reach=None, shadow=None, races=None,
         raise UsageError(f"unknown mode {mode!r}")
     if reach is None and (shadow is not None or after_strand is not None):
         raise UsageError("a shadow or an after_strand hook needs a reach")
+    if shadow is not None and races is None:
+        raise UsageError("a shadow needs a races dict")
     report = ValidationReport(mode=mode)
     violations = report.violations
     single_touch = mode == MODE_STRUCTURED
@@ -618,7 +621,7 @@ def walk(seq: Iterable[Event], mode: str, reach=None, shadow=None, races=None,
 
     # handle -> the future's frame entry once it has returned, None before
     closed: dict[int, list | None] = {}
-    got: set[int] = set()
+    got: set[int] = set()  # handles gotten so far; structured mode only
     # one entry per open frame: [record, handle or None, unsynced spawned children's entries]
     frames: list[list] = [[reach.root if hooked else None, None, []]]
     reads = writes = spawns = creates = syncs = gets = rets = 0
@@ -674,7 +677,8 @@ def walk(seq: Iterable[Event], mode: str, reach=None, shadow=None, races=None,
                            f"get of handle {h} before its future returned")
                 elif single_touch and h in got:
                     bad = ("single-touch", f"handle {h} gotten more than once")
-            got.add(h)
+            if single_touch:
+                got.add(h)
         elif k == RET:
             rets += 1
             if len(frames) == 1:

@@ -505,14 +505,16 @@ def test_violation_outranks_an_earlier_hook_error(tmp_path, capsys):
 def test_closure_limit_exits_2_and_names_the_attached_sets(tmp_path, capsys, monkeypatch):
     out = tmp_path / "t.jsonl"
     run(["gen", "lcs-general", "--n", "3", "-o", str(out)])  # 31 attached sets
+    monkeypatch.setattr(reachdag, "CLOSURE_BUDGET", 3)  # 5 sets' rows take 5*5//8 bytes
     monkeypatch.setattr(reachdag, "MAX_NODES", 5)
     capsys.readouterr()
     assert run(["detect", "--algo", "plus", "--mode", "general",
                 "--trace", str(out), "--json"]) == cli.EXIT_BAD_INPUT
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith(
-        "error: trace needs 6 attached sets, over the closure limit of 5")
+    assert captured.err == (
+        "error: the closure dag refuses 6 attached sets: its rows could take 4 bytes, "
+        "over the budget of 3 bytes\n")
     # a fork-join trace keeps a single attached set, the root's
     fj = tmp_path / "fj.jsonl"
     run(["gen", "random", "--events", "300", "--p-create", "0", "--p-get", "0",

@@ -58,6 +58,23 @@ def test_n_minus_one_unions_leave_one_live_set():
     assert d.make_count - d.union_count == 1
 
 
+def test_a_set_whose_root_went_under_the_absorbed_sets_root_keeps_its_id():
+    d = DisjointSets()
+    a, b, c = d.make_set(LABEL_S), d.make_set(LABEL_P), d.make_set(LABEL_P)
+    d.union_into(b, c)  # b's tree now outranks a's
+    assert d.union_into(a, b) == a
+    assert d._parent[a] == b  # a's root went under the absorbed set's root
+    finds = d.find_count
+    e = d.add_element(a)
+    f = d.make_set(LABEL_P)
+    assert d.union_into(a, f) == a
+    assert d.find_count == finds  # the updates count no find
+    assert [d.find(x) for x in (a, b, c, e, f)] == [a] * 5
+    assert d.find_count == finds + 5
+    assert d.record(a) == LABEL_S and len(d) == 1
+    assert (d.make_count, d.union_count) == (5, 4)
+
+
 def test_relabel_and_attach_meta_roundtrip():
     d = DisjointSets()
     a = d.make_set(LABEL_S)

@@ -202,6 +202,19 @@ def test_every_entry_point_words_an_invalid_trace_the_same_way(run, seq, message
     assert type(exc.value) is InputError and str(exc.value) == message
 
 
+def test_replay_refuses_a_shadow_without_a_races_dict():
+    seq = seq_of(sp(1), wr(4), rt(), wr(4), sy())  # races at its second write
+    for run in (lambda shadow: engine.replay(seq, MultiBags(), shadow=shadow),
+                lambda shadow: trace.walk(seq, "structured", MultiBags(), shadow)):
+        shadow = ShadowTable()
+        with pytest.raises(UsageError, match="a shadow needs a races dict"):
+            run(shadow)
+        assert shadow.cells_touched == 0  # refused before the walk began
+    races = {}
+    engine.replay(seq, MultiBags(), ShadowTable(), races)
+    assert list(races) == [(4, WRITE_WRITE, 1, 2)]
+
+
 def test_detect_unknown_algo_or_mode():
     seq = seq_of()
     with pytest.raises(UsageError):

@@ -336,4 +336,9 @@ def test_add_node_refuses_to_grow_past_the_limit(monkeypatch):
 
 
 def test_default_limit_is_two_to_the_seventeen():
+    assert reachdag.CLOSURE_BUDGET == 2 << 30
     assert reachdag.MAX_NODES == 1 << 17
+    assert reachdag.MAX_NODES ** 2 // 8 == reachdag.CLOSURE_BUDGET
+    assert str(ClosureLimitError(reachdag.MAX_NODES + 1, reachdag.CLOSURE_BUDGET)) == (
+        "the closure dag refuses 131073 attached sets: its rows could take "
+        "2,147,516,416 bytes, over the budget of 2,147,483,648 bytes")

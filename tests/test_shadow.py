@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 from futurerd import oracle
@@ -11,7 +12,7 @@ NEVER = lambda u: False
 def test_read_of_untouched_word():
     t = ShadowTable()
     assert t.on_read(4096, 3, NEVER) is None
-    assert t._cells[4096 >> 2].readers == [3]
+    assert t._readers == {4096 >> 2: [3]} and t._writer == {}
 
 
 def test_ordered_write_then_read_is_clean():
@@ -35,8 +36,8 @@ def test_write_after_own_read_is_clean_and_clears():
     t = ShadowTable()
     t.on_read(128, 5, NEVER)
     assert t.on_write(128, 5, NEVER) == []
-    assert t._cells[128 >> 2].readers == []
-    assert t._cells[128 >> 2].last_writer == 5
+    assert 128 >> 2 not in t._readers
+    assert t._writer[128 >> 2] == 5
 
 
 def test_parallel_sibling_writes_race():
@@ -60,7 +61,7 @@ def test_three_parallel_readers_then_write():
         (64, "read-write", 2, 9),
         (64, "read-write", 3, 9),
     ]
-    assert t._cells[64 >> 2].readers == []
+    assert 64 >> 2 not in t._readers
 
 
 def test_consecutive_duplicate_readers_suppressed():
@@ -69,7 +70,7 @@ def test_consecutive_duplicate_readers_suppressed():
         t.on_read(32, 7, NEVER)
     t.on_read(32, 8, NEVER)
     t.on_read(32, 7, NEVER)
-    assert t._cells[32 >> 2].readers == [7, 8, 7]
+    assert t._readers[32 >> 2] == [7, 8, 7]
 
 
 def test_bytes_of_one_word_share_a_cell():
@@ -77,7 +78,8 @@ def test_bytes_of_one_word_share_a_cell():
     t.on_write(4096, 1, NEVER)
     rep = t.on_read(4096 + 3, 2, NEVER)
     assert rep is not None and rep.addr == 4096
-    assert t._cells[4096 >> 2] is t._cells[4099 >> 2] and t.cells_touched == 1
+    assert t._writer == {4096 >> 2: 1} and t._readers == {4099 >> 2: [2]}
+    assert t.cells_touched == 1
     assert t.on_read(4100, 2, NEVER) is None and t.cells_touched == 2
 
 
@@ -85,9 +87,7 @@ def test_far_apart_addresses_get_separate_cells():
     t = ShadowTable()
     t.on_write(1 << 12, 1, NEVER)
     t.on_write(1 << 40, 2, NEVER)
-    assert t._cells[(1 << 12) >> 2] is not t._cells[(1 << 40) >> 2]
-    assert t._cells[(1 << 12) >> 2].last_writer == 1
-    assert t._cells[(1 << 40) >> 2].last_writer == 2
+    assert t._writer == {(1 << 12) >> 2: 1, (1 << 40) >> 2: 2}
     assert t.cells_touched == 2
 
 
@@ -106,14 +106,54 @@ def test_sparse_writes_cost_memory_per_word_not_per_region():
     assert peak < 1 << 20
 
 
+def test_cells_touched_counts_words_read_or_written():
+    t = ShadowTable()
+    t.on_read(0, 1, NEVER)  # read only
+    t.on_write(4, 1, NEVER)  # written only
+    t.on_read(8, 1, NEVER)
+    t.on_write(8, 2, NEVER)  # read, then written: its reader list is gone
+    t.on_write(12, 1, NEVER)
+    t.on_read(12, 2, NEVER)  # written, then read
+    assert t.cells_touched == 4
+
+
+def test_a_word_written_and_not_read_since_keeps_no_reader_list():
+    # Each word is read once and then written, and not read again. What the
+    # table keeps for them must cost less than an empty list per word on top
+    # of one plain dict from word to strand.
+    n = 2000
+    addrs = [4 * i for i in range(1 << 16, (1 << 16) + n)]
+
+    def traced_bytes(fill):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            kept = fill()
+            return tracemalloc.get_traced_memory()[0] - before, kept
+        finally:
+            tracemalloc.stop()
+
+    def fill_table():
+        t = ShadowTable()
+        for a in addrs:
+            t.on_read(a, 1, ALWAYS)
+            t.on_write(a, 2, ALWAYS)
+        return t
+
+    plain, _ = traced_bytes(lambda: {a >> 2: 2 for a in addrs})
+    table, t = traced_bytes(fill_table)
+    assert t.cells_touched == n and t.queries == n
+    assert table - plain < n * sys.getsizeof([]) // 2, (table, plain)
+
+
 def test_reader_list_after_write_stays_small():
     t = ShadowTable()
     for s in range(6):
         t.on_read(16, s, ALWAYS)
     t.on_write(16, 9, ALWAYS)
-    assert len(t._cells[16 >> 2].readers) == 0
+    assert 16 >> 2 not in t._readers
     t.on_read(16, 10, ALWAYS)
-    assert len(t._cells[16 >> 2].readers) == 1
+    assert t._readers[16 >> 2] == [10]
 
 
 def test_query_count_bounded_by_two_m_plus_writes():
