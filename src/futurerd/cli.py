@@ -89,18 +89,16 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 @contextlib.contextmanager
-def _load(path: str, listed: bool = False):
+def _load(path: str):
     """The trace at ``path``, or on standard input for "-", parsed as it is walked.
 
     A ``trace.ReaderTrace`` parses it in a forked reader process, ahead of
     the one walk, and is closed, its reader killed and reaped, when the
     ``with`` block ends. Without ``os.fork``, or when the reader cannot
     start (no process or descriptor to spare), the walk parses a
-    ``trace.TraceFile`` itself. ``listed`` parses the trace into a list
-    first, in this process, for a command that walks it more than once:
-    standard input has one pass only. A trace that cannot be opened or
-    decoded raises ``OSError`` or ``UnicodeDecodeError``, which ``run_cli``
-    reports as bad input.
+    ``trace.TraceFile`` itself. A trace that cannot be opened or decoded
+    raises ``OSError`` or ``UnicodeDecodeError``, which ``run_cli`` reports
+    as bad input.
     """
     if path == "-":
         if sys.stdin is None:
@@ -108,17 +106,12 @@ def _load(path: str, listed: bool = False):
         seq = trace.TraceFile(stream=io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8"))
     else:
         seq = trace.load(path)
-    if listed:
-        yield trace.EventSequence(seq.events)
-    elif not hasattr(os, "fork"):
+    try:
+        reader = trace.ReaderTrace(seq) if hasattr(os, "fork") else contextlib.nullcontext(seq)
+    except ReaderError:
+        reader = contextlib.nullcontext(seq)
+    with reader as seq:
         yield seq
-    else:
-        try:
-            reader = trace.ReaderTrace(seq)
-        except ReaderError:
-            reader = contextlib.nullcontext(seq)
-        with reader as seq:
-            yield seq
 
 
 def _write(path: str, text: str) -> None:
@@ -131,15 +124,15 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_detect(args) -> int:
-    listed = args.dump_dag is not None  # a second walk, so the trace is listed first
-    start, cpu = time.perf_counter(), time.process_time()
-    with _load(args.trace, listed=listed) as seq:
-        parse_cpu = time.process_time() - cpu if listed else None
+    start = time.perf_counter()
+    with _load(args.trace) as seq:
         walk_start = time.perf_counter()
-        report = engine.detect(seq, args.algo, args.mode)
+        dag = oracle.OracleDag() if args.dump_dag else None
+        events = seq if dag is None else oracle.follow(dag, seq)
+        report = engine.detect(events, args.algo, args.mode)
         end = time.perf_counter()
-    if args.dump_dag:  # the walk has validated the trace, in a mode at least as strict
-        _write(args.dump_dag, oracle.to_dot(oracle.build_valid(seq)))
+    if args.dump_dag:  # built by the walk that has accepted the trace
+        _write(args.dump_dag, oracle.to_dot(dag))
     if args.json:
         print(report.to_json())
     else:
@@ -151,9 +144,7 @@ def _cmd_detect(args) -> int:
             for key, val in asdict(report.stats).items():
                 print(f"  {key}: {val}")
             if isinstance(seq, trace.ReaderTrace):  # the reader's CPU, beside the walk
-                parse_cpu = seq.parse_s
-            if parse_cpu is not None:
-                print(f"  parse_cpu: {parse_cpu:.6f}s")
+                print(f"  parse_cpu: {seq.parse_s:.6f}s")
                 print(f"  replay: {end - walk_start:.6f}s")
             else:  # the walk reads and parses the trace as it goes
                 print(f"  parse+replay: {end - walk_start:.6f}s")
@@ -162,7 +153,7 @@ def _cmd_detect(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with _load(args.trace, listed=True) as seq:
+    with _load(args.trace) as seq:
         report = engine.verify(seq, args.algo, sample=args.sample, seed=args.seed)
     if report.divergence is not None:
         print(f"DIVERGENCE {report.divergence.describe()}", file=sys.stderr)

@@ -200,19 +200,22 @@ def verify(seq: Iterable[Event], algo: str, sample: int | None = None,
 
     Below EXHAUSTIVE_LIMIT strands (and when ``sample`` is unset) every
     (executed strand, current strand) pair is checked; larger traces check a
-    seeded sample per step. Either way the final race sets are checked
-    against the race contract (see ``VerifyReport``).
+    seeded sample of ``sample`` (32 if unset, ``UsageError`` below 1) per
+    step. Either way the final race sets are checked against the race
+    contract (see ``VerifyReport``).
 
     ``seq``, any iterable ``detect`` takes, is read into a list once, which is
-    walked three times: the grammar check, the dag's own replay, and the
-    detector's. The grammar check refuses an invalid trace with the
-    ``InputError`` that ``replay`` raises, before the dag is built.
+    walked twice: the grammar check, which counts the strands and refuses an
+    invalid trace with ``replay``'s ``InputError``, then the detector's
+    replay, which builds the dag through ``oracle.follow`` as it goes.
     """
+    if sample is not None and sample < 1:
+        raise UsageError(f"verify's sample must be at least 1, got {sample}")
     mode = MODE_STRUCTURED if algo == ALGO_MULTIBAGS else MODE_GENERAL
     seq = list(iter(seq))  # not list(seq), whose length hint would parse a TraceFile
     strands = validate(seq, mode).counts_or_raise().strands
     oracle_mod.check_reach_budget(strands)
-    dag = oracle_mod.build_valid(seq)  # valid in ``mode``, so in general mode too
+    dag = oracle_mod.OracleDag()
     reach = make_reachability(algo)
     shadow = ShadowTable()
     rng = random.Random(seed)
@@ -237,7 +240,7 @@ def verify(seq: Iterable[Event], algo: str, sample: int | None = None,
                 raise _Stop()
 
     try:
-        replay(seq, reach, shadow, races, after_strand, mode)
+        replay(oracle_mod.follow(dag, seq), reach, shadow, races, after_strand, mode)
     except _Stop:
         log.info("verify diverged: %s", report.divergence.describe())
         return report

@@ -2,14 +2,14 @@
 
 The dag makes every control dependence explicit (continue, spawn, create,
 join, and get edges), keeps the per-strand access log, and answers
-reachability from memoized descendant bitsets. It exists to check the
-on-the-fly detectors, so it favors obviousness over speed and refuses traces
-whose bitsets could pass ``REACH_BUDGET``.
+reachability from ancestor bitsets; ``follow`` builds it as a walk reads the
+trace. It exists to check the on-the-fly detectors, so it favors obviousness
+over speed and refuses traces whose bitsets could pass ``REACH_BUDGET``.
 """
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass, field
 from math import isqrt
 
@@ -28,8 +28,8 @@ from .trace import (
     validate,
 )
 
-# The descendant bitsets take up to S²/8 bytes for S strands, and about
-# S²/16 in the usual shape.
+# The budget charges S²/8 bytes for the bitsets of S strands. The ancestor
+# row of strand v holds v bits, so the rows take about half of that.
 REACH_BUDGET = 256 << 20
 REACH_CAP = isqrt(8 * REACH_BUDGET)  # the most strands the budget admits: 46,340
 
@@ -61,7 +61,7 @@ class OracleDag:
     first_of: dict[int, int] = field(default_factory=dict)
     sink_of: dict[int, int] = field(default_factory=dict)
     getters_of: dict[int, list[int]] = field(default_factory=dict)
-    _desc: list[int] | None = None
+    _anc: list[int] | None = None  # bit u of row v: u reaches v; kept from the first query
 
     @property
     def n_edges(self) -> int:
@@ -76,43 +76,55 @@ class OracleDag:
         """True iff there is a nonempty directed path from u to v."""
         if not (0 <= u < self.n and 0 <= v < self.n):
             raise UsageError(f"unknown strand in reaches({u}, {v})")
-        if self._desc is None:
+        if self._anc is None:
             check_reach_budget(self.n)
-            desc = [0] * self.n
-            for x in range(self.n - 1, -1, -1):
-                m = 0
+            anc = [0] * self.n
+            for x in range(self.n):  # ids are a topological order, so row x is final here
+                m = anc[x] | (1 << x)
                 for w, _ in self.out[x]:
-                    m |= desc[w] | (1 << w)
-                desc[x] = m
-            self._desc = desc
-        return bool((self._desc[u] >> v) & 1)
+                    anc[w] |= m
+            self._anc = anc
+        return bool((self._anc[v] >> u) & 1)
+
+    def _add(self, frame_kind: str, *edges: tuple[int, str]) -> int:
+        """Add the next strand, entered by an edge from each ``(pred, kind)``."""
+        v = self.n
+        self.n += 1
+        self.out.append([])
+        self.node_kinds.append(set())
+        self.frame_kind.append(frame_kind)
+        self.accesses.append([])
+        for u, kind in edges:
+            self.out[u].append((v, kind))
+        if self._anc is not None:  # every edge enters v, so its row is final here
+            row = 0
+            for u, _ in edges:
+                row |= self._anc[u] | (1 << u)
+            self._anc.append(row)
+        return v
 
 
 def build(seq: Iterable[Event]) -> OracleDag:
-    """Replay a trace into an explicit dag; an invalid trace raises ``replay``'s InputError."""
-    seq = list(iter(seq))  # walked twice, so a one-pass iterator is listed first
-    validate(seq, MODE_GENERAL).counts_or_raise()
-    return build_valid(seq)
-
-
-def build_valid(seq: Iterable[Event]) -> OracleDag:
-    """``build`` for an iterable of ``(kind, fn, handle, addr)`` events that has
-    already passed ``validate``; it reads them once and checks nothing."""
+    """The dag of a trace, in one walk; an invalid trace raises ``replay``'s InputError."""
     dag = OracleDag()
+    validate(follow(dag, seq), MODE_GENERAL).counts_or_raise()
+    return dag
 
-    def new_node(frame_kind: str) -> int:
-        dag.out.append([])
-        dag.node_kinds.append(set())
-        dag.frame_kind.append(frame_kind)
-        dag.accesses.append([])
-        dag.n += 1
-        return dag.n - 1
 
+def follow(dag: OracleDag, seq: Iterable[Event]) -> Iterator[Event]:
+    """The events of ``seq``, any iterable of ``(kind, fn, handle, addr)`` events,
+    each added to the empty ``dag`` just before it is yielded.
+
+    Only a ``ret``, ``sync`` or ``get`` that can be joined is placed. The dag
+    stops growing at the first event it cannot place, which the walk reading
+    the events refuses, as its checks include these.
+    """
     # per open frame: [kind, handle, cont_pred strand, LIFO child-sink stack]
     frames: list[list] = [["root", None, None, []]]
-    cur = new_node("root")
-
-    for k, _, h, a in seq:
+    cur = dag._add("root")
+    seq = iter(seq)
+    for ev in seq:
+        k, _, h, a = ev
         if k == READ or k == WRITE:
             # keyed by word, like the shadow memory and its race reports
             dag.accesses[cur].append((a & ~3, k))
@@ -120,41 +132,36 @@ def build_valid(seq: Iterable[Event]) -> OracleDag:
             dag.node_kinds[cur].add("spawn" if k == SPAWN else "creator")
             frames[-1][2] = cur
             frames.append([k, h, None, []])
-            child = new_node(k)
-            dag.out[cur].append((child, SPAWN_EDGE if k == SPAWN else CREATE_EDGE))
+            child = dag._add(k, (cur, SPAWN_EDGE if k == SPAWN else CREATE_EDGE))
             if k == CREATE:
                 dag.creator_of[h] = cur
                 dag.first_of[h] = child
                 dag.getters_of.setdefault(h, [])
             cur = child
-        elif k == RET:
+        elif k == RET and len(frames) > 1:
             kind, handle, _, _ = frames.pop()
             if kind == SPAWN:
                 frames[-1][3].append(cur)
             else:
                 dag.sink_of[handle] = cur
-            nxt = new_node(frames[-1][0])
-            dag.out[frames[-1][2]].append((nxt, CONTINUE_EDGE))
-            cur = nxt
-        elif k == SYNC:
-            child_sink = frames[-1][3].pop()
-            nxt = new_node(frames[-1][0])
-            dag.out[cur].append((nxt, CONTINUE_EDGE))
-            dag.out[child_sink].append((nxt, JOIN_EDGE))
-            dag.node_kinds[nxt].add("sync")
-            cur = nxt
-        else:  # GET
-            nxt = new_node(frames[-1][0])
-            dag.out[cur].append((nxt, CONTINUE_EDGE))
-            dag.out[dag.sink_of[h]].append((nxt, GET_EDGE))
-            dag.node_kinds[nxt].add("getter")
-            dag.getters_of[h].append(nxt)
-            cur = nxt
+            cur = dag._add(frames[-1][0], (frames[-1][2], CONTINUE_EDGE))
+        elif k == SYNC and frames[-1][3]:
+            cur = dag._add(frames[-1][0], (cur, CONTINUE_EDGE),
+                           (frames[-1][3].pop(), JOIN_EDGE))
+            dag.node_kinds[cur].add("sync")
+        elif k == GET and h in dag.sink_of:
+            cur = dag._add(frames[-1][0], (cur, CONTINUE_EDGE), (dag.sink_of[h], GET_EDGE))
+            dag.node_kinds[cur].add("getter")
+            dag.getters_of[h].append(cur)
+        else:  # an event the walk refuses: pass the rest through
+            yield ev
+            yield from seq
+            return
+        yield ev
 
     for kinds in dag.node_kinds:
         if not kinds:
             kinds.add("regular")
-    return dag
 
 
 def naive_races(dag: OracleDag) -> set[tuple[int, str, int, int]]:
@@ -166,12 +173,7 @@ def naive_races(dag: OracleDag) -> set[tuple[int, str, int, int]]:
     """
     by_addr: dict[int, list[tuple[int, bool]]] = {}
     for s in range(dag.n):
-        seen = set()
-        for addr, rw in dag.accesses[s]:
-            key = (addr, rw)
-            if key in seen:
-                continue
-            seen.add(key)
+        for addr, rw in dict.fromkeys(dag.accesses[s]):  # each (addr, rw) once
             by_addr.setdefault(addr, []).append((s, rw == WRITE))
     races = set()
     for addr, accs in by_addr.items():

@@ -101,8 +101,8 @@ def test_detect_stats_prints_the_phase_timings(tmp_path, capsys):
     assert set(secs) == {"parse+replay", "elapsed"}
     assert min(secs.values()) >= 0
     assert secs["elapsed"] >= secs["parse+replay"]
-    # --dump-dag walks the trace twice, so it parses it into a list first: the
-    # CPU seconds of that parse, and the walk's wall seconds.
+    # --dump-dag builds the dag inside the one walk, so the forked reader
+    # parses the trace beside it, as without --dump-dag.
     assert run(argv + ["--stats", "--dump-dag", str(tmp_path / "t.dot")]) == cli.EXIT_RACES
     secs = _timings(capsys.readouterr().out)
     assert set(secs) == {"parse_cpu", "replay", "elapsed"}
@@ -663,6 +663,26 @@ def test_dump_dag_of_an_invalid_trace_exits_2_and_writes_nothing(events, algo, m
                 "--dump-dag", str(dot)]) == cli.EXIT_BAD_INPUT
     assert capsys.readouterr().err == f"error: {message}\n"
     assert not dot.exists()
+
+
+def test_dump_dag_from_stdin_writes_the_file_the_path_writes(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "race.jsonl"
+    run(["gen", "lcs-general", "--n", "4", "--inject-race", "-o", str(path)])
+    argv = ["detect", "--algo", "plus", "--mode", "general", "--dump-dag"]
+    from_path, from_stdin = tmp_path / "path.dot", tmp_path / "stdin.dot"
+    assert run(argv + [str(from_path), "--trace", str(path)]) == cli.EXIT_RACES
+    _stdin(monkeypatch, path.read_bytes())
+    assert run(argv + [str(from_stdin), "--trace", "-"]) == cli.EXIT_RACES
+    assert from_stdin.read_text() == from_path.read_text() == oracle.to_dot(
+        oracle.build(trace.load(path)))
+    # An invalid trace on standard input writes no file either.
+    capsys.readouterr()
+    _stdin(monkeypatch, trace.serialize(seq_of(sp(1), wr(64), rt(), wr(64), sy(), sy())).encode())
+    invalid = tmp_path / "invalid.dot"
+    assert run(argv + [str(invalid), "--trace", "-"]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == (
+        "error: invalid trace (1 violation(s)): sync with no outstanding spawned child\n")
+    assert not invalid.exists()
 
 
 def test_gen_round_trips_through_files(tmp_path):

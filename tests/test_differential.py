@@ -10,16 +10,28 @@ create, which ends ``plus``'s dormancy, runs under many open spawn windows.
 """
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from futurerd import cli, engine
 from futurerd.errors import InputError
 from futurerd.generators import gen_random
 from futurerd.multibags_plus import MultiBagsPlus
-from futurerd.trace import (ACCESS_KINDS, CREATE, MODE_GENERAL, MODE_STRUCTURED, RET, SPAWN,
-                            EventSequence, serialize, validate)
+from futurerd.trace import (ACCESS_KINDS, CREATE, GET, MODE_GENERAL, MODE_STRUCTURED, RET,
+                            SPAWN, EventSequence, serialize, validate)
 from helpers import cr, deep_fork_join_then, desugar_spawns, fold_words, gt, rd, rt, wr
+
+
+def _first_gets_only(seq) -> EventSequence:
+    gotten = set()
+    events = []
+    for ev in seq.events:
+        if ev.kind == GET:
+            if ev.handle in gotten:
+                continue
+            gotten.add(ev.handle)
+        events.append(ev)
+    return EventSequence(events)
 
 
 @st.composite
@@ -27,12 +39,14 @@ def traces(draw):
     """(trace, shape) drawn from gen_random.
 
     A structured trace is fork-join only, and may have its spawns rewritten
-    as single-touch futures. Folding maps the addresses onto a few words, so
-    words are written many times.
+    as single-touch futures, or is a general draw with each handle's repeat
+    ``get``s dropped, kept when MultiBags accepts it: its creates and gets
+    need not nest. Folding maps the addresses onto a few words, so words are
+    written many times.
     """
-    shape = draw(st.sampled_from(["general", "fork-join", "desugared"]))
+    shape = draw(st.sampled_from(["general", "fork-join", "desugared", "single-touch"]))
     p_spawn = draw(st.floats(0.05, 0.3))
-    if shape == "general":
+    if shape in ("general", "single-touch"):
         p_create = draw(st.floats(0.0, 0.25))
         p_get = draw(st.floats(0.0, 0.3))
     else:
@@ -43,6 +57,14 @@ def traces(draw):
                      inject_race=draw(st.booleans()))
     if shape == "desugared":
         seq = desugar_spawns(seq)
+    elif shape == "single-touch":
+        seq = _first_gets_only(seq)
+        assume(validate(seq, MODE_STRUCTURED).ok)
+        try:
+            engine.detect(seq, "multibags", "structured")
+        except InputError as exc:
+            assert "creator of handle" in str(exc)
+            assume(False)
     if draw(st.booleans()):
         seq = fold_words(seq, draw(st.integers(1, 6)), seed)
     return seq, shape

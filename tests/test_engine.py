@@ -146,9 +146,9 @@ def test_detect_verify_and_their_errors_leave_no_cyclic_garbage(monkeypatch):
         gc.enable()
 
 
-def test_verify_parses_a_trace_file_once_and_walks_it_three_times(tmp_path, monkeypatch):
-    path = tmp_path / "t.jsonl"
-    trace.dump(gen_random(n_events=120, p_spawn=0.15, p_create=0.1, p_get=0.08, seed=3), path)
+def _counted_passes_and_walks(monkeypatch):
+    """A ``TraceFile`` subclass that logs its passes, and the log of the walks
+    made through ``engine.validate``, ``oracle.validate`` and ``engine.walk``."""
     passes, walks = [], []
 
     class Counted(trace.TraceFile):
@@ -164,11 +164,28 @@ def test_verify_parses_a_trace_file_once_and_walks_it_three_times(tmp_path, monk
 
     monkeypatch.setattr(engine, "validate", counted("validate", trace.validate))
     monkeypatch.setattr(oracle, "validate", counted("oracle.validate", trace.validate))
-    monkeypatch.setattr(oracle, "build_valid", counted("oracle loop", oracle.build_valid))
     monkeypatch.setattr(engine, "walk", counted("replay", trace.walk))
+    return Counted, passes, walks
+
+
+def test_verify_parses_a_trace_file_once_and_walks_it_twice(tmp_path, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    trace.dump(gen_random(n_events=120, p_spawn=0.15, p_create=0.1, p_get=0.08, seed=3), path)
+    Counted, passes, walks = _counted_passes_and_walks(monkeypatch)
     assert engine.verify(Counted(path), "plus").ok
     assert passes == [path]
-    assert walks == ["validate", "oracle loop", "replay"]
+    assert walks == ["validate", "replay"]  # the replay builds the dag as it goes
+
+
+def test_oracle_build_parses_a_trace_file_once_and_walks_it_once(tmp_path, monkeypatch):
+    seq = gen_random(n_events=120, p_spawn=0.15, p_create=0.1, p_get=0.08, seed=3)
+    path = tmp_path / "t.jsonl"
+    trace.dump(seq, path)
+    Counted, passes, walks = _counted_passes_and_walks(monkeypatch)
+    dag = oracle.build(Counted(path))
+    assert passes == [path]
+    assert walks == ["oracle.validate"]
+    assert dag.n == seq.counts.strands and list(dag.edges()) == list(oracle.build(seq).edges())
 
 
 def test_detect_rejects_invalid_trace_with_violations():
@@ -344,6 +361,13 @@ def test_verify_samples_large_traces():
     rep2 = engine.verify(seq, "plus", sample=4, seed=1)
     assert rep2.ok and rep2.checked <= 4 * seq.counts.strands
     assert rep2.detector_races == rep2.oracle_races
+
+
+@pytest.mark.parametrize("sample", [0, -2])
+def test_verify_refuses_a_sample_below_one(sample):
+    # 0 would check no answer and report ok; -2 would fail in random.sample
+    with pytest.raises(UsageError, match=f"sample must be at least 1, got {sample}"):
+        engine.verify(gen_random(n_events=200, seed=1), "plus", sample=sample)
 
 
 def test_verify_race_sets_compared():

@@ -2,9 +2,10 @@ import random
 
 import pytest
 
-from futurerd import oracle
+from futurerd import engine, oracle
 from futurerd.errors import InputError
-from futurerd.generators import gen_lcs_structured, gen_random
+from futurerd.generators import gen_lcs_general, gen_lcs_structured, gen_random
+from futurerd.multibags_plus import MultiBagsPlus
 from futurerd.trace import EventSequence, iterparse, serialize
 from helpers import cr, gt, rd, rt, seq_of, sp, sy, wr
 
@@ -12,11 +13,49 @@ from helpers import cr, gt, rd, rt, seq_of, sp, sy, wr
 def test_the_dag_reads_plain_event_tuples_and_the_iterparse_iterator():
     for seq in (gen_lcs_structured(3, seed=1, inject_race=True),
                 gen_random(n_events=400, p_spawn=0.15, p_create=0.1, p_get=0.1, seed=2)):
-        dag = oracle.build_valid(seq)
-        for other in (oracle.build_valid([tuple(e) for e in seq]),
+        dag = oracle.OracleDag()
+        assert list(oracle.follow(dag, seq)) == list(seq)  # yielded as they came
+        for other in (oracle.build([tuple(e) for e in seq]),
                       oracle.build(iterparse(serialize(seq)))):
             assert (other.out, other.accesses, other.node_kinds) == (
                 dag.out, dag.accesses, dag.node_kinds)
+
+
+def _asked_as_the_walk_reads(seq, first_query):
+    """``reaches(u, s)`` for every ``u < s``, at each strand ``s`` from
+    ``first_query`` on, asked while a walk reads ``seq`` through ``follow``."""
+    dag = oracle.OracleDag()
+    answers = {}
+
+    def ask(s):
+        if s >= first_query:
+            answers[s] = [dag.reaches(u, s) for u in range(s)]
+
+    engine.replay(oracle.follow(dag, seq), MultiBagsPlus(), after_strand=ask)
+    return answers
+
+
+@pytest.mark.parametrize("seq", [
+    gen_lcs_structured(4, seed=1, inject_race=True),
+    gen_lcs_general(4, seed=2, inject_race=True),
+    *(gen_random(n_events=300, p_spawn=0.15, p_create=0.12, p_get=0.1, seed=seed)
+      for seed in range(3)),
+], ids=["lcs-structured", "lcs-general", "random-0", "random-1", "random-2"])
+def test_rows_kept_as_the_walk_reads_match_rows_built_in_one_pass(seq):
+    built = oracle.build(seq)
+    # Rows first built at strand 1, or over half the trace, then kept online.
+    for first_query in (1, built.n // 2):
+        answers = _asked_as_the_walk_reads(seq, first_query)
+        assert list(answers) == list(range(first_query, built.n))
+        for s, row in answers.items():
+            assert row == [built.reaches(u, s) for u in range(s)], (first_query, s)
+
+
+def test_follow_stops_growing_at_an_event_it_cannot_place_and_yields_the_rest():
+    events = [sp(1), rt(), sy(), sy(), gt(7), wr(4), rt()]
+    dag = oracle.OracleDag()
+    assert list(oracle.follow(dag, events)) == events
+    assert dag.n == 4 and dag.accesses == [[], [], [], []]  # root, child, continuation, sync
 
 
 def test_empty_trace_is_one_node_no_edges():
