@@ -1,4 +1,12 @@
-"""On-the-fly determinacy-race detection for task-parallel traces with futures."""
+"""On-the-fly determinacy-race detection for task-parallel traces with futures.
+
+The brute-force dag (``oracle``) and the trace generators (``generators``)
+serve ``verify``, ``gen`` and ``detect --dump-dag`` only, so ``detect`` does
+not import them: their modules, and the names this package exports from
+them, load on first access.
+"""
+
+import importlib
 
 from .dsu import LABEL_P, LABEL_S, DisjointSets
 from .engine import (
@@ -13,10 +21,8 @@ from .engine import (
     verify,
 )
 from .errors import InputError, InvariantError, ParseError, UsageError
-from .generators import gen_lcs_general, gen_lcs_structured, gen_random
 from .multibags import MultiBags
 from .multibags_plus import MultiBagsPlus, NspRecord
-from .oracle import OracleDag, build, longest_path, naive_races, to_dot
 from .reachdag import ReachDag
 from .shadow import RaceReport, ShadowTable
 from .trace import (
@@ -82,3 +88,24 @@ __all__ = [
     "validate",
     "verify",
 ]
+
+# module -> the names exported from it, both loaded on first access (PEP 562)
+_LAZY = {
+    "generators": ("gen_lcs_general", "gen_lcs_structured", "gen_random"),
+    "oracle": ("OracleDag", "build", "longest_path", "naive_races", "to_dot"),
+}
+
+
+def __getattr__(name: str):
+    for module, names in _LAZY.items():
+        if name == module or name in names:
+            loaded = importlib.import_module(f"{__name__}.{module}")
+            if name == module:
+                return loaded
+            value = globals()[name] = getattr(loaded, name)  # found directly from now on
+            return value
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__, *_LAZY})

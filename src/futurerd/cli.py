@@ -20,14 +20,11 @@ import contextlib
 import gc
 import io
 import json
-import logging
 import os
 import sys
 import time
-import traceback
-from dataclasses import asdict
 
-from . import engine, generators, oracle, trace
+from . import engine, trace
 from .errors import InputError, InvariantError, ReaderError, UsageError
 
 EXIT_OK = 0
@@ -124,11 +121,16 @@ def _write(path: str, text: str) -> None:
 
 
 def _cmd_detect(args) -> int:
+    startup_cpu = time.process_time()  # the interpreter, ``site`` and the imports
     start = time.perf_counter()
     with _load(args.trace) as seq:
         walk_start = time.perf_counter()
-        dag = oracle.OracleDag() if args.dump_dag else None
-        events = seq if dag is None else oracle.follow(dag, seq)
+        events = seq
+        if args.dump_dag:
+            from . import oracle
+
+            dag = oracle.OracleDag()
+            events = oracle.follow(dag, seq)
         report = engine.detect(events, args.algo, args.mode)
         end = time.perf_counter()
     if args.dump_dag:  # built by the walk that has accepted the trace
@@ -141,7 +143,7 @@ def _cmd_detect(args) -> int:
                 print(f"race {r.kind} at 0x{r.addr:x}: strand {r.prior} vs strand {r.current}")
         print(f"{len(report.races)} race(s) found")
         if args.stats:
-            for key, val in asdict(report.stats).items():
+            for key, val in report.stats._asdict().items():
                 print(f"  {key}: {val}")
             if isinstance(seq, trace.ReaderTrace):  # the reader's CPU, beside the walk
                 print(f"  parse_cpu: {seq.parse_s:.6f}s")
@@ -149,6 +151,7 @@ def _cmd_detect(args) -> int:
             else:  # the walk reads and parses the trace as it goes
                 print(f"  parse+replay: {end - walk_start:.6f}s")
             print(f"  elapsed: {end - start:.6f}s")
+            print(f"  startup_cpu: {startup_cpu:.6f}s")
     return EXIT_RACES if report.races else EXIT_OK
 
 
@@ -169,6 +172,8 @@ def _cmd_verify(args) -> int:
 
 
 def _cmd_gen(args) -> int:
+    from . import generators
+
     try:  # a generator's UsageError names a bad command-line argument here
         if args.family == "random":
             seq = generators.gen_random(
@@ -234,7 +239,8 @@ def main() -> None:
     runs. The detector makes no reference cycles (a test pins this), so the
     collector would only rescan the shadow's entries and reader lists,
     over and over, and free nothing. It also sets up the process's logging
-    from ``FUTURERD_LOG`` (off, info or debug; off by default). ``run_cli``
+    from ``FUTURERD_LOG`` (off, info or debug; off by default), and imports
+    ``logging`` only to do so. ``run_cli``
     and the library leave the collector and the logging alone; a program
     that calls ``detect`` on large traces may turn the collector off itself.
 
@@ -243,12 +249,16 @@ def main() -> None:
     traceback and exits 3.
     """
     gc.disable()
-    level = {"info": logging.INFO, "debug": logging.DEBUG}.get(
-        os.environ.get("FUTURERD_LOG", "off").lower(), logging.CRITICAL + 10)
-    logging.basicConfig(level=level, format="futurerd: %(message)s")
+    level = os.environ.get("FUTURERD_LOG", "off").lower()
+    if level in ("info", "debug"):  # ``logging`` is imported only then
+        import logging
+
+        logging.basicConfig(level=level.upper(), format="futurerd: %(message)s")
     try:
         code = run_cli()
     except Exception:
+        import traceback
+
         traceback.print_exc()
         code = EXIT_BROKEN
     sys.exit(code)

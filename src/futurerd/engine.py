@@ -6,12 +6,10 @@ the harness that checks the on-the-fly answers against the brute-force dag.
 from __future__ import annotations
 
 import json
-import logging
-import random
+import sys
 from collections.abc import Iterable
-from dataclasses import asdict, dataclass, field
+from typing import NamedTuple
 
-from . import oracle as oracle_mod
 from .errors import InputError, InvariantError, UsageError
 from .multibags import MultiBags
 from .multibags_plus import MultiBagsPlus
@@ -30,13 +28,23 @@ ALGO_PLUS = "plus"
 
 EXHAUSTIVE_LIMIT = 300  # strands; above this, verify samples per step
 
-log = logging.getLogger("futurerd.engine")
+
+def _log_info(msg: str, *args) -> None:
+    """Log ``msg`` at INFO on the ``futurerd.engine`` logger.
+
+    ``logging`` takes a few milliseconds to import, which the command pays
+    only under ``FUTURERD_LOG``. A process that has not imported it has set
+    up no handler, so the line would go nowhere, and it is dropped unformatted.
+    """
+    logging = sys.modules.get("logging")
+    if logging is not None:
+        logging.getLogger("futurerd.engine").info(msg, *args)
 
 
-@dataclass
-class Stats:
+class Stats(NamedTuple):
     """Counts of one ``detect`` run, all fixed by the trace and the algorithm:
-    no timing, so a report is reproducible; a caller times the call itself."""
+    no timing, so a report is reproducible; a caller times the call itself.
+    Immutable; ``_asdict()`` gives the fields in order."""
 
     t1_events: int = 0
     m: int = 0  # memory accesses
@@ -50,8 +58,9 @@ class Stats:
     both_attached_syncs: int = 0
 
 
-@dataclass
-class DetectReport:
+class DetectReport(NamedTuple):
+    """What ``detect`` found: the races in first-occurrence order, and the counts."""
+
     algo: str
     mode: str
     races: list[RaceReport]
@@ -65,7 +74,7 @@ class DetectReport:
                 {"addr": r.addr, "kind": r.kind, "prior": r.prior, "current": r.current}
                 for r in self.races
             ],
-            "stats": asdict(self.stats),
+            "stats": self.stats._asdict(),
         }
 
     def to_json(self) -> str:
@@ -79,13 +88,14 @@ class DetectReport:
             f'{{"addr":{r.addr},"kind":"{r.kind}","prior":{r.prior},"current":{r.current}}}'
             for r in self.races
         ])
-        stats = json.dumps(asdict(self.stats), separators=(",", ":"))
+        stats = json.dumps(self.stats._asdict(), separators=(",", ":"))
         return (f'{{"algo":{json.dumps(self.algo)},"mode":{json.dumps(self.mode)},'
                 f'"races":[{races}],"stats":{stats}}}')
 
 
-@dataclass
-class Divergence:
+class Divergence(NamedTuple):
+    """The first reachability answer on which the detector and the dag split."""
+
     strand: int  # the strand that was current when the answers split
     u: int
     detector: bool
@@ -98,9 +108,9 @@ class Divergence:
         )
 
 
-@dataclass
 class VerifyReport:
-    """Outcome of ``verify``.
+    """Outcome of ``verify``: ``checked`` answers compared, the first
+    ``divergence`` if any, and both race sets as ``key()`` tuples.
 
     The race contract is the shadow memory's: every reported pair is a race
     of the brute-force dag (soundness), and every word with a race there has
@@ -109,12 +119,13 @@ class VerifyReport:
     and clears the readers.
     """
 
-    algo: str
-    strands: int
-    checked: int = 0
-    divergence: Divergence | None = None
-    detector_races: set = field(default_factory=set)
-    oracle_races: set = field(default_factory=set)
+    def __init__(self, algo: str, strands: int) -> None:
+        self.algo = algo
+        self.strands = strands
+        self.checked = 0
+        self.divergence: Divergence | None = None
+        self.detector_races: set = set()
+        self.oracle_races: set = set()
 
     @property
     def unsound_races(self) -> set:
@@ -184,7 +195,7 @@ def detect(seq: Iterable[Event], algo: str, mode: str) -> DetectReport:
         raise InvariantError(
             f"query budget exceeded: {stats.queries} > 2*{stats.m}+{c.writes}"
         )
-    log.info(
+    _log_info(
         "detect algo=%s mode=%s strands=%d races=%d", algo, mode, c.strands, len(races)
     )
     return DetectReport(algo=algo, mode=mode, races=list(races.values()), stats=stats)
@@ -209,6 +220,10 @@ def verify(seq: Iterable[Event], algo: str, sample: int | None = None,
     invalid trace with ``replay``'s ``InputError``, then the detector's
     replay, which builds the dag through ``oracle.follow`` as it goes.
     """
+    import random
+
+    from . import oracle as oracle_mod
+
     if sample is not None and sample < 1:
         raise UsageError(f"verify's sample must be at least 1, got {sample}")
     mode = MODE_STRUCTURED if algo == ALGO_MULTIBAGS else MODE_GENERAL
@@ -242,7 +257,7 @@ def verify(seq: Iterable[Event], algo: str, sample: int | None = None,
     try:
         replay(oracle_mod.follow(dag, seq), reach, shadow, races, after_strand, mode)
     except _Stop:
-        log.info("verify diverged: %s", report.divergence.describe())
+        _log_info("verify diverged: %s", report.divergence.describe())
         return report
     report.detector_races = set(races)
     report.oracle_races = oracle_mod.naive_races(dag)
@@ -256,4 +271,4 @@ def stats_only(seq: Iterable[Event]) -> dict:
     ``InputError`` as ``replay`` does.
     """
     c = replay(seq, None)
-    return {**asdict(c), "n": c.fork_points, "k": c.future_ops}
+    return {**c._asdict(), "n": c.fork_points, "k": c.future_ops}

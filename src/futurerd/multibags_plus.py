@@ -83,8 +83,6 @@ closed window to the closure's k²/8 bytes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .dsu import LABEL_S, DisjointSets
 from .errors import InvariantError, UsageError
 from .multibags import MultiBags
@@ -92,23 +90,32 @@ from .reachdag import ReachDag
 from .trace import SPAWN
 
 
-@dataclass(slots=True)
 class NspRecord:
-    """Metadata of a ``d_nsp`` set; see the module docstring."""
+    """Metadata of a ``d_nsp`` set; see the module docstring. A plain
+    ``__slots__`` class: one is made per set, on every control event."""
 
-    r_node: int | None = None  # dag node; None while the set is unattached
-    att_pred: int | None = None
-    att_succ: int | None = None
+    __slots__ = ("r_node", "att_pred", "att_succ")
+
+    def __init__(self, r_node: int | None = None, att_pred: int | None = None,
+                 att_succ: int | None = None) -> None:
+        self.r_node = r_node  # dag node; None while the set is unattached
+        self.att_pred = att_pred
+        self.att_succ = att_succ
 
 
-@dataclass(slots=True)
 class _Child:
-    """A frame's record, kept by ``trace.walk`` on its frame stack."""
+    """A frame's record, kept by ``trace.walk`` on its frame stack; a plain
+    ``__slots__`` class, as one is made per spawn and create."""
 
-    fork: int  # the parent's strand before the child; the child's S/P bag is fork + 1
-    r_floor: int = 0  # spawned: len(r) at the spawn, the lowest id a node of the window gets
-    cont_node: int | None = None  # created: dag node of the creator's continuation
-    sink: int | None = None  # the child's last strand, set when it returns
+    __slots__ = ("fork", "r_floor", "cont_node", "sink")
+
+    def __init__(self, fork: int, r_floor: int = 0, cont_node: int | None = None) -> None:
+        # the parent's strand before the child; the child's S/P bag is fork + 1
+        self.fork = fork
+        # spawned: len(r) at the spawn, the lowest id a node of the window gets
+        self.r_floor = r_floor
+        self.cont_node = cont_node  # created: dag node of the creator's continuation
+        self.sink: int | None = None  # the child's last strand, set when it returns
 
 
 class MultiBagsPlus(MultiBags):

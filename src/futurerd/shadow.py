@@ -12,22 +12,37 @@ reachability algorithm in use; ``queries`` counts the calls it makes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 WRITE_READ = "write-read"
 READ_WRITE = "read-write"
 WRITE_WRITE = "write-write"
 
 
-@dataclass(frozen=True)
 class RaceReport:
-    addr: int  # byte address of the 4-byte word
-    kind: str
-    prior: int
-    current: int
+    """One race on a word: ``kind`` between strand ``prior`` and strand ``current``.
+
+    A plain class with a ``__dict__``, so ``vars(report)`` is its four fields
+    in order. Equality, hashing and ``repr`` follow ``key()``.
+    """
+
+    def __init__(self, addr: int, kind: str, prior: int, current: int) -> None:
+        self.addr = addr  # byte address of the 4-byte word
+        self.kind = kind
+        self.prior = prior
+        self.current = current
 
     def key(self) -> tuple[int, str, int, int]:
         return (self.addr, self.kind, self.prior, self.current)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self.key() == other.key()
+
+    def __hash__(self) -> int:
+        return hash(self.key())
+
+    def __repr__(self) -> str:
+        return "RaceReport(addr={!r}, kind={!r}, prior={!r}, current={!r})".format(*self.key())
 
 
 class ShadowTable:

@@ -38,7 +38,6 @@ import io
 import json
 import marshal
 import os
-import pickle
 import re
 import select
 import signal
@@ -46,10 +45,8 @@ import struct
 import sys
 import threading
 import time
-import traceback
 from collections.abc import Iterable, Iterator
 from contextlib import nullcontext
-from dataclasses import dataclass, field
 from itertools import chain, islice
 from typing import NamedTuple, NoReturn
 
@@ -82,8 +79,9 @@ class Event(NamedTuple):
     addr: int | None = None
 
 
-@dataclass
-class TraceCounts:
+class TraceCounts(NamedTuple):
+    """A walk's counts of events by kind and of strands; ``_asdict()`` lists them."""
+
     events: int = 0
     strands: int = 1  # 1 + one per control event
     reads: int = 0
@@ -108,9 +106,11 @@ class TraceCounts:
         return self.creates + self.gets
 
 
-@dataclass
 class EventSequence:
-    events: list[Event] = field(default_factory=list)
+    """A trace held as a list, ``events``, which any number of passes can walk."""
+
+    def __init__(self, events: list[Event] | None = None) -> None:
+        self.events = [] if events is None else events
 
     def __len__(self) -> int:
         return len(self.events)
@@ -451,6 +451,8 @@ class ReaderTrace:
                     self.parse_s = value
                     return
                 if tag == "error":
+                    import pickle  # only for the reader's error frame
+
                     raise pickle.loads(value)
                 raise ReaderError(f"the trace reader failed:\n{value}")
             # The pipe ended without an end frame: the reader was killed or crashed.
@@ -486,8 +488,12 @@ def _read_ahead(lines, fd: int) -> NoReturn:
                 send(list(map(tuple, batch)))  # marshal takes no tuple subclass
             last = ("end", time.process_time() - start)
         except (InputError, OSError, UnicodeDecodeError) as exc:
+            import pickle  # only for the error frame
+
             last = ("error", pickle.dumps(exc))
         except Exception:
+            import traceback  # only for the crash frame
+
             last = ("crash", traceback.format_exc())
         send(last)
         code = 0
@@ -518,8 +524,9 @@ def _exit_with_the_command(fd: int) -> None:
 # -- the walk -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Violation:
+class Violation(NamedTuple):
+    """One fault a walk found in a trace."""
+
     index: int  # event index, or the event count for end-of-trace problems
     code: str
     message: str
@@ -530,16 +537,16 @@ class Violation:
 KEPT_VIOLATIONS = 5
 
 
-@dataclass
 class ValidationReport:
     """One ``walk``'s violations (the first ``KEPT_VIOLATIONS`` of ``violation_count``),
     counts, and first ``InputError`` from a hook."""
 
-    mode: str
-    violations: list[Violation] = field(default_factory=list)
-    counts: TraceCounts = field(default_factory=TraceCounts)
-    error: InputError | None = None
-    violation_count: int = 0
+    def __init__(self, mode: str) -> None:
+        self.mode = mode
+        self.violations: list[Violation] = []
+        self.counts = TraceCounts()
+        self.error: InputError | None = None
+        self.violation_count = 0
 
     @property
     def ok(self) -> bool:

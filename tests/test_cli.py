@@ -77,9 +77,16 @@ def _timings(text):
     for line in text.splitlines():
         key, _, val = line.strip().partition(": ")
         if val.endswith("s") and key in ("load", "parse", "parse_cpu", "validate", "replay",
-                                         "parse+replay", "elapsed"):
+                                         "parse+replay", "elapsed", "startup_cpu"):
             secs[key] = float(val[:-1])
     return secs
+
+
+def _command_env() -> dict:
+    """This process's environment, with the package under test first on the path."""
+    src = str(Path(futurerd.__file__).parent.parent)
+    return {**os.environ,
+            "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
 
 
 def test_detect_stats_prints_the_phase_timings(tmp_path, capsys):
@@ -88,9 +95,10 @@ def test_detect_stats_prints_the_phase_timings(tmp_path, capsys):
     argv = ["detect", "--algo", "multibags", "--mode", "structured", "--trace", str(out)]
     # A forked reader parses the trace while the walk reads it: the reader's
     # CPU seconds, and the walk's wall seconds, waits on the reader included.
+    # startup_cpu is this process's CPU seconds before the command began.
     assert run(argv + ["--stats"]) == cli.EXIT_RACES
     secs = _timings(capsys.readouterr().out)
-    assert set(secs) == {"parse_cpu", "replay", "elapsed"}
+    assert set(secs) == {"parse_cpu", "replay", "elapsed", "startup_cpu"}
     assert min(secs.values()) >= 0
     assert secs["elapsed"] >= secs["replay"]
     # Without os.fork, the walk parses the trace itself: one timing covers both.
@@ -98,14 +106,14 @@ def test_detect_stats_prints_the_phase_timings(tmp_path, capsys):
         m.delattr(os, "fork")
         assert run(argv + ["--stats"]) == cli.EXIT_RACES
     secs = _timings(capsys.readouterr().out)
-    assert set(secs) == {"parse+replay", "elapsed"}
+    assert set(secs) == {"parse+replay", "elapsed", "startup_cpu"}
     assert min(secs.values()) >= 0
     assert secs["elapsed"] >= secs["parse+replay"]
     # --dump-dag builds the dag inside the one walk, so the forked reader
     # parses the trace beside it, as without --dump-dag.
     assert run(argv + ["--stats", "--dump-dag", str(tmp_path / "t.dot")]) == cli.EXIT_RACES
     secs = _timings(capsys.readouterr().out)
-    assert set(secs) == {"parse_cpu", "replay", "elapsed"}
+    assert set(secs) == {"parse_cpu", "replay", "elapsed", "startup_cpu"}
     assert min(secs.values()) >= 0
     assert secs["elapsed"] >= secs["replay"]
     # The JSON report carries no timings and stays reproducible.
@@ -113,6 +121,7 @@ def test_detect_stats_prints_the_phase_timings(tmp_path, capsys):
     first = capsys.readouterr().out
     run(argv + ["--json", "--stats"])
     assert capsys.readouterr().out == first and "parse" not in first and "load" not in first
+    assert "startup" not in first
 
 
 def test_unreadable_trace_exits_2_without_a_traceback(tmp_path, capsys):
@@ -237,9 +246,7 @@ def test_every_command_reads_a_trace_from_stdin(tmp_path, capsys, monkeypatch):
 
 def test_gen_to_stdout_pipes_into_detect(tmp_path):
     path = tmp_path / "race.jsonl"
-    src = str(Path(futurerd.__file__).parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _command_env()
     cmd = [sys.executable, "-m", "futurerd.cli"]
     gen = ["gen", "lcs-structured", "--n", "4", "--inject-race", "-o"]
     detect = ["detect", "--algo", "multibags", "--mode", "structured", "--json", "--trace"]
@@ -395,9 +402,7 @@ def _alive(pid):
 
 @pytest.mark.skipif(sys.platform != "linux", reason="finds the reader in /proc")
 def test_a_killed_command_takes_its_reader_along_on_a_stalled_input():
-    src = str(Path(futurerd.__file__).parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _command_env()
     proc = subprocess.Popen([sys.executable, "-m", "futurerd.cli", "detect", "--algo", "plus",
                              "--mode", "general", "--trace", "-"], stdin=subprocess.PIPE,
                             stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, env=env)
@@ -471,9 +476,7 @@ def test_a_reader_that_cannot_start_its_thread_exits_alone(tmp_path):
     # run the rest of the command a second time, in the reader.
     path = tmp_path / "t.jsonl"
     trace.dump(gen_lcs_structured(4, seed=1, inject_race=True), path)
-    src = str(Path(futurerd.__file__).parent.parent)
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    env = _command_env()
     script = ("import threading\n"
               "def refuse(self):\n"
               "    raise RuntimeError(\"can't start new thread\")\n"
@@ -807,3 +810,64 @@ def test_futurerd_log_info_reaches_stderr_from_the_cli(tmp_path):
                           capture_output=True, text=True, env=env)
     assert proc.returncode == cli.EXIT_RACES
     assert "futurerd: detect algo=plus mode=general strands=4 races=1" in proc.stderr
+
+
+# Modules that only other commands, a crash, a reader error or FUTURERD_LOG use.
+_NOT_FOR_DETECT = ("futurerd.oracle", "futurerd.generators", "dataclasses", "logging", "pickle")
+
+
+@pytest.mark.parametrize("algo, mode, gen", [("plus", "general", gen_lcs_general),
+                                             ("multibags", "structured", gen_lcs_structured)])
+def test_detect_imports_only_what_its_walk_runs(algo, mode, gen, tmp_path):
+    path = tmp_path / "t.jsonl"
+    trace.dump(gen(3, seed=1, inject_race=True), path)
+    proc = subprocess.run([sys.executable, "-X", "importtime", "-m", "futurerd.cli", "detect",
+                           "--algo", algo, "--mode", mode, "--trace", str(path), "--json"],
+                          capture_output=True, text=True, env=_command_env(), timeout=60)
+    assert proc.returncode == cli.EXIT_RACES, proc.stderr
+    imported = {line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines()
+                if line.startswith("import time:")}
+    assert {"futurerd", "futurerd.engine", "futurerd.trace"} <= imported
+    assert imported.isdisjoint(_NOT_FOR_DETECT), sorted(imported & set(_NOT_FOR_DETECT))
+
+
+def test_every_exported_name_resolves_in_a_fresh_process():
+    # oracle and generators load on first access: a star import, getattr and
+    # dir each see every name of __all__.
+    script = (
+        "import sys, futurerd\n"
+        "lazy = {'futurerd.oracle', 'futurerd.generators'}\n"
+        "assert lazy.isdisjoint(sys.modules)\n"
+        "assert set(futurerd.__all__) <= set(dir(futurerd))\n"
+        "ns = {}\n"
+        "exec('from futurerd import *', ns)\n"
+        "assert lazy <= set(sys.modules)\n"
+        "assert all(ns[n] is getattr(futurerd, n) for n in futurerd.__all__)\n"
+        "from futurerd import oracle, generators\n"
+        "assert futurerd.build is oracle.build and futurerd.gen_random is generators.gen_random\n"
+        "try:\n"
+        "    futurerd.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=_command_env(), timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "module 'futurerd' has no attribute 'no_such_name'\n"
+
+
+def test_gen_verify_and_dump_dag_run_from_a_fresh_process(tmp_path):
+    cmd = [sys.executable, "-m", "futurerd.cli"]
+    path, dot = tmp_path / "t.jsonl", tmp_path / "t.dot"
+    env = _command_env()
+    subprocess.run(cmd + ["gen", "lcs-general", "--n", "3", "--inject-race", "-o", str(path)],
+                   check=True, capture_output=True, env=env, timeout=60)
+    assert path.read_text() == trace.serialize(gen_lcs_general(3, inject_race=True))
+    proc = subprocess.run(cmd + ["verify", "--algo", "plus", "--trace", str(path)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == cli.EXIT_OK and proc.stdout.startswith("verified: "), proc.stderr
+    proc = subprocess.run(cmd + ["detect", "--algo", "plus", "--mode", "general", "--trace",
+                                 str(path), "--dump-dag", str(dot)],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == cli.EXIT_RACES, proc.stderr
+    assert dot.read_text() == oracle.to_dot(oracle.build(trace.load(path)))

@@ -2,7 +2,6 @@ import gc
 import hashlib
 import io
 import json
-from dataclasses import asdict
 
 import pytest
 
@@ -264,7 +263,7 @@ def test_stats_fields_and_invariants():
     assert st.strands == c.strands
     assert st.queries <= 2 * st.m + c.writes
     assert st.attached_sets <= 3 * c.creates + 2 * c.gets + 2 * st.both_attached_syncs + 1
-    assert asdict(st) == json.loads(rep.to_json())["stats"]  # counts only, all reported
+    assert st._asdict() == json.loads(rep.to_json())["stats"]  # counts only, all reported
     assert st.union_ops > 0 and st.find_ops > 0
 
 
