@@ -91,22 +91,29 @@ def _load(path: str):
 
     A ``trace.ReaderTrace`` parses it in a forked reader process, ahead of
     the one walk, and is closed, its reader killed and reaped, when the
-    ``with`` block ends. Without ``os.fork``, or when the reader cannot
-    start (no process or descriptor to spare), the walk parses a
-    ``trace.TraceFile`` itself. A trace that cannot be opened or decoded
-    raises ``OSError`` or ``UnicodeDecodeError``, which ``run_cli`` reports
-    as bad input.
+    ``with`` block ends. The file is opened here, before the fork, and the
+    reader reads its own copy. Without ``os.fork``, or when the reader
+    cannot start (no process or descriptor to spare), the walk parses the
+    trace itself: the file through ``trace.load``, standard input through
+    ``trace.iterparse``. A trace that cannot be opened or decoded raises
+    ``OSError`` or ``UnicodeDecodeError``, which ``run_cli`` reports as bad
+    input.
     """
     if path == "-":
         if sys.stdin is None:
             raise InputError("--trace -: standard input is closed")
-        seq = trace.TraceFile(stream=io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8"))
+        lines = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+        seq = trace.iterparse(lines)
     else:
         seq = trace.load(path)
+        lines = open(path, "r", encoding="utf-8")
     try:
-        reader = trace.ReaderTrace(seq) if hasattr(os, "fork") else contextlib.nullcontext(seq)
+        reader = trace.ReaderTrace(lines) if hasattr(os, "fork") else contextlib.nullcontext(seq)
     except ReaderError:
         reader = contextlib.nullcontext(seq)
+    finally:
+        if path != "-":  # the reader has its own copy; the fallback opens the file again
+            lines.close()
     with reader as seq:
         yield seq
 

@@ -26,7 +26,7 @@ from .trace import (
 ALGO_MULTIBAGS = "multibags"
 ALGO_PLUS = "plus"
 
-EXHAUSTIVE_LIMIT = 300  # strands; above this, verify samples per step
+EXHAUSTIVE_LIMIT = 300  # strands that verify checks against all earlier ones
 
 
 def _log_info(msg: str, *args) -> None:
@@ -116,12 +116,13 @@ class VerifyReport:
     of the brute-force dag (soundness), and every word with a race there has
     at least one report (per-word completeness). The detector may report
     fewer pairs than the dag holds, because a write replaces the last writer
-    and clears the readers.
+    and clears the readers. A report with a ``divergence`` stops there, at
+    a strand of a valid prefix, with no race sets: the rest of the trace
+    is not read.
     """
 
-    def __init__(self, algo: str, strands: int) -> None:
+    def __init__(self, algo: str) -> None:
         self.algo = algo
-        self.strands = strands
         self.checked = 0
         self.divergence: Divergence | None = None
         self.detector_races: set = set()
@@ -207,18 +208,20 @@ class _Stop(Exception):
 
 def verify(seq: Iterable[Event], algo: str, sample: int | None = None,
            seed: int = 0) -> VerifyReport:
-    """Replay a detector and compare every answer against the brute-force dag.
+    """Replay a detector and compare its answers against the brute-force dag.
 
-    Below EXHAUSTIVE_LIMIT strands (and when ``sample`` is unset) every
-    (executed strand, current strand) pair is checked; larger traces check a
-    seeded sample of ``sample`` (32 if unset, ``UsageError`` below 1) per
-    step. Either way the final race sets are checked against the race
-    contract (see ``VerifyReport``).
+    With ``sample`` unset, strands 1 to EXHAUSTIVE_LIMIT are checked against
+    every earlier strand, and each later strand against a seeded sample of
+    32; with ``sample`` set (``UsageError`` below 1), each strand is checked
+    against a seeded sample of ``sample``. The final race sets are then
+    checked against the race contract (see ``VerifyReport``).
 
-    ``seq``, any iterable ``detect`` takes, is read into a list once, which is
-    walked twice: the grammar check, which counts the strands and refuses an
-    invalid trace with ``replay``'s ``InputError``, then the detector's
-    replay, which builds the dag through ``oracle.follow`` as it goes.
+    ``seq``, any iterable ``detect`` takes, is read once, in one walk that
+    builds the dag through ``oracle.follow`` as it goes, and no event list is
+    built. An invalid trace raises ``replay``'s ``InputError``; so does a
+    dag whose rows could pass ``oracle.REACH_BUDGET``, at the strand that
+    passes it. A divergence ends the walk at once, so it is reported even
+    when a later line is invalid.
     """
     import random
 
@@ -227,25 +230,20 @@ def verify(seq: Iterable[Event], algo: str, sample: int | None = None,
     if sample is not None and sample < 1:
         raise UsageError(f"verify's sample must be at least 1, got {sample}")
     mode = MODE_STRUCTURED if algo == ALGO_MULTIBAGS else MODE_GENERAL
-    seq = list(iter(seq))  # not list(seq), whose length hint would parse a TraceFile
-    strands = validate(seq, mode).counts_or_raise().strands
-    oracle_mod.check_reach_budget(strands)
     dag = oracle_mod.OracleDag()
     reach = make_reachability(algo)
     shadow = ShadowTable()
     rng = random.Random(seed)
-    exhaustive = sample is None and strands <= EXHAUSTIVE_LIMIT
-    report = VerifyReport(algo=algo, strands=strands)
+    report = VerifyReport(algo=algo)
     races: dict = {}
 
     def after_strand(s):
         if s == 0:
             return
-        if exhaustive:
+        if sample is None and s <= EXHAUSTIVE_LIMIT:
             candidates = range(s)
         else:
-            size = min(sample if sample is not None else 32, s)
-            candidates = rng.sample(range(s), size)
+            candidates = rng.sample(range(s), min(sample or 32, s))
         for u in candidates:
             got = reach.precedes(u)
             expected = dag.reaches(u, s)
@@ -270,5 +268,5 @@ def stats_only(seq: Iterable[Event]) -> dict:
     The counting walk checks the frame grammar, and an invalid trace raises
     ``InputError`` as ``replay`` does.
     """
-    c = replay(seq, None)
+    c = validate(seq, MODE_GENERAL).counts_or_raise()
     return {**c._asdict(), "n": c.fork_points, "k": c.future_ops}

@@ -4,7 +4,9 @@ The dag makes every control dependence explicit (continue, spawn, create,
 join, and get edges), keeps the per-strand access log, and answers
 reachability from ancestor bitsets; ``follow`` builds it as a walk reads the
 trace. It exists to check the on-the-fly detectors, so it favors obviousness
-over speed and refuses traces whose bitsets could pass ``REACH_BUDGET``.
+over speed. Once it keeps bitsets, from its first query, it refuses the
+strand whose bitsets could pass ``REACH_BUDGET``; a dag never queried keeps
+none and is not charged.
 """
 
 from __future__ import annotations
@@ -87,8 +89,14 @@ class OracleDag:
         return bool((self._anc[v] >> u) & 1)
 
     def _add(self, frame_kind: str, *edges: tuple[int, str]) -> int:
-        """Add the next strand, entered by an edge from each ``(pred, kind)``."""
+        """Add the next strand, entered by an edge from each ``(pred, kind)``.
+
+        Once rows are kept, a strand whose rows could pass the budget
+        raises ``InputError`` and leaves the dag as it was.
+        """
         v = self.n
+        if self._anc is not None:
+            check_reach_budget(v + 1)
         self.n += 1
         self.out.append([])
         self.node_kinds.append(set())

@@ -27,8 +27,8 @@ A walk reads its events once, in order, from any iterable: ``iterparse`` parses
 them a batch of lines at a time as they are read, and ``load`` returns a
 ``TraceFile``, which parses its file afresh on each pass. So a walk over a file
 holds no event list, and its memory follows the trace's live state rather than
-its length. A ``ReaderTrace`` runs the same parser in a forked reader process,
-which parses ahead of the walk on another core.
+its length. A ``ReaderTrace`` runs the same parser over an open text stream in
+a forked reader process, which parses ahead of the walk on another core.
 """
 
 from __future__ import annotations
@@ -127,31 +127,17 @@ class TraceFile(EventSequence):
     """A trace parsed afresh on each pass, so that no pass holds an event list.
 
     ``TraceFile(path)`` opens the file at ``path``, as UTF-8, on each pass.
-    ``TraceFile(stream=fh)`` reads an open text stream, such as standard
-    input, which has one pass only: a second raises ``UsageError`` rather
-    than read an empty trace. ``events`` and ``len`` parse a whole pass into
-    a list.
+    ``events`` and ``len`` parse a whole pass into a list.
     """
 
-    def __init__(self, path=None, *, stream=None) -> None:
-        if (path is None) == (stream is None):
-            raise UsageError("a TraceFile reads a path or a stream")
+    def __init__(self, path) -> None:
         self.path = path
-        self._stream = stream
 
     def __repr__(self) -> str:
-        return f"TraceFile({self.path!r})" if self.path is not None else "TraceFile(stream=...)"
+        return f"TraceFile({self.path!r})"
 
     def __iter__(self) -> Iterator[Event]:
-        if self.path is not None:
-            return chain.from_iterable(_batches(path=self.path))
-        return iterparse(self._take_stream())
-
-    def _take_stream(self):
-        stream, self._stream = self._stream, None
-        if stream is None:
-            raise UsageError("a streamed trace has one pass only")
-        return stream
+        return chain.from_iterable(_batches(path=self.path))
 
     @property
     def events(self) -> list[Event]:
@@ -370,17 +356,17 @@ _HEAD = struct.Struct("<I")
 class ReaderTrace:
     """A one-pass trace that a forked reader process parses while the walk reads it.
 
-    ``ReaderTrace(source)`` opens ``source``, a ``TraceFile``, in this
-    process, so that an unopenable file raises ``OSError`` here, and forks
-    one reader. If ``os.pipe`` or ``os.fork`` fails, it raises ``ReaderError``
-    and leaves ``source`` as it was, a stream unread, so that the caller can
-    parse it in-process instead. The reader runs the in-process parser,
+    ``ReaderTrace(lines)`` forks one reader, which reads ``lines``, an open
+    text stream, from its own copy; the caller keeps its copy, and may close
+    it once this returns. If ``os.pipe`` or ``os.fork`` fails, it raises
+    ``ReaderError`` having read nothing, so that the caller can parse the
+    trace in-process instead. The reader runs the in-process parser,
     ``_batches``, and sends the events of each ``_FRAME_LINES`` lines down a
     pipe as one frame, then an end frame with its CPU seconds, which
-    ``parse_s`` holds once the iteration has read it. The reader's ``ParseError``, ``OSError`` or
-    ``UnicodeDecodeError`` is raised by the iteration once the events before
-    it have been iterated. Its death before the end frame, or any other
-    exception in it, raises ``ReaderError``.
+    ``parse_s`` holds once the iteration has read it. The reader's
+    ``ParseError``, ``OSError`` or ``UnicodeDecodeError`` is raised by the
+    iteration once the events before it have been iterated. Its death before
+    the end frame, or any other exception in it, raises ``ReaderError``.
 
     ``close`` closes the pipe, kills the reader and reaps it. The iteration
     calls it when it ends; an owner that may stop early uses the object as a
@@ -389,10 +375,8 @@ class ReaderTrace:
     should run no other threads.
     """
 
-    def __init__(self, source: TraceFile) -> None:
+    def __init__(self, lines) -> None:
         self.parse_s: float | None = None  # the reader's CPU seconds, from its end frame
-        lines = (open(source.path, "r", encoding="utf-8") if source.path is not None
-                 else source._take_stream())
         fds: list[int] = []
         try:
             fds += os.pipe()
@@ -403,12 +387,7 @@ class ReaderTrace:
         except OSError as exc:  # no process or descriptor to spare: EAGAIN, EMFILE
             for fd in fds:
                 os.close(fd)
-            if source.path is None:  # given back, for the caller to parse in-process
-                source._stream = lines
             raise ReaderError(f"the trace reader could not start: {exc}") from exc
-        finally:
-            if source.path is not None:  # the reader has its own copy
-                lines.close()
         r, w = fds
         os.close(w)
         self._pipe = os.fdopen(r, "rb")

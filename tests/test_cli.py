@@ -294,6 +294,7 @@ def test_no_file_stays_open_after_an_early_stop_or_an_error(tmp_path, capsys, mo
     monkeypatch.setattr(trace, "open", recording_open, raising=False)
     good = tmp_path / "good.jsonl"
     run(["gen", "random", "--events", "150", "--seed", "4", "-o", str(good)])
+    monkeypatch.setattr(cli, "open", recording_open, raising=False)  # the reader's file
     bad = tmp_path / "bad.jsonl"
     bad.write_bytes(_RACY.encode() + b'{"t":"w","a":\n')
     real = MultiBagsPlus.precedes
@@ -558,6 +559,19 @@ def test_verify_clean_and_faulty(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(MultiBagsPlus, "precedes", lying)
     assert run(["verify", "--algo", "plus", "--trace", str(out)]) == cli.EXIT_BROKEN
     assert "DIVERGENCE" in capsys.readouterr().err
+
+
+def test_verify_stops_at_a_divergence_before_it_reads_a_later_bad_line(tmp_path, capsys,
+                                                                       monkeypatch):
+    path = tmp_path / "t.jsonl"
+    path.write_text(_RACY + '{"t":"q"}\n')
+    assert run(["verify", "--algo", "plus", "--trace", str(path)]) == cli.EXIT_BAD_INPUT
+    assert capsys.readouterr().err == "error: line 6: unknown event kind 'q'\n"
+    real = MultiBagsPlus.precedes
+    monkeypatch.setattr(MultiBagsPlus, "precedes", lambda self, u: not real(self, u))
+    assert run(["verify", "--algo", "plus", "--trace", str(path)]) == cli.EXIT_BROKEN
+    assert capsys.readouterr().err == (
+        "DIVERGENCE at strand 1: detector says precedes(0)=False but the dag says True\n")
 
 
 def test_verify_holds_the_race_contract_on_repeated_writes(tmp_path, capsys, monkeypatch):

@@ -126,18 +126,17 @@ def test_detect_verify_and_their_errors_leave_no_cyclic_garbage(monkeypatch):
             trace.parse('{"t":"spawn","f":1}\n{"t":"w","a":\n')
         assert gc.collect() == 0
         with pytest.raises(ParseError):  # mid-walk, after the race
-            engine.detect(trace.TraceFile(stream=io.StringIO(racy + '{"t":"w","a":\n')),
-                          "plus", "general")
+            engine.detect(trace.iterparse(racy + '{"t":"w","a":\n'), "plus", "general")
         assert gc.collect() == 0
         # Through a forked reader: to the end, to a parse error, and refused unread.
-        with trace.ReaderTrace(trace.TraceFile(stream=io.StringIO(racy))) as reader:
+        with trace.ReaderTrace(io.StringIO(racy)) as reader:
             assert engine.detect(reader, "multibags", "structured").races
         assert gc.collect() == 0
-        with trace.ReaderTrace(trace.TraceFile(stream=io.StringIO(racy + "{\n"))) as reader:
+        with trace.ReaderTrace(io.StringIO(racy + "{\n")) as reader:
             with pytest.raises(ParseError):
                 engine.detect(reader, "multibags", "structured")
         assert gc.collect() == 0
-        with trace.ReaderTrace(trace.TraceFile(stream=io.StringIO(racy))) as reader:
+        with trace.ReaderTrace(io.StringIO(racy)) as reader:
             with pytest.raises(InputError, match="requires structured mode"):
                 engine.detect(reader, "multibags", "general")
         assert gc.collect() == 0
@@ -167,13 +166,39 @@ def _counted_passes_and_walks(monkeypatch):
     return Counted, passes, walks
 
 
-def test_verify_parses_a_trace_file_once_and_walks_it_twice(tmp_path, monkeypatch):
+def test_verify_parses_a_trace_file_once_and_walks_it_once(tmp_path, monkeypatch):
     path = tmp_path / "t.jsonl"
     trace.dump(gen_random(n_events=120, p_spawn=0.15, p_create=0.1, p_get=0.08, seed=3), path)
     Counted, passes, walks = _counted_passes_and_walks(monkeypatch)
     assert engine.verify(Counted(path), "plus").ok
     assert passes == [path]
-    assert walks == ["validate", "replay"]  # the replay builds the dag as it goes
+    assert walks == ["replay"]  # the replay builds the dag as it goes
+
+
+def test_verify_walks_a_generator_as_it_yields_and_builds_no_event_list(monkeypatch):
+    # Each control event begins a strand. If verify listed the events first,
+    # no strand past 0 would have begun when the generator yields them.
+    seq = gen_random(n_events=400, p_spawn=0.15, p_create=0.1, p_get=0.08, seed=3)
+    begun = []
+    real = MultiBagsPlus.on_strand_begin
+
+    def on_strand_begin(self, s):
+        begun.append(s)
+        return real(self, s)
+
+    monkeypatch.setattr(MultiBagsPlus, "on_strand_begin", on_strand_begin)
+    controls = 0
+
+    def events():
+        nonlocal controls
+        for ev in seq:
+            if ev.addr is None:  # a control event, which begins strand controls + 1
+                assert begun == list(range(controls + 1))
+                controls += 1
+            yield ev
+
+    assert engine.verify(events(), "plus").ok
+    assert begun == list(range(controls + 1)) == list(range(seq.counts.strands))
 
 
 def test_oracle_build_parses_a_trace_file_once_and_walks_it_once(tmp_path, monkeypatch):
@@ -362,6 +387,24 @@ def test_verify_samples_large_traces():
     assert rep2.detector_races == rep2.oracle_races
 
 
+def test_verify_checks_the_first_strands_exhaustively_and_samples_the_rest():
+    limit = engine.EXHAUSTIVE_LIMIT
+    at = gen_random(n_events=540, p_spawn=0.18, p_create=0.1, p_get=0.08, seed=5)
+    above = gen_random(n_events=572, p_spawn=0.18, p_create=0.1, p_get=0.08, seed=0,
+                       inject_race=True)
+    assert (at.counts.strands, above.counts.strands) == (limit, limit + 12)
+    # Every strand s checks s earlier strands: S(S-1)/2 answers.
+    rep = engine.verify(at, "plus")
+    assert rep.ok and rep.checked == limit * (limit - 1) // 2 == 44_850
+    # Strands 1..limit check all earlier strands, the 11 after them 32 each.
+    rep = engine.verify(above, "plus", seed=1)
+    assert rep.ok and rep.oracle_races
+    assert rep.checked == sum(range(1, limit + 1)) + 32 * 11 == 45_502
+    # An explicit sample checks min(sample, s) answers at each strand s.
+    rep = engine.verify(above, "plus", sample=4, seed=1)
+    assert rep.ok and rep.checked == 1 + 2 + 3 + 4 * 308 == 1_238
+
+
 @pytest.mark.parametrize("sample", [0, -2])
 def test_verify_refuses_a_sample_below_one(sample):
     # 0 would check no answer and report ok; -2 would fail in random.sample
@@ -382,16 +425,19 @@ def test_verify_takes_the_iterparse_iterator_as_it_takes_a_list():
     fj = fold_words(gen_random(n_events=600, p_spawn=0.2, p_create=0.0, p_get=0.0, seed=4),
                     pool=6, seed=4)
     futures = fold_words(gen_random(n_events=600, seed=5), pool=6, seed=5)
+    assert futures.counts.strands > engine.EXHAUSTIVE_LIMIT  # so some strands are sampled
     for seq, algos in ((lcs, ("multibags", "plus")), (fj, ("multibags", "plus")),
                        (futures, ("plus",))):
         text = trace.serialize(seq)
         for algo in algos:
-            streamed = engine.verify(trace.iterparse(text), algo)
             listed = engine.verify(trace.parse(text), algo)
-            assert streamed.ok and streamed.oracle_races, algo
-            assert (streamed.ok, streamed.checked, streamed.detector_races,
-                    streamed.oracle_races) == (listed.ok, listed.checked,
-                                               listed.detector_races, listed.oracle_races)
+            with trace.ReaderTrace(io.StringIO(text)) as reader:
+                forked = engine.verify(reader, algo)
+            for streamed in (engine.verify(trace.iterparse(text), algo), forked):
+                assert streamed.ok and streamed.oracle_races, algo
+                assert (streamed.ok, streamed.checked, streamed.detector_races,
+                        streamed.oracle_races) == (listed.ok, listed.checked,
+                                                   listed.detector_races, listed.oracle_races)
 
 
 def test_verify_fails_on_an_unsound_pair_or_a_missed_racy_word(monkeypatch):

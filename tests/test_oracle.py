@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from futurerd import engine, oracle
+from futurerd import cli, engine, oracle, trace
 from futurerd.errors import InputError
 from futurerd.generators import gen_lcs_general, gen_lcs_structured, gen_random
 from futurerd.multibags_plus import MultiBagsPlus
@@ -206,6 +206,29 @@ def test_reachability_cap(monkeypatch):
     assert dag.n == 5003
     with pytest.raises(InputError):
         dag.reaches(0, 1)
+
+
+def test_a_queried_dag_charges_each_strand_it_adds_and_an_unqueried_one_none(tmp_path,
+                                                                              monkeypatch):
+    events = []
+    for h in range(10):  # 21 strands
+        events += [cr(h + 1, h + 1), rt()]
+    seq = EventSequence(events)
+    monkeypatch.setattr(oracle, "REACH_BUDGET", 10 * 10 // 8)  # admits 10 strands, not 11
+    dag = oracle.OracleDag()
+    with pytest.raises(InputError, match="^the brute-force dag refuses 11 strands: its "
+                       "reachability rows could take 15 bytes, over the budget of 12 bytes$"):
+        for _ in oracle.follow(dag, seq):
+            dag.reaches(0, dag.n - 1)  # rows are kept from the first query on
+    assert dag.n == len(dag._anc) == 10  # the refused strand is not added
+    # A dag that is never queried keeps no rows, so the budget does not apply.
+    built = oracle.build(seq)
+    assert built.n == 21 and built._anc is None
+    path, dot = tmp_path / "t.jsonl", tmp_path / "t.dot"
+    trace.dump(seq, path)
+    assert cli.run_cli(["detect", "--algo", "plus", "--mode", "general", "--trace", str(path),
+                        "--dump-dag", str(dot)]) == cli.EXIT_OK
+    assert dot.read_text() == oracle.to_dot(built)
 
 
 def test_dot_dump():

@@ -221,17 +221,6 @@ def test_trace_file_parses_its_file_on_each_pass(tmp_path):
     assert seq.events == events[:2]  # read afresh, not kept
 
 
-def test_a_streamed_trace_refuses_a_second_pass():
-    seq = trace.TraceFile(stream=io.StringIO('{"t":"w","a":4}\n{"t":"r","a":8}\n'))
-    assert seq.counts.events == 2
-    with pytest.raises(UsageError, match="one pass only"):
-        iter(seq)
-    with pytest.raises(UsageError, match="one pass only"):
-        seq.counts
-    with pytest.raises(UsageError):
-        trace.TraceFile()
-
-
 def test_walk_counts_the_events_it_reads_from_a_generator():
     text = '{"t":"spawn","f":1}\n{"t":"w","a":4}\n{"t":"ret"}\n'
     rep = walk(trace.iterparse(text), MODE_GENERAL)
@@ -466,7 +455,7 @@ def test_walk_drops_the_shadow_after_a_violation():
 
 
 def _reader(text):
-    return trace.ReaderTrace(trace.TraceFile(stream=io.StringIO(text)))
+    return trace.ReaderTrace(io.StringIO(text))
 
 
 def _drain(events):
