@@ -16,6 +16,13 @@ root from its id, and only roots map back to set ids.
 
 An S/P bag's record is its bare label, ``LABEL_S`` or ``LABEL_P``, which
 ``relabel`` replaces; a ``d_nsp`` set's record is a mutable ``NspRecord``.
+
+``MultiBags.precedes``, the race detector's one query per prior access, is
+the one reader of these fields outside the class: it walks ``_parent`` to
+the root and compresses the path as ``_root`` does, bumps ``find_count``,
+and reads the label at ``_records[_sid_at[root]]``, which relies on a
+root's set always being live. ``_root``, ``find`` and ``find_record`` serve
+the updates and ``d_nsp``.
 """
 
 from __future__ import annotations

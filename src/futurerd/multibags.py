@@ -21,6 +21,13 @@ joining the most recently spawned outstanding child.
 S/P bags are this forest, run by these hooks, except that its ``get`` adds
 the next strand to the frame's bag and absorbs nothing.
 
+A query runs in one Python frame, as the shadow makes one per prior access:
+``precedes`` walks the forest to the strand's root itself, with the path
+compression and find count of ``DisjointSets.find``, and answers True for an
+S bag. For a P bag it returns ``_past_p_bag(u)``, which is False here, where
+the bags are exact, and which ``MultiBagsPlus`` overrides with its further
+steps.
+
 The structured restriction is enforced dynamically at each ``get``: the
 handle's creator strand must itself be in an S bag (i.e. precede the join);
 a P-labeled creator means the future was created by a logically parallel
@@ -82,10 +89,28 @@ class MultiBags:
     # -- queries ------------------------------------------------------------
 
     def precedes(self, u: int) -> bool:
-        """Did strand ``u`` happen before the current strand?"""
+        """Did strand ``u`` happen before the current strand?
+
+        The walk to the root is ``DisjointSets._root``'s, inline, and counts
+        as one find; ``dsu.py`` names the fields it reads.
+        """
         if not 0 <= u <= self._cur:
             raise UsageError(f"strand {u} has not executed")
-        return self.forest.find_record(u) == LABEL_S
+        forest = self.forest
+        forest.find_count += 1
+        parent = forest._parent
+        root = parent[u]
+        if parent[root] != root:  # u is two or more links below its root
+            while parent[root] != root:
+                root = parent[root]
+            e = u
+            while parent[e] != root:  # path compression
+                parent[e], e = root, parent[e]
+        return forest._records[forest._sid_at[root]] == LABEL_S or self._past_p_bag(u)
+
+    def _past_p_bag(self, u: int) -> bool:
+        """``precedes`` for a strand ``u`` in a P bag: the bags are exact here."""
+        return False
 
     # -- accounting ---------------------------------------------------------
 

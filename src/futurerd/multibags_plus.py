@@ -83,8 +83,8 @@ closed window to the closure's k²/8 bytes.
 
 from __future__ import annotations
 
-from .dsu import LABEL_S, DisjointSets
-from .errors import InvariantError, UsageError
+from .dsu import DisjointSets
+from .errors import InvariantError
 from .multibags import MultiBags
 from .reachdag import ReachDag
 from .trace import SPAWN
@@ -294,12 +294,8 @@ class MultiBagsPlus(MultiBags):
 
     # -- queries ------------------------------------------------------------
 
-    def precedes(self, u: int) -> bool:
-        """Did strand ``u`` happen before the current strand?"""
-        if not 0 <= u <= self._cur:
-            raise UsageError(f"strand {u} has not executed")
-        if self.forest.find_record(u) == LABEL_S:
-            return True
+    def _past_p_bag(self, u: int) -> bool:
+        """``precedes`` for a strand ``u`` in a P bag: a path may run through gets."""
         if self._dormant:
             return False  # no future yet, so the S/P bags are exact
         uu = self.d_nsp.find(u)

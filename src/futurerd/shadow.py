@@ -1,13 +1,15 @@
 """Access-history shadow memory.
 
-Per 4-byte word we keep the last writer strand and the list of reader strands
-since that write, in two dicts keyed by word (``addr >> 2``): the last writer
-by word, and the readers by word. A write drops the word's reader list, so a
-word written and not read since holds only its writer entry. Entries are
-made on first touch, so memory is proportional to the distinct words
-accessed, however sparse their addresses. Race checks go through a
-caller-supplied ``precedes`` callback so the table stays independent of the
-reachability algorithm in use; ``queries`` counts the calls it makes.
+Per 4-byte word we keep the last writer strand and the reader strands since
+that write, in one dict keyed by word (``addr >> 2``). While no strand has
+read a word since its last write, its value is the bare writer strand, an
+``int``; once one has, it is a list ``[last writer or None, readers...]``.
+A write stores the bare strand again, so a word written and not read since
+holds no list. Entries are made on first touch, so memory is proportional to
+the distinct words accessed, however sparse their addresses. Race checks go
+through a caller-supplied ``precedes`` callback so the table stays
+independent of the reachability algorithm in use; ``queries`` counts the
+calls it makes.
 """
 
 from __future__ import annotations
@@ -47,30 +49,32 @@ class RaceReport:
 
 class ShadowTable:
     def __init__(self) -> None:
-        self._writer: dict[int, int] = {}  # word -> last writer strand
-        self._readers: dict[int, list[int]] = {}  # word -> reader strands since that write
+        # word -> last writer strand, or [last writer or None, readers since that write...]
+        self._cells: dict[int, int | list] = {}
         self.queries = 0  # precedes calls made so far
 
     @property
     def cells_touched(self) -> int:
         """Number of distinct words accessed so far."""
-        return len(self._writer.keys() | self._readers.keys())
+        return len(self._cells)
 
     def on_read(self, addr: int, strand: int, precedes) -> RaceReport | None:
         """Record a read; report a race against an unordered last writer."""
         word = addr >> 2
-        report = None
-        w = self._writer.get(word)
+        cells = self._cells
+        cell = cells.get(word)
+        if cell.__class__ is list:
+            w = cell[0]
+            if cell[-1] != strand:  # a list always holds a reader, so this is the last one
+                cell.append(strand)
+        else:
+            w = cell  # the bare last writer, or None for an untouched word
+            cells[word] = [w, strand]
         if w is not None and w != strand:
             self.queries += 1
             if not precedes(w):
-                report = RaceReport(addr & ~3, WRITE_READ, w, strand)
-        readers = self._readers.get(word)
-        if readers is None:
-            self._readers[word] = [strand]
-        elif readers[-1] != strand:
-            readers.append(strand)
-        return report
+                return RaceReport(addr & ~3, WRITE_READ, w, strand)
+        return None
 
     def on_write(self, addr: int, strand: int, precedes) -> list[RaceReport]:
         """Record a write; report races against unordered readers and writer.
@@ -79,18 +83,22 @@ class ShadowTable:
         or not races were found.
         """
         word = addr >> 2
+        cells = self._cells
+        w = cells.get(word)
+        cells[word] = strand
         reports = []
         queries = 0
-        for r in self._readers.pop(word, ()):
-            if r != strand:
-                queries += 1
-                if not precedes(r):
-                    reports.append(RaceReport(addr & ~3, READ_WRITE, r, strand))
-        w = self._writer.get(word)
+        if w.__class__ is list:
+            readers = iter(w)  # the writer, then the readers, with no copy of the list
+            w = next(readers)
+            for r in readers:
+                if r != strand:
+                    queries += 1
+                    if not precedes(r):
+                        reports.append(RaceReport(addr & ~3, READ_WRITE, r, strand))
         if w is not None and w != strand:
             queries += 1
             if not precedes(w):
                 reports.append(RaceReport(addr & ~3, WRITE_WRITE, w, strand))
         self.queries += queries
-        self._writer[word] = strand
         return reports

@@ -1,3 +1,4 @@
+import random
 import sys
 import tracemalloc
 
@@ -12,7 +13,7 @@ NEVER = lambda u: False
 def test_read_of_untouched_word():
     t = ShadowTable()
     assert t.on_read(4096, 3, NEVER) is None
-    assert t._readers == {4096 >> 2: [3]} and t._writer == {}
+    assert t._cells == {4096 >> 2: [None, 3]}  # no writer, one reader
 
 
 def test_ordered_write_then_read_is_clean():
@@ -36,8 +37,7 @@ def test_write_after_own_read_is_clean_and_clears():
     t = ShadowTable()
     t.on_read(128, 5, NEVER)
     assert t.on_write(128, 5, NEVER) == []
-    assert 128 >> 2 not in t._readers
-    assert t._writer[128 >> 2] == 5
+    assert t._cells == {128 >> 2: 5}  # the writer alone: no reader list
 
 
 def test_parallel_sibling_writes_race():
@@ -61,7 +61,7 @@ def test_three_parallel_readers_then_write():
         (64, "read-write", 2, 9),
         (64, "read-write", 3, 9),
     ]
-    assert 64 >> 2 not in t._readers
+    assert t._cells[64 >> 2] == 9
 
 
 def test_consecutive_duplicate_readers_suppressed():
@@ -70,7 +70,7 @@ def test_consecutive_duplicate_readers_suppressed():
         t.on_read(32, 7, NEVER)
     t.on_read(32, 8, NEVER)
     t.on_read(32, 7, NEVER)
-    assert t._readers[32 >> 2] == [7, 8, 7]
+    assert t._cells[32 >> 2] == [None, 7, 8, 7]
 
 
 def test_bytes_of_one_word_share_a_cell():
@@ -78,7 +78,7 @@ def test_bytes_of_one_word_share_a_cell():
     t.on_write(4096, 1, NEVER)
     rep = t.on_read(4096 + 3, 2, NEVER)
     assert rep is not None and rep.addr == 4096
-    assert t._writer == {4096 >> 2: 1} and t._readers == {4099 >> 2: [2]}
+    assert t._cells == {4099 >> 2: [1, 2]}  # writer 1, then reader 2
     assert t.cells_touched == 1
     assert t.on_read(4100, 2, NEVER) is None and t.cells_touched == 2
 
@@ -87,7 +87,7 @@ def test_far_apart_addresses_get_separate_cells():
     t = ShadowTable()
     t.on_write(1 << 12, 1, NEVER)
     t.on_write(1 << 40, 2, NEVER)
-    assert t._writer == {(1 << 12) >> 2: 1, (1 << 40) >> 2: 2}
+    assert t._cells == {(1 << 12) >> 2: 1, (1 << 40) >> 2: 2}
     assert t.cells_touched == 2
 
 
@@ -143,6 +143,7 @@ def test_a_word_written_and_not_read_since_keeps_no_reader_list():
     plain, _ = traced_bytes(lambda: {a >> 2: 2 for a in addrs})
     table, t = traced_bytes(fill_table)
     assert t.cells_touched == n and t.queries == n
+    assert all(type(cell) is int for cell in t._cells.values())  # the bare writer strand
     assert table - plain < n * sys.getsizeof([]) // 2, (table, plain)
 
 
@@ -151,9 +152,9 @@ def test_reader_list_after_write_stays_small():
     for s in range(6):
         t.on_read(16, s, ALWAYS)
     t.on_write(16, 9, ALWAYS)
-    assert 16 >> 2 not in t._readers
+    assert t._cells[16 >> 2] == 9
     t.on_read(16, 10, ALWAYS)
-    assert t._readers[16 >> 2] == [10]
+    assert t._cells[16 >> 2] == [9, 10]
 
 
 def test_query_count_bounded_by_two_m_plus_writes():
@@ -167,8 +168,6 @@ def test_query_count_bounded_by_two_m_plus_writes():
 
     accesses = 0
     writes = 0
-    import random
-
     rng = random.Random(0)
     for i in range(2000):
         addr = 4 * rng.randrange(8)
@@ -199,3 +198,60 @@ def test_queries_count_each_precedes_call():
         (16, "read-write", 1, 5), (16, "read-write", 3, 5), (16, "write-write", 1, 5)]
     assert calls == [1, 1, 1, 1, 2, 3, 4, 1]
     assert t.queries == len(calls) == 8
+
+
+class TwoDictShadow:
+    """The shadow's rule restated over two dicts: the last writer by word,
+    and the readers since that write by word."""
+
+    def __init__(self):
+        self.writer, self.readers, self.queries = {}, {}, 0
+
+    def on_read(self, addr, strand, precedes):
+        word, report = addr >> 2, None
+        w = self.writer.get(word)
+        if w is not None and w != strand:
+            self.queries += 1
+            if not precedes(w):
+                report = (addr & ~3, "write-read", w, strand)
+        readers = self.readers.setdefault(word, [])
+        if not readers or readers[-1] != strand:
+            readers.append(strand)
+        return report
+
+    def on_write(self, addr, strand, precedes):
+        word, reports = addr >> 2, []
+        for kind, prior in ([("read-write", r) for r in self.readers.pop(word, [])]
+                            + [("write-write", self.writer.get(word))]):
+            if prior is not None and prior != strand:
+                self.queries += 1
+                if not precedes(prior):
+                    reports.append((addr & ~3, kind, prior, strand))
+        self.writer[word] = strand
+        return reports
+
+
+def test_shadow_matches_the_two_dict_rule_on_random_accesses():
+    for seed in range(200):
+        rng = random.Random(seed)
+        words = rng.randrange(1, 6)
+        strands = rng.randrange(1, 6)
+        answers = [rng.random() < 0.5 for _ in range(400)]
+        tables = (ShadowTable(), TwoDictShadow())
+        got = ([], [])
+        asked = [0, 0]  # each table takes the same answers in the order it asks
+        for _ in range(120):
+            addr = 4 * rng.randrange(words) + rng.randrange(4)
+            strand = rng.randrange(strands)
+            write = rng.random() < 0.4
+            for i, t in enumerate(tables):
+                def precedes(u, i=i):
+                    asked[i] += 1
+                    return answers[asked[i] % len(answers)]
+                if write:
+                    got[i].extend(t.on_write(addr, strand, precedes))
+                else:
+                    got[i].append(t.on_read(addr, strand, precedes))
+        assert [r and r.key() for r in got[0]] == got[1], seed
+        assert tables[0].queries == tables[1].queries == asked[0] == asked[1], seed
+        assert tables[0].cells_touched == len(tables[1].writer.keys() | tables[1].readers.keys())
