@@ -6,11 +6,11 @@ be piped into the others. Exit codes: 0 = no race found,
 1 = race(s) found, 2 = invalid input or arguments, an unreadable or
 non-UTF-8 trace, an unwritable output file, a trace whose closure rows
 could pass their 2 GiB budget (``reachdag.CLOSURE_BUDGET``, k²/8 bytes for k
-attached sets), or, for ``verify``, a trace whose brute-force reachability
-rows could pass their 256 MiB budget (``oracle.REACH_BUDGET``, S²/8 bytes for
-S strands), 3 = verification divergence, a broken race contract, an internal
-invariant failure, the death of the trace reader process before the end of
-the trace, or any other crash (its traceback is printed).
+attached sets), or, for ``verify``, a trace whose brute-force dag passes its
+256 MiB budget (``oracle.REACH_BUDGET`` charges S²/8 bytes for S strands; the
+rows hold about S²/16), 3 = verification divergence, a broken race contract,
+an internal invariant failure, the death of the trace reader process before
+the end of the trace, or any other crash (its traceback is printed).
 """
 
 from __future__ import annotations

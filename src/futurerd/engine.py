@@ -121,8 +121,7 @@ class VerifyReport:
     is not read.
     """
 
-    def __init__(self, algo: str) -> None:
-        self.algo = algo
+    def __init__(self) -> None:
         self.checked = 0
         self.divergence: Divergence | None = None
         self.detector_races: set = set()
@@ -219,9 +218,10 @@ def verify(seq: Iterable[Event], algo: str, sample: int | None = None,
     ``seq``, any iterable ``detect`` takes, is read once, in one walk that
     builds the dag through ``oracle.follow`` as it goes, and no event list is
     built. An invalid trace raises ``replay``'s ``InputError``; so does a
-    dag whose rows could pass ``oracle.REACH_BUDGET``, at the strand that
-    passes it. A divergence ends the walk at once, so it is reported even
-    when a later line is invalid.
+    dag that passes ``oracle.REACH_BUDGET``, at the strand that passes it.
+    The budget charges S²/8 bytes for S strands; the rows hold about S²/16.
+    A divergence ends the walk at once, so it is reported even when a later
+    line is invalid.
     """
     import random
 
@@ -234,7 +234,7 @@ def verify(seq: Iterable[Event], algo: str, sample: int | None = None,
     reach = make_reachability(algo)
     shadow = ShadowTable()
     rng = random.Random(seed)
-    report = VerifyReport(algo=algo)
+    report = VerifyReport()
     races: dict = {}
 
     def after_strand(s):

@@ -38,7 +38,6 @@ class ClosureLimitError(InputError):
             f"{attached_sets * attached_sets // 8:,} bytes, over the budget of {budget:,} bytes"
         )
         self.attached_sets = attached_sets
-        self.budget = budget
 
 
 class ReaderError(Exception):

@@ -295,19 +295,30 @@ class MultiBagsPlus(MultiBags):
     # -- queries ------------------------------------------------------------
 
     def _past_p_bag(self, u: int) -> bool:
-        """``precedes`` for a strand ``u`` in a P bag: a path may run through gets."""
+        """``precedes`` for a strand ``u`` in a P bag: a path may run through gets.
+
+        ``u`` precedes the current strand when its set's join proxy ``a1``
+        reaches the current set's fork proxy ``a2`` in ``r``, and ``a1`` is
+        never ``a2``. Proof, calling a set S or P by its bag's label: (1) a
+        ``d_nsp`` set lies in one bag. A new set holds one strand; a sync
+        adds its join to, and unions, only sets of its fork strand and its
+        window, all in the frame's bag once the child's bag joins it; a get
+        unions nothing. (2) ``a1`` is P: it is ``u``'s set, or the set that
+        got the join of the sync that sealed ``u``'s set, so in ``u``'s bag. (3)
+        ``a2`` is S: it is the current set, or was copied at a spawn or a
+        return from the set of the frame's fork strand. An unattached set
+        gains only strands of its frame and of that frame's synced children,
+        so ``a2`` holds a strand of the current frame or of an ancestor, and
+        none of these has returned. ``_wake`` builds what the hooks would.
+        """
         if self._dormant:
             return False  # no future yet, so the S/P bags are exact
-        uu = self.d_nsp.find(u)
-        a1 = self.d_nsp.record(uu).att_succ
+        a1 = self.d_nsp.find_record(u).att_succ
         if a1 is None:
             # No join point has sealed u's region yet, so nothing downstream
             # of it can be running.
             return False
-        vv = self.d_nsp.find(self._cur)
-        a2 = self.d_nsp.record(vv).att_pred
-        if a1 == a2:
-            return uu != vv
+        a2 = self.d_nsp.find_record(self._cur).att_pred
         return self.r.reach(self._rnode(a1), self._rnode(a2))
 
     # -- accounting ---------------------------------------------------------

@@ -31,18 +31,15 @@ assigns ``_win`` only to the nodes between them, so each node is assigned
 once and each window adopted once.
 
 The rows need about k²/16 bytes for k nodes, and k²/8 at worst; the owed
-bits add at most one row per closed window. ``add_node`` refuses to grow
-past ``MAX_NODES``, the most nodes whose rows fit ``CLOSURE_BUDGET``.
+bits add at most one row per closed window. ``add_node`` refuses a node
+whose k²/8 would pass ``CLOSURE_BUDGET``, so the budget admits 2^17 nodes.
 """
 
 from __future__ import annotations
 
-from math import isqrt
-
 from .errors import ClosureLimitError, InvariantError, UsageError
 
 CLOSURE_BUDGET = 2 << 30  # bytes of ancestor rows, which take up to k²/8 for k nodes
-MAX_NODES = isqrt(8 * CLOSURE_BUDGET)  # the most nodes the budget admits: 2^17
 
 
 class ReachDag:
@@ -59,7 +56,7 @@ class ReachDag:
 
     def add_node(self) -> int:
         n = len(self._anc)
-        if n >= MAX_NODES:
+        if (n + 1) * (n + 1) // 8 > CLOSURE_BUDGET:
             raise ClosureLimitError(n + 1, CLOSURE_BUDGET)
         self._anc.append(0)
         self._win.append(-1)

@@ -23,7 +23,7 @@ class RaceReport:
     """One race on a word: ``kind`` between strand ``prior`` and strand ``current``.
 
     A plain class with a ``__dict__``, so ``vars(report)`` is its four fields
-    in order. Equality, hashing and ``repr`` follow ``key()``.
+    in order. Reports compare by identity; ``key()`` is a report's value.
     """
 
     def __init__(self, addr: int, kind: str, prior: int, current: int) -> None:
@@ -34,14 +34,6 @@ class RaceReport:
 
     def key(self) -> tuple[int, str, int, int]:
         return (self.addr, self.kind, self.prior, self.current)
-
-    def __eq__(self, other):
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        return self.key() == other.key()
-
-    def __hash__(self) -> int:
-        return hash(self.key())
 
     def __repr__(self) -> str:
         return "RaceReport(addr={!r}, kind={!r}, prior={!r}, current={!r})".format(*self.key())

@@ -520,8 +520,7 @@ class ValidationReport:
     """One ``walk``'s violations (the first ``KEPT_VIOLATIONS`` of ``violation_count``),
     counts, and first ``InputError`` from a hook."""
 
-    def __init__(self, mode: str) -> None:
-        self.mode = mode
+    def __init__(self) -> None:
         self.violations: list[Violation] = []
         self.counts = TraceCounts()
         self.error: InputError | None = None
@@ -588,7 +587,7 @@ def walk(seq: Iterable[Event], mode: str, reach=None, shadow=None, races=None,
         raise UsageError("a shadow or an after_strand hook needs a reach")
     if shadow is not None and races is None:
         raise UsageError("a shadow needs a races dict")
-    report = ValidationReport(mode=mode)
+    report = ValidationReport()
     violations = report.violations
     single_touch = mode == MODE_STRUCTURED
 

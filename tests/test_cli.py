@@ -16,6 +16,7 @@ import pytest
 
 import futurerd
 from futurerd import cli, engine, gen_lcs_general, gen_lcs_structured, gen_random, oracle, reachdag, trace
+from futurerd.errors import InvariantError, UsageError
 from futurerd.multibags_plus import MultiBagsPlus
 from futurerd.shadow import WRITE_WRITE, RaceReport, ShadowTable
 from helpers import cr, gt, rt, seq_of, sp, sy, wr
@@ -363,6 +364,49 @@ def test_no_reader_outlives_the_command(tmp_path, capsys, monkeypatch):
     _no_child_left()
 
 
+@pytest.mark.parametrize("exc", [InvariantError("a broken invariant"),
+                                 UsageError("a misused structure")],
+                         ids=["invariant", "usage"])
+def test_an_internal_error_exits_3_with_no_verdict(exc, tmp_path, capsys, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    trace.dump(gen_random(n_events=5000, p_spawn=0.15, p_create=0.05, p_get=0.05, seed=2,
+                          inject_race=True), path)
+    calls = []
+    real = MultiBagsPlus.on_return
+
+    def broken(self, child, frame):  # a detector bug, part-way through the walk
+        calls.append(child)
+        if len(calls) == 300:
+            raise exc
+        real(self, child, frame)
+
+    monkeypatch.setattr(MultiBagsPlus, "on_return", broken)
+    assert run(["detect", "--algo", "plus", "--mode", "general", "--json",
+                "--trace", str(path)]) == cli.EXIT_BROKEN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"internal error: {exc}\n"
+    _no_child_left()
+
+
+def test_a_reader_frame_cut_short_gives_no_verdict(tmp_path, capsys, monkeypatch):
+    path = tmp_path / "t.jsonl"
+    trace.dump(gen_lcs_structured(4, seed=1, inject_race=True), path)
+
+    def cut_short(lines, fd):  # the reader: a head promising 100 bytes, then 10 of them
+        os.write(fd, trace._HEAD.pack(100) + bytes(10))
+        os._exit(0)
+
+    monkeypatch.setattr(trace, "_read_ahead", cut_short)
+    assert run(["detect", "--algo", "multibags", "--mode", "structured", "--json",
+                "--trace", str(path)]) == cli.EXIT_BROKEN
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert re.fullmatch(r"error: the trace reader \(pid \d+\) exited with code 0 before the end "
+                        r"of the trace\n", captured.err), captured.err
+    _no_child_left()
+
+
 @pytest.mark.parametrize("exc, code, message", [
     (None, cli.EXIT_BROKEN, "was killed by signal 9 before the end of the trace"),
     (RuntimeError("a reader bug"), cli.EXIT_BROKEN, "RuntimeError: a reader bug"),
@@ -510,7 +554,6 @@ def test_closure_limit_exits_2_and_names_the_attached_sets(tmp_path, capsys, mon
     out = tmp_path / "t.jsonl"
     run(["gen", "lcs-general", "--n", "3", "-o", str(out)])  # 31 attached sets
     monkeypatch.setattr(reachdag, "CLOSURE_BUDGET", 3)  # 5 sets' rows take 5*5//8 bytes
-    monkeypatch.setattr(reachdag, "MAX_NODES", 5)
     capsys.readouterr()
     assert run(["detect", "--algo", "plus", "--mode", "general",
                 "--trace", str(out), "--json"]) == cli.EXIT_BAD_INPUT

@@ -122,7 +122,7 @@ def test_detect_verify_and_their_errors_leave_no_cyclic_garbage(monkeypatch):
         with pytest.raises(InputError, match="unsynced"):
             engine.detect(seq_of(sp(1), rt()), "plus", "general")
         assert gc.collect() == 0
-        monkeypatch.setattr(reachdag, "MAX_NODES", 5)
+        monkeypatch.setattr(reachdag, "CLOSURE_BUDGET", 3)  # admits 5 nodes
         with pytest.raises(ClosureLimitError):  # raised by a hook, kept by the walk
             engine.detect(trace.parse(both_attached), "plus", "general")
         assert gc.collect() == 0

@@ -7,8 +7,9 @@ from futurerd.errors import InputError, InvariantError, UsageError
 from futurerd.generators import gen_lcs_general, gen_random
 from futurerd.multibags import MultiBags
 from futurerd.multibags_plus import MultiBagsPlus, NspRecord
-from helpers import (cr, deep_fork_join_then, descendants, gt, oracle_answers, rd, replay_collect,
-                     rt, seq_of, sp, sp_reaches, sy, wr)
+from futurerd.shadow import ShadowTable
+from helpers import (cr, deep_fork_join_then, descendants, fold_words, gt, oracle_answers, rd,
+                     replay_collect, rt, seq_of, sp, sp_reaches, sy, wr)
 
 
 def drive(events, after=None):
@@ -505,6 +506,39 @@ def test_att_succ_contains_a_common_successor():
             ), (seed, sid)
             checked += 1
         assert checked > 0 or seq.counts.syncs == 0
+
+
+class _ProxiesNeverTie(MultiBagsPlus):
+    """Asserts, on each query for a P-bag strand whose set is sealed, the
+    lemma in ``_past_p_bag``'s docstring: its two proxies differ."""
+
+    sealed_queries = 0
+
+    def _past_p_bag(self, u):
+        if not self._dormant:
+            nsp = self.d_nsp
+            a1 = nsp.record(nsp.find(u)).att_succ
+            if a1 is not None:
+                _ProxiesNeverTie.sealed_queries += 1
+                assert a1 != nsp.record(nsp.find(self._cur)).att_pred, (u, self._cur)
+        return super()._past_p_bag(u)
+
+
+def test_a_sealed_p_query_never_finds_its_two_proxies_equal(monkeypatch):
+    # Draws kept small: gen_random's readable lists can run away on larger ones.
+    # Every other draw is folded onto a few words, so that parallel strands
+    # touch one word and query each other.
+    monkeypatch.setattr(_ProxiesNeverTie, "sealed_queries", 0)
+    rng = random.Random(0)
+    corpus = [gen_lcs_general(n, inject_race=race) for n in range(2, 9) for race in (0, 1)]
+    for seed in range(500):
+        seq = gen_random(n_events=500, p_spawn=rng.uniform(0.05, 0.25),
+                         p_create=rng.uniform(0.02, 0.2), p_get=rng.uniform(0.02, 0.2),
+                         seed=seed)
+        corpus.append(fold_words(seq, rng.randrange(1, 9), seed) if seed % 2 else seq)
+    for seq in corpus:
+        engine.replay(seq, _ProxiesNeverTie(), ShadowTable(), {})
+    assert _ProxiesNeverTie.sealed_queries >= 20_000
 
 
 def test_attached_budget_per_trace():

@@ -325,7 +325,7 @@ def test_close_window_rejects_windows_that_do_not_nest():
 
 
 def test_add_node_refuses_to_grow_past_the_limit(monkeypatch):
-    monkeypatch.setattr(reachdag, "MAX_NODES", 3)
+    monkeypatch.setattr(reachdag, "CLOSURE_BUDGET", 1)  # 3 nodes' rows take 3*3//8 bytes
     dag = ReachDag()
     assert [dag.add_node() for _ in range(3)] == [0, 1, 2]
     with pytest.raises(ClosureLimitError, match="4 attached sets") as info:
@@ -337,8 +337,12 @@ def test_add_node_refuses_to_grow_past_the_limit(monkeypatch):
 
 def test_default_limit_is_two_to_the_seventeen():
     assert reachdag.CLOSURE_BUDGET == 2 << 30
-    assert reachdag.MAX_NODES == 1 << 17
-    assert reachdag.MAX_NODES ** 2 // 8 == reachdag.CLOSURE_BUDGET
-    assert str(ClosureLimitError(reachdag.MAX_NODES + 1, reachdag.CLOSURE_BUDGET)) == (
+    dag = ReachDag()
+    for _ in range(1 << 17):
+        dag.add_node()
+    with pytest.raises(ClosureLimitError) as info:
+        dag.add_node()
+    assert str(info.value) == (
         "the closure dag refuses 131073 attached sets: its rows could take "
         "2,147,516,416 bytes, over the budget of 2,147,483,648 bytes")
+    assert len(dag) == 1 << 17

@@ -31,6 +31,7 @@ def test_parallel_write_then_read_races():
     assert t.on_write(256, 1, lambda u: dag.reaches(u, 1)) == []
     rep = t.on_read(256, 2, lambda u: dag.reaches(u, 2))
     assert rep is not None and rep.key() == (256, "write-read", 1, 2)
+    assert repr(rep) == "RaceReport(addr=256, kind='write-read', prior=1, current=2)"
 
 
 def test_write_after_own_read_is_clean_and_clears():

@@ -215,6 +215,7 @@ def test_trace_file_parses_its_file_on_each_pass(tmp_path):
     trace.dump(EventSequence(events), path)
     seq = trace.load(path)
     assert isinstance(seq, trace.TraceFile) and isinstance(seq, EventSequence)
+    assert repr(seq) == f"TraceFile({path!r})"
     assert list(seq) == events and seq.events == events and len(seq) == 4
     assert seq.counts.strands == 4 and validate(seq, MODE_STRUCTURED).ok
     path.write_text(serialize(EventSequence(events[:2])))
