@@ -10,7 +10,8 @@ attached sets), or, for ``verify``, a trace whose brute-force dag passes its
 256 MiB budget (``oracle.REACH_BUDGET`` charges S²/8 bytes for S strands; the
 rows hold about S²/16), 3 = verification divergence, a broken race contract,
 an internal invariant failure, the death of the trace reader process before
-the end of the trace, or any other crash (its traceback is printed).
+the end of the trace, or any other crash (its traceback is printed), 141 =
+stdout or stderr is a closed pipe (``detect | head -1``), as for SIGPIPE.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ EXIT_OK = 0
 EXIT_RACES = 1
 EXIT_BAD_INPUT = 2
 EXIT_BROKEN = 3
+EXIT_CLOSED_PIPE = 141  # 128 + SIGPIPE
 
 
 def _checked(cast, ok, rule: str):
@@ -121,7 +123,7 @@ def _load(path: str):
 def _write(path: str, text: str) -> None:
     """Write an output file, or standard output for "-"."""
     if path == "-":
-        sys.stdout.write(text)
+        print(text, end="", flush=True)
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(text)
@@ -145,9 +147,8 @@ def _cmd_detect(args) -> int:
     if args.json:
         print(report.to_json())
     else:
-        if report.races:
-            for r in report.races:
-                print(f"race {r.kind} at 0x{r.addr:x}: strand {r.prior} vs strand {r.current}")
+        for r in report.races:
+            print(f"race {r.kind} at 0x{r.addr:x}: strand {r.prior} vs strand {r.current}")
         print(f"{len(report.races)} race(s) found")
         if args.stats:
             for key, val in report.stats._asdict().items():
@@ -215,21 +216,17 @@ def _cmd_stats(args) -> int:
 def run_cli(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
-        if args.command == "detect":
-            return _cmd_detect(args)
-        if args.command == "verify":
-            return _cmd_verify(args)
-        if args.command == "gen":
-            return _cmd_gen(args)
-        return _cmd_stats(args)
-    except InputError as exc:
+        code = {"detect": _cmd_detect, "verify": _cmd_verify, "gen": _cmd_gen,
+                "stats": _cmd_stats}[args.command](args)
+        print(end="", flush=True)  # a failed write to standard output raises here
+        return code
+    except BrokenPipeError:  # a closed stdout or stderr: no one reads what follows
+        return EXIT_CLOSED_PIPE
+    except (InputError, OSError) as exc:  # OSError: reading the trace, writing a file
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except UnicodeDecodeError as exc:  # reading the trace, which may happen mid-walk
         print(f"error: trace is not UTF-8 text: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except OSError as exc:  # opening or reading the trace, or writing an output file
-        print(f"error: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (InvariantError, UsageError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)
@@ -247,13 +244,14 @@ def main() -> None:
     collector would only rescan the shadow's entries and reader lists,
     over and over, and free nothing. It also sets up the process's logging
     from ``FUTURERD_LOG`` (off, info or debug; off by default), and imports
-    ``logging`` only to do so. ``run_cli``
-    and the library leave the collector and the logging alone; a program
-    that calls ``detect`` on large traces may turn the collector off itself.
+    ``logging`` only to do so. ``run_cli`` and the library leave the
+    collector and the logging alone; a program that calls ``detect`` on
+    large traces may turn the collector off itself.
 
     Exit code 1 means races only: any exception that ``run_cli`` does not
     map to an exit code, a bug or a ``MemoryError`` say, prints its
-    traceback and exits 3.
+    traceback and exits 3, or 141 if stderr is a closed pipe. A stream whose
+    write failed is pointed at ``os.devnull``, so the exit's flush cannot fail.
     """
     gc.disable()
     level = os.environ.get("FUTURERD_LOG", "off").lower()
@@ -262,12 +260,20 @@ def main() -> None:
 
         logging.basicConfig(level=level.upper(), format="futurerd: %(message)s")
     try:
-        code = run_cli()
-    except Exception:
-        import traceback
+        try:
+            code = run_cli()
+        except Exception:
+            import traceback
 
-        traceback.print_exc()
-        code = EXIT_BROKEN
+            traceback.print_exc()
+            code = EXIT_BROKEN
+    except BrokenPipeError:
+        code = EXIT_CLOSED_PIPE
+    for stream in filter(None, (sys.stdout, sys.stderr)):
+        try:
+            stream.flush()
+        except OSError:
+            os.dup2(os.open(os.devnull, os.O_WRONLY), stream.fileno())
     sys.exit(code)
 
 

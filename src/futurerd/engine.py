@@ -17,7 +17,6 @@ from .shadow import RaceReport, ShadowTable
 from .trace import (
     MODE_GENERAL,
     MODE_STRUCTURED,
-    Event,
     TraceCounts,
     validate,
     walk,
@@ -150,7 +149,7 @@ def make_reachability(algo: str):
     raise UsageError(f"unknown algorithm {algo!r}")
 
 
-def replay(seq: Iterable[Event], reach, shadow=None, races=None, after_strand=None,
+def replay(seq: Iterable[tuple], reach, shadow=None, races=None, after_strand=None,
            mode: str = MODE_GENERAL) -> TraceCounts:
     """``trace.walk`` with the hooks of ``reach``: its counts, or its ``InputError``.
 
@@ -161,7 +160,7 @@ def replay(seq: Iterable[Event], reach, shadow=None, races=None, after_strand=No
     return walk(seq, mode, reach, shadow, races, after_strand).counts_or_raise()
 
 
-def detect(seq: Iterable[Event], algo: str, mode: str) -> DetectReport:
+def detect(seq: Iterable[tuple], algo: str, mode: str) -> DetectReport:
     """Race detection over a full trace, in one walk.
 
     ``seq``, any iterable of ``(kind, fn, handle, addr)`` events, is read once: a
@@ -205,7 +204,7 @@ class _Stop(Exception):
     pass
 
 
-def verify(seq: Iterable[Event], algo: str, sample: int | None = None,
+def verify(seq: Iterable[tuple], algo: str, sample: int | None = None,
            seed: int = 0) -> VerifyReport:
     """Replay a detector and compare its answers against the brute-force dag.
 
@@ -262,7 +261,7 @@ def verify(seq: Iterable[Event], algo: str, sample: int | None = None,
     return report
 
 
-def stats_only(seq: Iterable[Event]) -> dict:
+def stats_only(seq: Iterable[tuple]) -> dict:
     """Counts for a trace without running detection.
 
     The counting walk checks the frame grammar, and an invalid trace raises

@@ -26,7 +26,6 @@ from .trace import (
     SPAWN,
     SYNC,
     WRITE,
-    Event,
     validate,
 )
 
@@ -112,14 +111,14 @@ class OracleDag:
         return v
 
 
-def build(seq: Iterable[Event]) -> OracleDag:
+def build(seq: Iterable[tuple]) -> OracleDag:
     """The dag of a trace, in one walk; an invalid trace raises ``replay``'s InputError."""
     dag = OracleDag()
     validate(follow(dag, seq), MODE_GENERAL).counts_or_raise()
     return dag
 
 
-def follow(dag: OracleDag, seq: Iterable[Event]) -> Iterator[Event]:
+def follow(dag: OracleDag, seq: Iterable[tuple]) -> Iterator[tuple]:
     """The events of ``seq``, any iterable of ``(kind, fn, handle, addr)`` events,
     each added to the empty ``dag`` just before it is yielded.
 

@@ -18,8 +18,9 @@ Wire format is JSON Lines, one event per line, UTF-8:
 
 The root function is implicit: it has no opening event and end-of-file closes
 it. Function instance ids (``f``) and future handle ids (``h``) are arbitrary
-unique unsigned integers. An ``Event``'s ``kind`` is its line's ``t`` tag, one
-of the constants ``SPAWN`` ... ``WRITE``, so ``Event("w", addr=4)`` is a write.
+unique unsigned integers. The parser hands out each event as a plain tuple
+``(kind, fn, handle, addr)``, whose ``kind`` is the line's ``t`` tag, one of
+``SPAWN`` ... ``WRITE``; ``Event("w", addr=4)`` names the fields of a write.
 
 ``walk`` is the one pass over a trace and the one implementation of its frame
 grammar; ``validate``, ``EventSequence.counts`` and ``engine.replay`` are walks.
@@ -71,7 +72,7 @@ ADDR_LIMIT = 1 << 64  # addresses are uint64
 
 
 class Event(NamedTuple):
-    """One trace event; immutable, so identical lines can share one object."""
+    """One trace event with named fields; it equals the parser's plain tuple."""
 
     kind: str
     fn: int | None = None
@@ -136,12 +137,13 @@ class TraceFile(EventSequence):
     def __repr__(self) -> str:
         return f"TraceFile({self.path!r})"
 
-    def __iter__(self) -> Iterator[Event]:
+    def __iter__(self) -> Iterator[tuple]:
         return chain.from_iterable(_batches(path=self.path))
 
     @property
     def events(self) -> list[Event]:
-        return list(iter(self))  # not list(self), whose length hint would call len(self)
+        """A whole pass as ``Event``s: ``perfbench/tracer.py`` reads ``.addr`` on them."""
+        return list(map(Event._make, self))
 
 
 # -- parse / serialize ------------------------------------------------------
@@ -162,28 +164,26 @@ _CANONICAL = re.compile(
     r')\}\n?'
 ).fullmatch
 
-# Canonical lines already parsed, so that repeated lines share one Event.
+# Canonical lines already parsed, so that repeated lines share one tuple.
 # Cleared when full, which bounds its memory on traces of distinct lines.
 _CACHE_LINES = 4096
 
-_new_tuple = tuple.__new__  # Event(...) without the Python-level __new__
 
-
-def _canonical_event(m: re.Match) -> Event | None:
+def _canonical_event(m: re.Match) -> tuple | None:
     """The event of a canonical line, or None for an address past uint64."""
     rw, a, sf, cf, ch, gh, sr = m.groups()
     if a is not None:
         a = int(a)
         if a >= ADDR_LIMIT:
             return None
-        return _new_tuple(Event, (sys.intern(rw), None, None, a))
+        return (sys.intern(rw), None, None, a)
     if sf is not None:
-        return _new_tuple(Event, (SPAWN, int(sf), None, None))
+        return (SPAWN, int(sf), None, None)
     if ch is not None:
-        return _new_tuple(Event, (CREATE, int(cf), int(ch), None))
+        return (CREATE, int(cf), int(ch), None)
     if gh is not None:
-        return _new_tuple(Event, (GET, None, int(gh), None))
-    return _new_tuple(Event, (sys.intern(sr), None, None, None))
+        return (GET, None, int(gh), None)
+    return (sys.intern(sr), None, None, None)
 
 
 _TOO_LONG = object()  # an integer with more digits than ``int`` converts
@@ -197,6 +197,8 @@ def _int_or_too_long(digits: str):
 
 
 _decode = json.JSONDecoder(parse_int=_int_or_too_long).decode
+# The fields of each kind's line, in the order of an event's fn, handle and addr.
+_FIELDS = {SPAWN: "f", CREATE: "fh", GET: "h", READ: "a", WRITE: "a", SYNC: "", RET: ""}
 
 
 def _field(obj: dict, name: str, lineno: int) -> int:
@@ -212,7 +214,7 @@ def _field(obj: dict, name: str, lineno: int) -> int:
     return v
 
 
-def _json_event(line: str, lineno: int) -> Event:
+def _json_event(line: str, lineno: int) -> tuple:
     """Parse one stripped, non-blank line that is not in canonical form."""
     try:
         obj = _decode(line)
@@ -223,17 +225,10 @@ def _json_event(line: str, lineno: int) -> Event:
     if not isinstance(obj, dict):
         raise ParseError(lineno, "event must be a JSON object")
     t = obj.get("t")
-    if t == SPAWN:
-        return Event(SPAWN, fn=_field(obj, "f", lineno))
-    if t == CREATE:
-        return Event(CREATE, fn=_field(obj, "f", lineno), handle=_field(obj, "h", lineno))
-    if t == GET:
-        return Event(GET, handle=_field(obj, "h", lineno))
-    if t in ACCESS_KINDS:
-        return Event(sys.intern(t), addr=_field(obj, "a", lineno))
-    if t == SYNC or t == RET:
-        return Event(sys.intern(t))
-    raise ParseError(lineno, f"unknown event kind {t!r}")
+    names = _FIELDS.get(t) if isinstance(t, str) else None
+    if names is None:
+        raise ParseError(lineno, f"unknown event kind {t!r}")
+    return (sys.intern(t), *(_field(obj, n, lineno) if n in names else None for n in "fha"))
 
 
 # The parser hands over the events of each ``size`` lines as one list. When
@@ -248,7 +243,7 @@ def _json_event(line: str, lineno: int) -> Event:
 _BATCH_LINES = 8192
 
 
-def iterparse(source) -> Iterator[Event]:
+def iterparse(source) -> Iterator[tuple]:
     """Iterate over the events of a JSON-Lines trace, from a string or a text stream.
 
     Lines in the canonical form that ``serialize`` writes take a regex fast
@@ -261,7 +256,7 @@ def iterparse(source) -> Iterator[Event]:
                                         else source))
 
 
-def _batches(lines=None, path=None, size=_BATCH_LINES) -> Iterator[list[Event]]:
+def _batches(lines=None, path=None, size=_BATCH_LINES) -> Iterator[list[tuple]]:
     """``iterparse``'s events, one list for each ``size`` lines that hold any,
     from ``lines`` or the file at ``path``.
 
@@ -271,10 +266,10 @@ def _batches(lines=None, path=None, size=_BATCH_LINES) -> Iterator[list[Event]]:
     """
     with open(path, "r", encoding="utf-8") if path is not None else nullcontext(lines) as lines:
         lines = iter(lines)
-        cache: dict[str, Event] = {}
+        cache: dict[str, tuple] = {}
         start = 1  # the line number of the batch's first line
         while chunk := list(islice(lines, size)):
-            batch: list[Event] = []
+            batch: list[tuple] = []
             append = batch.append
             for lineno, raw in enumerate(chunk, start):
                 ev = cache.get(raw)
@@ -464,7 +459,7 @@ def _read_ahead(lines, fd: int) -> NoReturn:
         start = time.process_time()
         try:
             for batch in _batches(lines, size=_FRAME_LINES):
-                send(list(map(tuple, batch)))  # marshal takes no tuple subclass
+                send(batch)
             last = ("end", time.process_time() - start)
         except (InputError, OSError, UnicodeDecodeError) as exc:
             import pickle  # only for the error frame
@@ -548,7 +543,7 @@ class ValidationReport:
         return self.counts
 
 
-def walk(seq: Iterable[Event], mode: str, reach=None, shadow=None, races=None,
+def walk(seq: Iterable[tuple], mode: str, reach=None, shadow=None, races=None,
          after_strand=None) -> ValidationReport:
     """Walk a trace once, in serial order, and pass its events to the hooks.
 
@@ -713,7 +708,7 @@ def walk(seq: Iterable[Event], mode: str, reach=None, shadow=None, races=None,
     return report
 
 
-def validate(seq: Iterable[Event], mode: str) -> ValidationReport:
+def validate(seq: Iterable[tuple], mode: str) -> ValidationReport:
     """``walk`` with no hooks: check well-formedness for the given mode.
 
     A clean report means: every event is of a known kind, frames are

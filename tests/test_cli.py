@@ -437,6 +437,51 @@ def test_a_reader_that_dies_after_its_first_frame_gives_no_verdict(exc, code, me
         _no_child_left()
 
 
+_CLOSED_PIPE_COMMANDS = [
+    ["detect", "--algo", "plus", "--mode", "general", "--trace"],
+    ["verify", "--algo", "plus", "--trace"],
+    ["stats", "--trace"],
+    ["gen", "lcs-structured", "--n", "3", "-o"],
+]
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", _CLOSED_PIPE_COMMANDS, ids=lambda c: c[0])
+def test_a_closed_pipe_exits_141_and_a_full_disk_exits_2(command, tmp_path):
+    # The trace is race-free, so exit 1 would claim races that were not found.
+    clean, invalid = tmp_path / "clean.jsonl", tmp_path / "invalid.jsonl"
+    trace.dump(gen_lcs_structured(3), clean)
+    invalid.write_text('{"t":"sync"}\n')
+    env = {k: v for k, v in _command_env().items() if k != "PYTHONUNBUFFERED"}
+
+    def run_into(path, stdout, stderr, unbuffered=False):
+        """Run the command with ``stdout`` and ``stderr``; a None stream is a
+        pipe whose reader has closed it."""
+        r, w = os.pipe()
+        os.close(r)
+        argv = [sys.executable, "-m", "futurerd.cli", *command,
+                "-" if command[0] == "gen" else str(path)]
+        try:
+            return subprocess.run(argv, stdout=w if stdout is None else stdout,
+                                  stderr=w if stderr is None else stderr,
+                                  env={**env, "PYTHONUNBUFFERED": "1"} if unbuffered else env)
+        finally:
+            os.close(w)
+
+    for unbuffered in (False, True):  # a write fails at the last flush, or at once
+        proc = run_into(clean, None, subprocess.PIPE, unbuffered)
+        assert (proc.returncode, proc.stderr) == (cli.EXIT_CLOSED_PIPE, b"")
+        assert run_into(clean, None, None, unbuffered).returncode == cli.EXIT_CLOSED_PIPE
+        with open("/dev/full", "wb") as full:
+            proc = run_into(clean, full, subprocess.PIPE, unbuffered)
+        enospc = f"[Errno {errno.ENOSPC}] {os.strerror(errno.ENOSPC)}"
+        assert (proc.returncode, proc.stderr.decode()) == (cli.EXIT_BAD_INPUT,
+                                                           f"error: {enospc}\n")
+    if command[0] != "gen":  # its error line, then, meets the closed stderr
+        assert run_into(invalid, None, None).returncode == cli.EXIT_CLOSED_PIPE
+    _no_child_left()
+
+
 def _alive(pid):
     try:
         with open(f"/proc/{pid}/stat") as fh:

@@ -59,15 +59,22 @@ def test_each_kind_is_the_t_tag_serialize_writes_for_it():
 
 def test_parsed_kinds_are_the_module_constants():
     # The walk compares kinds with ==, which matches identical objects first.
+    # Both paths hand out plain tuples, which the reader's frames carry as they are.
     canonical = serialize(seq_of(*_ONE_OF_EACH))
     loose = canonical.replace(":", ": ")
+    swapped = "".join(json.dumps(dict(reversed(json.loads(line).items()))) + "\r\n"
+                      for line in canonical.splitlines())
     assert all(trace._CANONICAL(line) for line in canonical.splitlines(keepends=True))
-    assert not any(trace._CANONICAL(line) for line in loose.splitlines(keepends=True))
-    for text in (canonical, loose):  # the regex path, then the json.loads path
+    for text in (loose, swapped):
+        assert not any(trace._CANONICAL(line) for line in text.splitlines(keepends=True))
+    for text in (canonical, loose, swapped):  # the regex path, then the json.loads path
         with _reader(text) as reader:
-            via_reader = list(reader)
-        for events in (parse(text).events, via_reader):
-            assert [ev[0] for ev in events] == [ev.kind for ev in _ONE_OF_EACH]
+            frames = list(reader._read_frames())
+        assert all(type(frame) is list for frame in frames)
+        via_reader = [ev for frame in frames for ev in frame]
+        for events in (list(trace.iterparse(text)), via_reader):
+            assert events == _ONE_OF_EACH
+            assert all(type(got) is tuple for got in events)
             assert all(got[0] is ev.kind for got, ev in zip(events, _ONE_OF_EACH))
 
 
@@ -217,6 +224,8 @@ def test_trace_file_parses_its_file_on_each_pass(tmp_path):
     assert isinstance(seq, trace.TraceFile) and isinstance(seq, EventSequence)
     assert repr(seq) == f"TraceFile({path!r})"
     assert list(seq) == events and seq.events == events and len(seq) == 4
+    assert all(type(ev) is tuple for ev in seq)  # the walk's form
+    assert all(type(ev) is trace.Event for ev in seq.events) and seq.events[1].addr == 4
     assert seq.counts.strands == 4 and validate(seq, MODE_STRUCTURED).ok
     path.write_text(serialize(EventSequence(events[:2])))
     assert seq.events == events[:2]  # read afresh, not kept
@@ -534,8 +543,7 @@ def test_each_reader_frame_holds_the_events_of_frame_lines():
              + ["\n"] * trace._FRAME_LINES + ['{"t":"sync"}\n'])
     with _reader("".join(lines)) as reader:
         frames = list(reader._read_frames())
-    assert frames == [list(map(tuple, b))
-                      for b in trace._batches(iter(lines), size=trace._FRAME_LINES)]
+    assert frames == list(trace._batches(iter(lines), size=trace._FRAME_LINES))
     # Two of each three lines hold an event; the fourth 1,024 lines hold none.
     assert [len(f) for f in frames] == [683, 682, 683, 1]
 
