@@ -97,18 +97,18 @@ def _load(path: str):
     reader reads its own copy. Without ``os.fork``, or when the reader
     cannot start (no process or descriptor to spare), the walk parses the
     trace itself: the file through ``trace.load``, standard input through
-    ``trace.iterparse``. A trace that cannot be opened or decoded raises
-    ``OSError`` or ``UnicodeDecodeError``, which ``run_cli`` reports as bad
-    input.
+    ``trace.iterparse``. Each path reads UTF-8 and skips a leading BOM. A
+    trace that cannot be opened or decoded raises ``OSError`` or
+    ``UnicodeDecodeError``, which ``run_cli`` reports as bad input.
     """
     if path == "-":
         if sys.stdin is None:
             raise InputError("--trace -: standard input is closed")
-        lines = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8")
+        lines = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
         seq = trace.iterparse(lines)
     else:
         seq = trace.load(path)
-        lines = open(path, "r", encoding="utf-8")
+        lines = open(path, "r", encoding="utf-8-sig")
     try:
         reader = trace.ReaderTrace(lines) if hasattr(os, "fork") else contextlib.nullcontext(seq)
     except ReaderError:

@@ -149,15 +149,15 @@ def make_reachability(algo: str):
     raise UsageError(f"unknown algorithm {algo!r}")
 
 
-def replay(seq: Iterable[tuple], reach, shadow=None, races=None, after_strand=None,
+def replay(seq: Iterable[tuple], reach, shadow=None, after_strand=None,
            mode: str = MODE_GENERAL) -> TraceCounts:
     """``trace.walk`` with the hooks of ``reach``: its counts, or its ``InputError``.
 
-    See ``ValidationReport.counts_or_raise``: an invalid trace raises an
-    error naming its first five violations, even when a hook failed or races
-    were found before them.
+    The races found are kept in ``shadow.races``. See ``counts_or_raise``:
+    an invalid trace raises an error naming its first five violations, even
+    when a hook failed or races were found before them.
     """
-    return walk(seq, mode, reach, shadow, races, after_strand).counts_or_raise()
+    return walk(seq, mode, reach, shadow, after_strand).counts_or_raise()
 
 
 def detect(seq: Iterable[tuple], algo: str, mode: str) -> DetectReport:
@@ -166,15 +166,14 @@ def detect(seq: Iterable[tuple], algo: str, mode: str) -> DetectReport:
     ``seq``, any iterable of ``(kind, fn, handle, addr)`` events, is read once: a
     ``TraceFile`` is parsed as it is walked, a ``ReaderTrace`` by its reader, and
     no event list is built; a malformed line raises ``ParseError`` mid-walk.
-    Reports every race (deduplicated by address, kind, and strand pair) in
-    first-occurrence order, plus the run's counts (``Stats``).
+    Reports the shadow's ``races`` (the first report of each address, kind
+    and strand pair, in serial order), plus the run's counts (``Stats``).
     """
     if algo == ALGO_MULTIBAGS and mode == MODE_GENERAL:
         raise InputError("the multibags algorithm requires structured mode")
     reach = make_reachability(algo)  # unknown algorithms and modes raise UsageError
     shadow = ShadowTable()
-    races: dict = {}
-    c = replay(seq, reach, shadow, races, mode=mode)
+    c = replay(seq, reach, shadow, mode=mode)
 
     stats = Stats(
         t1_events=c.events,
@@ -194,10 +193,9 @@ def detect(seq: Iterable[tuple], algo: str, mode: str) -> DetectReport:
         raise InvariantError(
             f"query budget exceeded: {stats.queries} > 2*{stats.m}+{c.writes}"
         )
-    _log_info(
-        "detect algo=%s mode=%s strands=%d races=%d", algo, mode, c.strands, len(races)
-    )
-    return DetectReport(algo=algo, mode=mode, races=list(races.values()), stats=stats)
+    _log_info("detect algo=%s mode=%s strands=%d races=%d",
+              algo, mode, c.strands, len(shadow.races))
+    return DetectReport(algo=algo, mode=mode, races=list(shadow.races.values()), stats=stats)
 
 
 class _Stop(Exception):
@@ -234,7 +232,6 @@ def verify(seq: Iterable[tuple], algo: str, sample: int | None = None,
     shadow = ShadowTable()
     rng = random.Random(seed)
     report = VerifyReport()
-    races: dict = {}
 
     def after_strand(s):
         if s == 0:
@@ -252,11 +249,11 @@ def verify(seq: Iterable[tuple], algo: str, sample: int | None = None,
                 raise _Stop()
 
     try:
-        replay(oracle_mod.follow(dag, seq), reach, shadow, races, after_strand, mode)
+        replay(oracle_mod.follow(dag, seq), reach, shadow, after_strand, mode)
     except _Stop:
         _log_info("verify diverged: %s", report.divergence.describe())
         return report
-    report.detector_races = set(races)
+    report.detector_races = set(shadow.races)
     report.oracle_races = oracle_mod.naive_races(dag)
     return report
 

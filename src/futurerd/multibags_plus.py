@@ -281,12 +281,12 @@ class MultiBagsPlus(MultiBags):
         # _attachify never unions, so each set is found once.
         pre = self.d_nsp.find(self._cur)
         pre_node = self._attachify(pre)
-        sink = self.d_nsp.find(future.sink)
-        sink_node = self._rnode(sink)
+        sink_node = self._rnode(self.d_nsp.find(future.sink))
         r_get = self.r.add_node()
         self.r.add_edge(pre_node, r_get)
-        if sink != pre:
-            self.r.add_edge(sink_node, r_get)
+        # The sink's set is never ``pre``: ``pre`` is in the getter's S bag, the sink in
+        # the future's P bag, and a set lies in one bag (``_past_p_bag``, point (1)).
+        self.r.add_edge(sink_node, r_get)
         self._start_attached(r_get)
         # The S/P side gains only the next strand: bags cannot absorb a
         # multi-touch future.

@@ -40,10 +40,14 @@ class RaceReport:
 
 
 class ShadowTable:
+    """Access history, and ``races``: the first report of each ``key()`` in serial
+    order. ``on_read`` and ``on_write`` return each report they make, repeats included."""
+
     def __init__(self) -> None:
         # word -> last writer strand, or [last writer or None, readers since that write...]
         self._cells: dict[int, int | list] = {}
         self.queries = 0  # precedes calls made so far
+        self.races: dict[tuple, RaceReport] = {}  # key() -> its first report
 
     @property
     def cells_touched(self) -> int:
@@ -65,7 +69,7 @@ class ShadowTable:
         if w is not None and w != strand:
             self.queries += 1
             if not precedes(w):
-                return RaceReport(addr & ~3, WRITE_READ, w, strand)
+                return self._report(addr & ~3, WRITE_READ, w, strand)
         return None
 
     def on_write(self, addr: int, strand: int, precedes) -> list[RaceReport]:
@@ -87,10 +91,15 @@ class ShadowTable:
                 if r != strand:
                     queries += 1
                     if not precedes(r):
-                        reports.append(RaceReport(addr & ~3, READ_WRITE, r, strand))
+                        reports.append(self._report(addr & ~3, READ_WRITE, r, strand))
         if w is not None and w != strand:
             queries += 1
             if not precedes(w):
-                reports.append(RaceReport(addr & ~3, WRITE_WRITE, w, strand))
+                reports.append(self._report(addr & ~3, WRITE_WRITE, w, strand))
         self.queries += queries
         return reports
+
+    def _report(self, *key) -> RaceReport:
+        report = RaceReport(*key)
+        self.races.setdefault(key, report)  # a repeated key keeps its first report
+        return report

@@ -6,7 +6,7 @@ continuation, a ``sync`` joins the most recently spawned outstanding child,
 and a ``get`` joins a future by handle. Memory accesses are 4-byte reads and
 writes tagged with byte addresses.
 
-Wire format is JSON Lines, one event per line, UTF-8:
+Wire format is JSON Lines, one event per line, UTF-8 (a leading BOM is skipped):
 
     {"t":"spawn","f":<uint>}
     {"t":"create","f":<uint>,"h":<uint>}
@@ -264,7 +264,7 @@ def _batches(lines=None, path=None, size=_BATCH_LINES) -> Iterator[list[tuple]]:
     ends or is closed. The events before a malformed line in its batch come
     as one more list before its ``ParseError``.
     """
-    with open(path, "r", encoding="utf-8") if path is not None else nullcontext(lines) as lines:
+    with open(path, "r", encoding="utf-8-sig") if path is not None else nullcontext(lines) as lines:
         lines = iter(lines)
         cache: dict[str, tuple] = {}
         start = 1  # the line number of the batch's first line
@@ -543,7 +543,7 @@ class ValidationReport:
         return self.counts
 
 
-def walk(seq: Iterable[tuple], mode: str, reach=None, shadow=None, races=None,
+def walk(seq: Iterable[tuple], mode: str, reach=None, shadow=None,
          after_strand=None) -> ValidationReport:
     """Walk a trace once, in serial order, and pass its events to the hooks.
 
@@ -555,12 +555,10 @@ def walk(seq: Iterable[tuple], mode: str, reach=None, shadow=None, races=None,
     Each control event is checked against the frame grammar of ``mode`` and
     counted, and only then handed to ``reach``'s hook for it, which places the
     strand that follows, then to ``on_strand_begin`` and ``after_strand`` with
-    the new strand id. With a ``shadow``, reads and writes go to its
-    ``on_read``/``on_write`` with ``reach.precedes``, and each race report is
-    stored in ``races`` under its ``key()``, first occurrence only. Hooks are
-    bound when the walk starts; ``shadow`` and ``after_strand`` need a
-    ``reach``, and ``shadow`` needs ``races``. Without hooks the walk makes no
-    call per event.
+    the new strand id. With a ``shadow``, each read and write is one call to
+    its ``on_read``/``on_write`` with ``reach.precedes``, and the shadow keeps
+    the races. Hooks are bound when the walk starts; ``shadow`` and
+    ``after_strand`` need a ``reach``. No hooks, no call per event.
 
     The walk keeps the frame stack, and each frame entry keeps the detector's
     record of that frame, so a detector keeps none of its own:
@@ -580,8 +578,6 @@ def walk(seq: Iterable[tuple], mode: str, reach=None, shadow=None, races=None,
         raise UsageError(f"unknown mode {mode!r}")
     if reach is None and (shadow is not None or after_strand is not None):
         raise UsageError("a shadow or an after_strand hook needs a reach")
-    if shadow is not None and races is None:
-        raise UsageError("a shadow needs a races dict")
     report = ValidationReport()
     violations = report.violations
     single_touch = mode == MODE_STRUCTURED
@@ -617,15 +613,12 @@ def walk(seq: Iterable[tuple], mode: str, reach=None, shadow=None, races=None,
         if k == READ:
             reads += 1
             if live:
-                rep = on_read(a, cur, precedes)
-                if rep is not None:
-                    races.setdefault(rep.key(), rep)
+                on_read(a, cur, precedes)
             continue
         if k == WRITE:
             writes += 1
             if live:
-                for rep in on_write(a, cur, precedes):
-                    races.setdefault(rep.key(), rep)
+                on_write(a, cur, precedes)
             continue
         bad = None
         if k == SPAWN:

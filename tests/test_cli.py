@@ -533,6 +533,33 @@ def test_without_fork_the_command_parses_in_process(tmp_path, capsys, monkeypatc
     assert capsys.readouterr() == forked
 
 
+_BOM = b"\xef\xbb\xbf"  # U+FEFF in UTF-8
+
+
+@pytest.mark.parametrize("reader", [True, False], ids=["forked-reader", "in-process"])
+def test_a_trace_may_start_with_a_byte_order_mark(reader, tmp_path, capsys, monkeypatch):
+    # RFC 8259 lets a parser skip a leading BOM; elsewhere U+FEFF is bad JSON.
+    plain, bom = tmp_path / "plain.jsonl", tmp_path / "bom.jsonl"
+    trace.dump(gen_lcs_structured(4, inject_race=True), plain)
+    bom.write_bytes(_BOM + plain.read_bytes())
+    late = tmp_path / "late.jsonl"
+    late.write_bytes(b'{"t":"w","a":4}\n' + _BOM + b'{"t":"w","a":4}\n')
+    argv = ["detect", "--algo", "plus", "--mode", "general", "--json", "--trace"]
+    assert run(argv + [str(plain)]) == cli.EXIT_RACES
+    want = capsys.readouterr()
+    if not reader:
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(trace, "ReaderTrace", None)  # any use of it would fail
+    for path, code, out, err in [
+            (bom, cli.EXIT_RACES, want.out, ""),
+            (late, cli.EXIT_BAD_INPUT, "", "error: line 2: invalid JSON (Expecting value)\n")]:
+        assert run(argv + [str(path)]) == code
+        assert capsys.readouterr() == (out, err)
+        _stdin(monkeypatch, path.read_bytes())
+        assert run(argv + ["-"]) == code
+        assert capsys.readouterr() == (out, err)
+
+
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open files in /proc")
 @pytest.mark.parametrize("call", ["fork", "pipe"])
 def test_when_the_reader_cannot_start_the_command_parses_in_process(call, tmp_path, capsys,
@@ -674,8 +701,9 @@ def test_verify_holds_the_race_contract_on_repeated_writes(tmp_path, capsys, mon
 
     class Inventive(ShadowTable):
         def on_write(self, addr, strand, precedes):
-            return super().on_write(addr, strand, precedes) + [
-                RaceReport(addr, WRITE_WRITE, 0, strand)]
+            made_up = RaceReport(addr, WRITE_WRITE, 0, strand)
+            self.races[made_up.key()] = made_up
+            return super().on_write(addr, strand, precedes)
 
     monkeypatch.setattr(engine, "ShadowTable", Inventive)
     assert run(["verify", "--algo", "plus", "--trace", str(out)]) == cli.EXIT_BROKEN

@@ -247,17 +247,13 @@ def test_every_entry_point_words_an_invalid_trace_the_same_way(run, seq, message
     assert type(exc.value) is InputError and str(exc.value) == message
 
 
-def test_replay_refuses_a_shadow_without_a_races_dict():
+def test_replay_and_walk_keep_the_first_race_in_the_shadow():
     seq = seq_of(sp(1), wr(4), rt(), wr(4), sy())  # races at its second write
     for run in (lambda shadow: engine.replay(seq, MultiBags(), shadow=shadow),
                 lambda shadow: trace.walk(seq, "structured", MultiBags(), shadow)):
         shadow = ShadowTable()
-        with pytest.raises(UsageError, match="a shadow needs a races dict"):
-            run(shadow)
-        assert shadow.cells_touched == 0  # refused before the walk began
-    races = {}
-    engine.replay(seq, MultiBags(), ShadowTable(), races)
-    assert list(races) == [(4, WRITE_WRITE, 1, 2)]
+        run(shadow)
+        assert list(shadow.races) == [(4, WRITE_WRITE, 1, 2)]
 
 
 def test_detect_unknown_algo_or_mode():
@@ -451,13 +447,16 @@ def test_verify_fails_on_an_unsound_pair_or_a_missed_racy_word(monkeypatch):
 
     class Silent(ShadowTable):
         def on_write(self, addr, strand, precedes):
-            super().on_write(addr, strand, precedes)
-            return []
+            reports = super().on_write(addr, strand, precedes)
+            for r in reports:
+                del self.races[r.key()]
+            return reports
 
     class Inventive(ShadowTable):
         def on_write(self, addr, strand, precedes):
             made_up = RaceReport(addr, WRITE_WRITE, 0, strand)
-            return super().on_write(addr, strand, precedes) + [made_up]
+            self.races[made_up.key()] = made_up
+            return super().on_write(addr, strand, precedes)
 
     monkeypatch.setattr(engine, "ShadowTable", Silent)
     rep = engine.verify(seq, "plus")

@@ -510,9 +510,13 @@ def test_att_succ_contains_a_common_successor():
 
 class _ProxiesNeverTie(MultiBagsPlus):
     """Asserts, on each query for a P-bag strand whose set is sealed, the
-    lemma in ``_past_p_bag``'s docstring: its two proxies differ."""
+    lemma in ``_past_p_bag``'s docstring: its two proxies differ. By its
+    point (1), at each ``get`` the future's sink set, in a P bag, is not
+    the pre-get strand's set, in the getter's S bag: ``on_get`` adds both
+    edges without comparing them."""
 
     sealed_queries = 0
+    gets = 0
 
     def _past_p_bag(self, u):
         if not self._dormant:
@@ -523,12 +527,18 @@ class _ProxiesNeverTie(MultiBagsPlus):
                 assert a1 != nsp.record(nsp.find(self._cur)).att_pred, (u, self._cur)
         return super()._past_p_bag(u)
 
+    def on_get(self, handle, future, frame):
+        _ProxiesNeverTie.gets += 1
+        assert self.d_nsp.find(future.sink) != self.d_nsp.find(self._cur), (handle, self._cur)
+        super().on_get(handle, future, frame)
+
 
 def test_a_sealed_p_query_never_finds_its_two_proxies_equal(monkeypatch):
     # Draws kept small: gen_random's readable lists can run away on larger ones.
     # Every other draw is folded onto a few words, so that parallel strands
     # touch one word and query each other.
     monkeypatch.setattr(_ProxiesNeverTie, "sealed_queries", 0)
+    monkeypatch.setattr(_ProxiesNeverTie, "gets", 0)
     rng = random.Random(0)
     corpus = [gen_lcs_general(n, inject_race=race) for n in range(2, 9) for race in (0, 1)]
     for seed in range(500):
@@ -537,8 +547,9 @@ def test_a_sealed_p_query_never_finds_its_two_proxies_equal(monkeypatch):
                          seed=seed)
         corpus.append(fold_words(seq, rng.randrange(1, 9), seed) if seed % 2 else seq)
     for seq in corpus:
-        engine.replay(seq, _ProxiesNeverTie(), ShadowTable(), {})
+        engine.replay(seq, _ProxiesNeverTie(), ShadowTable())
     assert _ProxiesNeverTie.sealed_queries >= 20_000
+    assert _ProxiesNeverTie.gets >= 50_000
 
 
 def test_attached_budget_per_trace():

@@ -52,6 +52,18 @@ def test_parallel_sibling_writes_race():
     assert oracle.naive_races(dag) == {(512, "write-write", 1, 3)}
 
 
+def test_races_keeps_the_first_report_of_each_key_in_serial_order():
+    t = ShadowTable()
+    t.on_write(64, 1, NEVER)
+    first = t.on_read(64, 2, NEVER)  # write-read (1, 2)
+    t.on_write(128, 3, NEVER)
+    again = t.on_read(64, 2, NEVER)  # the same pair races again: a second report
+    assert first is not again and first.key() == again.key() == (64, "write-read", 1, 2)
+    writes = t.on_write(128, 4, NEVER)  # write-write (3, 4)
+    assert list(t.races) == [(64, "write-read", 1, 2), (128, "write-write", 3, 4)]
+    assert list(t.races.values()) == [first, *writes]
+
+
 def test_three_parallel_readers_then_write():
     t = ShadowTable()
     for s in (1, 2, 3):
@@ -254,5 +266,7 @@ def test_shadow_matches_the_two_dict_rule_on_random_accesses():
                 else:
                     got[i].append(t.on_read(addr, strand, precedes))
         assert [r and r.key() for r in got[0]] == got[1], seed
+        # The race list: the first occurrence of each report, in serial order.
+        assert list(tables[0].races) == list(dict.fromkeys(filter(None, got[1]))), seed
         assert tables[0].queries == tables[1].queries == asked[0] == asked[1], seed
         assert tables[0].cells_touched == len(tables[1].writer.keys() | tables[1].readers.keys())

@@ -275,7 +275,7 @@ def test_validate_mode_checked():
         validate(EventSequence([]), "loose")
     # A shadow or a strand hook without a reach would be silently unused.
     with pytest.raises(UsageError):
-        walk(EventSequence([]), MODE_GENERAL, shadow=ShadowTable(), races={})
+        walk(EventSequence([]), MODE_GENERAL, shadow=ShadowTable())
     with pytest.raises(UsageError):
         walk(EventSequence([]), MODE_GENERAL, after_strand=print)
 
@@ -453,10 +453,10 @@ def test_walk_keeps_a_hook_error_and_only_checks_the_rest():
 def test_walk_drops_the_shadow_after_a_violation():
     # The writes at 64 race before the bad sync; the one at 128 comes after it.
     seq = seq_of(sp(1), wr(64), rt(), wr(64), sy(), sy(), wr(128), rd(64))
-    shadow, races = ShadowTable(), {}
-    rep = walk(seq, MODE_GENERAL, MultiBagsPlus(), shadow, races)
+    shadow = ShadowTable()
+    rep = walk(seq, MODE_GENERAL, MultiBagsPlus(), shadow)
     assert [v.index for v in rep.violations] == [5]
-    assert list(races) == [(64, "write-write", 1, 2)]
+    assert list(shadow.races) == [(64, "write-write", 1, 2)]
     assert shadow.cells_touched == 1 and shadow.queries == 1
     assert (rep.counts.reads, rep.counts.writes) == (1, 3)
 
