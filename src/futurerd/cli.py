@@ -2,15 +2,16 @@
 
 Subcommands: detect, verify, gen, stats. ``--trace -`` reads the trace from
 standard input and ``gen -o -`` writes it to standard output, so ``gen`` can
-be piped into the others. Exit codes: 0 = no race found,
-1 = race(s) found, 2 = invalid input or arguments, an unreadable or
-non-UTF-8 trace, an unwritable output file, a trace whose closure rows
-could pass their 2 GiB budget (``reachdag.CLOSURE_BUDGET``, k²/8 bytes for k
-attached sets), or, for ``verify``, a trace whose brute-force dag passes its
-256 MiB budget (``oracle.REACH_BUDGET`` charges S²/8 bytes for S strands; the
-rows hold about S²/16), 3 = verification divergence, a broken race contract,
-an internal invariant failure, the death of the trace reader process before
-the end of the trace, or any other crash (its traceback is printed), 141 =
+be piped into the others. Exit codes: 0 = no race found, 1 = race(s)
+found, 2 = invalid input or arguments, an unreadable trace, a line that is
+not UTF-8 (the error names it), an unwritable output file, a trace whose
+closure rows could pass their 2 GiB budget (``reachdag.CLOSURE_BUDGET``,
+k²/8 bytes for k attached sets), or, for ``verify``, a trace whose
+brute-force dag passes its 256 MiB budget (``oracle.REACH_BUDGET`` charges
+S²/8 bytes for S strands; the rows hold about S²/16), 3 = verification
+divergence, a broken race contract, an internal invariant failure, the
+death of the trace reader process before the end of the trace, or any
+other crash (its traceback is printed), 141 =
 stdout or stderr is a closed pipe (``detect | head -1``), as for SIGPIPE.
 """
 
@@ -97,18 +98,19 @@ def _load(path: str):
     reader reads its own copy. Without ``os.fork``, or when the reader
     cannot start (no process or descriptor to spare), the walk parses the
     trace itself: the file through ``trace.load``, standard input through
-    ``trace.iterparse``. Each path reads UTF-8 and skips a leading BOM. A
-    trace that cannot be opened or decoded raises ``OSError`` or
-    ``UnicodeDecodeError``, which ``run_cli`` reports as bad input.
+    ``trace.iterparse``. Each path reads the trace as ``trace.DECODING``
+    says, so a byte that is not UTF-8 is a ``ParseError`` naming its line. A
+    trace that cannot be opened or read raises ``OSError``, which ``run_cli``
+    reports as bad input.
     """
     if path == "-":
         if sys.stdin is None:
             raise InputError("--trace -: standard input is closed")
-        lines = io.TextIOWrapper(sys.stdin.buffer, encoding="utf-8-sig")
+        lines = io.TextIOWrapper(sys.stdin.buffer, **trace.DECODING)
         seq = trace.iterparse(lines)
     else:
         seq = trace.load(path)
-        lines = open(path, "r", encoding="utf-8-sig")
+        lines = open(path, "r", **trace.DECODING)
     try:
         reader = trace.ReaderTrace(lines) if hasattr(os, "fork") else contextlib.nullcontext(seq)
     except ReaderError:
@@ -224,9 +226,6 @@ def run_cli(argv=None) -> int:
         return EXIT_CLOSED_PIPE
     except (InputError, OSError) as exc:  # OSError: reading the trace, writing a file
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BAD_INPUT
-    except UnicodeDecodeError as exc:  # reading the trace, which may happen mid-walk
-        print(f"error: trace is not UTF-8 text: {exc}", file=sys.stderr)
         return EXIT_BAD_INPUT
     except (InvariantError, UsageError) as exc:
         print(f"internal error: {exc}", file=sys.stderr)

@@ -53,20 +53,15 @@ GET_EDGE = "get"
 
 @dataclass
 class OracleDag:
+    """A trace's strands, in serial order, a topological one: ``out[u]`` holds
+    the ``(v, kind)`` edges that leave ``u``, ``accesses[s]`` the ``(word,
+    kind)`` accesses of ``s``, and ``sink_of[h]`` the last strand of future ``h``."""
+
     n: int = 0
     out: list[list[tuple[int, str]]] = field(default_factory=list)
-    node_kinds: list[set[str]] = field(default_factory=list)
-    frame_kind: list[str] = field(default_factory=list)  # root|spawn|create per strand
     accesses: list[list[tuple[int, str]]] = field(default_factory=list)
-    creator_of: dict[int, int] = field(default_factory=dict)
-    first_of: dict[int, int] = field(default_factory=dict)
     sink_of: dict[int, int] = field(default_factory=dict)
-    getters_of: dict[int, list[int]] = field(default_factory=dict)
     _anc: list[int] | None = None  # bit u of row v: u reaches v; kept from the first query
-
-    @property
-    def n_edges(self) -> int:
-        return sum(len(o) for o in self.out)
 
     def edges(self):
         for u, adj in enumerate(self.out):
@@ -87,7 +82,7 @@ class OracleDag:
             self._anc = anc
         return bool((self._anc[v] >> u) & 1)
 
-    def _add(self, frame_kind: str, *edges: tuple[int, str]) -> int:
+    def _add(self, *edges: tuple[int, str]) -> int:
         """Add the next strand, entered by an edge from each ``(pred, kind)``.
 
         Once rows are kept, a strand whose rows could pass the budget
@@ -98,8 +93,6 @@ class OracleDag:
             check_reach_budget(v + 1)
         self.n += 1
         self.out.append([])
-        self.node_kinds.append(set())
-        self.frame_kind.append(frame_kind)
         self.accesses.append([])
         for u, kind in edges:
             self.out[u].append((v, kind))
@@ -120,15 +113,17 @@ def build(seq: Iterable[tuple]) -> OracleDag:
 
 def follow(dag: OracleDag, seq: Iterable[tuple]) -> Iterator[tuple]:
     """The events of ``seq``, any iterable of ``(kind, fn, handle, addr)`` events,
-    each added to the empty ``dag`` just before it is yielded.
+    each added to the empty ``dag`` just before it is yielded: a control
+    event as the strand that follows it and its entering edges, an access to
+    its strand's ``accesses``, and a future's ``ret`` also as its ``sink_of``.
 
     Only a ``ret``, ``sync`` or ``get`` that can be joined is placed. The dag
     stops growing at the first event it cannot place, which the walk reading
     the events refuses, as its checks include these.
     """
-    # per open frame: [kind, handle, cont_pred strand, LIFO child-sink stack]
-    frames: list[list] = [["root", None, None, []]]
-    cur = dag._add("root")
+    # per open frame: [handle, None for a spawn; cont_pred strand; LIFO child-sink stack]
+    frames: list[list] = [[None, None, []]]
+    cur = dag._add()
     seq = iter(seq)
     for ev in seq:
         k, _, h, a = ev
@@ -136,39 +131,25 @@ def follow(dag: OracleDag, seq: Iterable[tuple]) -> Iterator[tuple]:
             # keyed by word, like the shadow memory and its race reports
             dag.accesses[cur].append((a & ~3, k))
         elif k == SPAWN or k == CREATE:
-            dag.node_kinds[cur].add("spawn" if k == SPAWN else "creator")
-            frames[-1][2] = cur
-            frames.append([k, h, None, []])
-            child = dag._add(k, (cur, SPAWN_EDGE if k == SPAWN else CREATE_EDGE))
-            if k == CREATE:
-                dag.creator_of[h] = cur
-                dag.first_of[h] = child
-                dag.getters_of.setdefault(h, [])
-            cur = child
+            frames[-1][1] = cur
+            frames.append([h, None, []])
+            cur = dag._add((cur, SPAWN_EDGE if k == SPAWN else CREATE_EDGE))
         elif k == RET and len(frames) > 1:
-            kind, handle, _, _ = frames.pop()
-            if kind == SPAWN:
-                frames[-1][3].append(cur)
+            handle, _, _ = frames.pop()
+            if handle is None:
+                frames[-1][2].append(cur)
             else:
                 dag.sink_of[handle] = cur
-            cur = dag._add(frames[-1][0], (frames[-1][2], CONTINUE_EDGE))
-        elif k == SYNC and frames[-1][3]:
-            cur = dag._add(frames[-1][0], (cur, CONTINUE_EDGE),
-                           (frames[-1][3].pop(), JOIN_EDGE))
-            dag.node_kinds[cur].add("sync")
+            cur = dag._add((frames[-1][1], CONTINUE_EDGE))
+        elif k == SYNC and frames[-1][2]:
+            cur = dag._add((cur, CONTINUE_EDGE), (frames[-1][2].pop(), JOIN_EDGE))
         elif k == GET and h in dag.sink_of:
-            cur = dag._add(frames[-1][0], (cur, CONTINUE_EDGE), (dag.sink_of[h], GET_EDGE))
-            dag.node_kinds[cur].add("getter")
-            dag.getters_of[h].append(cur)
+            cur = dag._add((cur, CONTINUE_EDGE), (dag.sink_of[h], GET_EDGE))
         else:  # an event the walk refuses: pass the rest through
             yield ev
             yield from seq
             return
         yield ev
-
-    for kinds in dag.node_kinds:
-        if not kinds:
-            kinds.add("regular")
 
 
 def naive_races(dag: OracleDag) -> set[tuple[int, str, int, int]]:
@@ -225,12 +206,20 @@ def longest_path(dag: OracleDag, weights=None) -> int:
 
 
 def to_dot(dag: OracleDag) -> str:
-    """GraphViz text dump for debugging."""
+    """GraphViz text of the dag. A strand's label is its id and its kinds, read
+    off its edges: ``spawn``/``creator`` if it starts a spawn/create edge and
+    ``sync``/``getter`` if it ends a join/get edge, sorted, or else ``regular``."""
+    kinds: dict[int, list[str]] = {}
+    for u, v, kind in dag.edges():
+        if kind == SPAWN_EDGE or kind == CREATE_EDGE:
+            kinds.setdefault(u, []).append("spawn" if kind == SPAWN_EDGE else "creator")
+        elif kind != CONTINUE_EDGE:
+            kinds.setdefault(v, []).append("sync" if kind == JOIN_EDGE else "getter")
     lines = ["digraph strands {"]
     for s in range(dag.n):
-        kinds = "/".join(sorted(dag.node_kinds[s]))
-        lines.append(f'  n{s} [label="{s} {kinds}"];')
+        label = "/".join(sorted(kinds.get(s, ["regular"])))
+        lines.append(f'  n{s} [label="{s} {label}"];')
     for u, v, kind in dag.edges():
         lines.append(f'  n{u} -> n{v} [label="{kind}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"
+    lines += ["}", ""]  # the last line end, without copying the text to add it
+    return "\n".join(lines)

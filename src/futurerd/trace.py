@@ -6,7 +6,7 @@ continuation, a ``sync`` joins the most recently spawned outstanding child,
 and a ``get`` joins a future by handle. Memory accesses are 4-byte reads and
 writes tagged with byte addresses.
 
-Wire format is JSON Lines, one event per line, UTF-8 (a leading BOM is skipped):
+Wire format is JSON Lines, one event per line, UTF-8 (read as ``DECODING`` says):
 
     {"t":"spawn","f":<uint>}
     {"t":"create","f":<uint>,"h":<uint>}
@@ -70,6 +70,10 @@ MODE_GENERAL = "general"
 
 ADDR_LIMIT = 1 << 64  # addresses are uint64
 
+# A trace is read as UTF-8, a leading byte-order mark skipped (RFC 8259), and each
+# byte that is not UTF-8 kept as a lone surrogate, which ``_json_event`` refuses.
+DECODING = {"encoding": "utf-8-sig", "errors": "surrogateescape"}
+
 
 class Event(NamedTuple):
     """One trace event with named fields; it equals the parser's plain tuple."""
@@ -127,7 +131,7 @@ class EventSequence:
 class TraceFile(EventSequence):
     """A trace parsed afresh on each pass, so that no pass holds an event list.
 
-    ``TraceFile(path)`` opens the file at ``path``, as UTF-8, on each pass.
+    ``TraceFile(path)`` opens the file at ``path``, as ``DECODING`` says, on each pass.
     ``events`` and ``len`` parse a whole pass into a list.
     """
 
@@ -199,6 +203,7 @@ def _int_or_too_long(digits: str):
 _decode = json.JSONDecoder(parse_int=_int_or_too_long).decode
 # The fields of each kind's line, in the order of an event's fn, handle and addr.
 _FIELDS = {SPAWN: "f", CREATE: "fh", GET: "h", READ: "a", WRITE: "a", SYNC: "", RET: ""}
+_NOT_UTF8 = re.compile("[\udc80-\udcff]").search  # a byte that ``DECODING`` kept
 
 
 def _field(obj: dict, name: str, lineno: int) -> int:
@@ -214,10 +219,13 @@ def _field(obj: dict, name: str, lineno: int) -> int:
     return v
 
 
-def _json_event(line: str, lineno: int) -> tuple:
-    """Parse one stripped, non-blank line that is not in canonical form."""
+def _json_event(raw: str, lineno: int) -> tuple:
+    """Parse one non-blank line that is not in canonical form."""
+    if bad := _NOT_UTF8(raw):
+        raise ParseError(lineno, f"trace is not UTF-8 text (byte 0x{ord(bad[0]) - 0xDC00:02x} "
+                                 f"at column {bad.start() + 1})")
     try:
-        obj = _decode(line)
+        obj = _decode(raw.strip())
     except json.JSONDecodeError as exc:
         raise ParseError(lineno, f"invalid JSON ({exc.msg})") from exc
     except RecursionError:
@@ -264,7 +272,7 @@ def _batches(lines=None, path=None, size=_BATCH_LINES) -> Iterator[list[tuple]]:
     ends or is closed. The events before a malformed line in its batch come
     as one more list before its ``ParseError``.
     """
-    with open(path, "r", encoding="utf-8-sig") if path is not None else nullcontext(lines) as lines:
+    with open(path, "r", **DECODING) if path is not None else nullcontext(lines) as lines:
         lines = iter(lines)
         cache: dict[str, tuple] = {}
         start = 1  # the line number of the batch's first line
@@ -280,11 +288,10 @@ def _batches(lines=None, path=None, size=_BATCH_LINES) -> Iterator[list[tuple]]:
                             cache.clear()
                         cache[raw] = ev
                     else:
-                        line = raw.strip()
-                        if not line:
+                        if not raw.strip():
                             continue
                         try:
-                            ev = _json_event(line, lineno)
+                            ev = _json_event(raw, lineno)
                         except ParseError:
                             if batch:
                                 yield batch
@@ -337,8 +344,8 @@ def dump(seq: EventSequence, path) -> None:
 
 # A frame on the reader's pipe is a 4-byte length and a marshal-ed body: a
 # list of plain (kind, fn, handle, addr) tuples, or the last frame, one of
-# ("end", the reader's CPU seconds), ("error", a pickled ParseError, OSError
-# or UnicodeDecodeError) and ("crash", the traceback of any other exception).
+# ("end", the reader's CPU seconds), ("error", a pickled ParseError or OSError)
+# and ("crash", the traceback of any other exception).
 # A frame holds the events of _FRAME_LINES lines, about 13.5 KB on the
 # benchmark's traces, and the kernel's pipe, 64 KiB on Linux, holds about 4.
 # A 1 MiB pipe let the reader run further ahead: the benchmark's
@@ -359,9 +366,9 @@ class ReaderTrace:
     ``_batches``, and sends the events of each ``_FRAME_LINES`` lines down a
     pipe as one frame, then an end frame with its CPU seconds, which
     ``parse_s`` holds once the iteration has read it. The reader's
-    ``ParseError``, ``OSError`` or ``UnicodeDecodeError`` is raised by the
-    iteration once the events before it have been iterated. Its death before
-    the end frame, or any other exception in it, raises ``ReaderError``.
+    ``ParseError`` or ``OSError`` is raised by the iteration once the events
+    before it have been iterated. Its death before the end frame, or any
+    other exception in it, raises ``ReaderError``.
 
     ``close`` closes the pipe, kills the reader and reaps it. The iteration
     calls it when it ends; an owner that may stop early uses the object as a
@@ -461,7 +468,7 @@ def _read_ahead(lines, fd: int) -> NoReturn:
             for batch in _batches(lines, size=_FRAME_LINES):
                 send(batch)
             last = ("end", time.process_time() - start)
-        except (InputError, OSError, UnicodeDecodeError) as exc:
+        except (InputError, OSError) as exc:
             import pickle  # only for the error frame
 
             last = ("error", pickle.dumps(exc))

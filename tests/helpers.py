@@ -86,6 +86,28 @@ def oracle_answers(seq):
     return {s: frozenset(u for u in range(s) if dag.reaches(u, s)) for s in range(dag.n)}
 
 
+def strands_of(seq):
+    """Read off ``seq``: the kind of frame each strand runs in ("root", SPAWN
+    or CREATE), by strand id, and the first strand of each future, by handle."""
+    kinds, frames, first = ["root"], ["root"], {}
+    for k, _, h, _ in seq:
+        if k == SPAWN or k == CREATE:
+            frames.append(k)
+            if k == CREATE:
+                first[h] = len(kinds)
+        elif k == RET:
+            frames.pop()
+        elif k != SYNC and k != GET:
+            continue
+        kinds.append(frames[-1])
+    return kinds, first
+
+
+def getters_of(dag, h):
+    """The strands that get future ``h``, in serial order: the get edges from its sink."""
+    return [v for v, kind in dag.out[dag.sink_of[h]] if kind == oracle.GET_EDGE]
+
+
 def sp_reaches(dag):
     """Reachability over SP edges only (continue/spawn/join), as a bitset list."""
     desc = [0] * dag.n

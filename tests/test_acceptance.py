@@ -22,8 +22,9 @@ from futurerd.generators import WORD, gen_lcs_general, gen_lcs_structured, gen_r
 from futurerd.multibags import MultiBags
 from futurerd.multibags_plus import MultiBagsPlus
 from futurerd.reachdag import ReachDag
-from futurerd.trace import MODE_GENERAL, MODE_STRUCTURED, WRITE, EventSequence, parse, validate
-from helpers import replay_collect
+from futurerd.trace import (CREATE, MODE_GENERAL, MODE_STRUCTURED, WRITE, EventSequence, parse,
+                            validate)
+from helpers import getters_of, replay_collect, strands_of
 
 from test_reachdag import assert_matches_fw, random_dag_ops
 
@@ -232,8 +233,8 @@ def test_criterion_4_sixteen_strand_fixture():
     assert validate(seq, MODE_STRUCTURED).ok
     dag = oracle.build(seq)
     # the anchor facts: handle 1's creator/getter bracket the whole run
-    assert dag.creator_of[1] == 0
-    assert dag.getters_of[1] == [15]
+    assert (0, strands_of(seq)[1][1], oracle.CREATE_EDGE) in dag.edges()
+    assert getters_of(dag, 1) == [15]
     mb_answers = replay_collect(seq, MultiBags())
     for step, expected in _FIXTURE_S_SETS.items():
         assert mb_answers[step] == frozenset(expected), f"step {step}"
@@ -288,8 +289,9 @@ def test_criterion_8_span_grows_linearly_in_blocks():
     B = 4
     xs, ys = [], []
     for n in (2, 4, 8):
-        dag = oracle.build(gen_lcs_structured(n, seed=0))
-        w = lambda s: B * B if dag.frame_kind[s] == "create" else 1
+        seq = gen_lcs_structured(n, seed=0)
+        dag, frame_kinds = oracle.build(seq), strands_of(seq)[0]
+        w = lambda s: B * B if frame_kinds[s] == CREATE else 1
         xs.append(float(n))
         ys.append(float(oracle.longest_path(dag, w)))
     xbar, ybar = sum(xs) / 3, sum(ys) / 3

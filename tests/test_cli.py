@@ -197,8 +197,7 @@ def _stdin(monkeypatch, data: bytes):
 
 
 @pytest.mark.parametrize("last, message", [
-    (b'{"t":"w","a":4\xff}\n', "error: trace is not UTF-8 text: 'utf-8' codec can't decode "
-                               "byte 0xff in position 93: invalid start byte\n"),
+    (b'{"t":"w","a":4\xff}\n', "error: line 6: trace is not UTF-8 text (byte 0xff at column 15)\n"),
     (b'{"t":"w","a":\n', "error: line 6: invalid JSON (Expecting value)\n"),
 ])
 @pytest.mark.parametrize("source", ["file", "stdin"])
@@ -558,6 +557,30 @@ def test_a_trace_may_start_with_a_byte_order_mark(reader, tmp_path, capsys, monk
         _stdin(monkeypatch, path.read_bytes())
         assert run(argv + ["-"]) == code
         assert capsys.readouterr() == (out, err)
+
+
+@pytest.mark.parametrize("reader", [True, False], ids=["forked-reader", "in-process"])
+def test_a_byte_that_is_not_utf8_is_refused_at_its_line(reader, tmp_path, capsys, monkeypatch):
+    # Past a batch and a frame of lines; a bad byte inside a JSON string, or
+    # after leading spaces, or starting a UTF-8-encoded surrogate, is refused
+    # too, and its column counts characters, an undecodable byte as one.
+    head = b'{"t":"r","a":8}\n' * (trace._BATCH_LINES + trace._FRAME_LINES)
+    line = len(head.splitlines()) + 1
+    path = tmp_path / "t.jsonl"
+    if not reader:
+        monkeypatch.delattr(os, "fork")
+        monkeypatch.setattr(trace, "ReaderTrace", None)  # any use of it would fail
+    for bad, byte, column in [(b'{"t":"w","a":4,"x":"\xff"}', 0xff, 21),
+                              (b'  {"t":"w","a":4\xfe}', 0xfe, 17),
+                              (b'{"t":"w","a":4,"x":"\xc3\xa9\xed\xa0\x80"}', 0xed, 22)]:
+        path.write_bytes(head + bad + b'\n{"t":"w","a":8}\n')
+        err = (f"error: line {line}: trace is not UTF-8 text "
+               f"(byte 0x{byte:02x} at column {column})\n")
+        for source in (str(path), "-"):
+            _stdin(monkeypatch, path.read_bytes())
+            assert run(["detect", "--algo", "plus", "--mode", "general", "--json",
+                        "--trace", source]) == cli.EXIT_BAD_INPUT
+            assert capsys.readouterr() == ("", err)
 
 
 @pytest.mark.skipif(not os.path.isdir("/proc/self/fd"), reason="counts open files in /proc")

@@ -8,8 +8,9 @@ from futurerd.generators import gen_lcs_general, gen_random
 from futurerd.multibags import MultiBags
 from futurerd.multibags_plus import MultiBagsPlus, NspRecord
 from futurerd.shadow import ShadowTable
-from helpers import (cr, deep_fork_join_then, descendants, fold_words, gt, oracle_answers, rd,
-                     replay_collect, rt, seq_of, sp, sp_reaches, sy, wr)
+from helpers import (cr, deep_fork_join_then, descendants, fold_words, getters_of, gt,
+                     oracle_answers, rd, replay_collect, rt, seq_of, sp, sp_reaches, strands_of,
+                     sy, wr)
 
 
 def drive(events, after=None):
@@ -144,7 +145,7 @@ def test_two_gets_from_different_frames():
     assert replay_collect(seq, mbp) == truth
     assert seq.counts.strands == 7
     sink = 1
-    for getter in oracle.build(seq).getters_of[1]:
+    for getter in getters_of(oracle.build(seq), 1):
         assert truth[getter] >= {sink}
 
 
@@ -387,10 +388,11 @@ def test_lcs_general_3x3_reachability():
                        for s in range(dag.n)}
     # block handles are 1 + i*n + j; corner (0,0)'s work precedes the strands
     # of (2,2) that run after its joins (its sink), via chained get edges
-    assert dag.reaches(dag.first_of[1], dag.sink_of[9])
+    first = strands_of(seq)[1]
+    assert dag.reaches(first[1], dag.sink_of[9])
     # anti-diagonal corners (0,2) and (2,0) are mutually parallel throughout
-    for a in (dag.first_of[3], dag.sink_of[3]):
-        for b in (dag.first_of[7], dag.sink_of[7]):
+    for a in (first[3], dag.sink_of[3]):
+        for b in (first[7], dag.sink_of[7]):
             assert not dag.reaches(a, b) and not dag.reaches(b, a)
 
 

@@ -7,7 +7,7 @@ from futurerd.errors import InputError
 from futurerd.generators import gen_lcs_general, gen_lcs_structured, gen_random
 from futurerd.multibags_plus import MultiBagsPlus
 from futurerd.trace import EventSequence, iterparse, serialize
-from helpers import cr, gt, rd, rt, seq_of, sp, sy, wr
+from helpers import cr, getters_of, gt, rd, rt, seq_of, sp, strands_of, sy, wr
 
 
 def test_the_dag_reads_plain_event_tuples_and_the_iterparse_iterator():
@@ -17,8 +17,8 @@ def test_the_dag_reads_plain_event_tuples_and_the_iterparse_iterator():
         assert list(oracle.follow(dag, seq)) == list(seq)  # yielded as they came
         for other in (oracle.build([tuple(e) for e in seq]),
                       oracle.build(iterparse(serialize(seq)))):
-            assert (other.out, other.accesses, other.node_kinds) == (
-                dag.out, dag.accesses, dag.node_kinds)
+            assert (other.out, other.accesses, other.sink_of) == (
+                dag.out, dag.accesses, dag.sink_of)
 
 
 def _asked_as_the_walk_reads(seq, first_query):
@@ -60,14 +60,15 @@ def test_follow_stops_growing_at_an_event_it_cannot_place_and_yields_the_rest():
 
 def test_empty_trace_is_one_node_no_edges():
     dag = oracle.build(EventSequence([]))
-    assert dag.n == 1 and dag.n_edges == 0
-    assert dag.node_kinds[0] == {"regular"}
+    assert dag.n == 1 and not list(dag.edges())
+    assert oracle.to_dot(dag) == 'digraph strands {\n  n0 [label="0 regular"];\n}\n'
 
 
 def test_create_get_edges_and_getter_indegree():
     dag = oracle.build(seq_of(cr(1, 1), rt(), gt(1)))
     # strands: 0 creator, 1 future body, 2 continuation, 3 getter
-    assert ("creator" in dag.node_kinds[0]) and ("getter" in dag.node_kinds[3])
+    dot = oracle.to_dot(dag)
+    assert '  n0 [label="0 creator"];' in dot and '  n3 [label="3 getter"];' in dot
     kinds = {(u, v): k for u, v, k in dag.edges()}
     assert kinds[(0, 1)] == "create" and kinds[(1, 3)] == "get"
     assert kinds[(0, 2)] == "continue" and kinds[(2, 3)] == "continue"
@@ -75,7 +76,7 @@ def test_create_get_edges_and_getter_indegree():
     for _, v, _ in dag.edges():
         indeg[v] += 1
     assert indeg[3] == 2
-    assert dag.creator_of[1] == 0 and dag.sink_of[1] == 1 and dag.getters_of[1] == [3]
+    assert dag.sink_of == {1: 1} and getters_of(dag, 1) == [3]
 
 
 def test_build_is_deterministic():
@@ -143,9 +144,12 @@ def test_longest_path_fork_join_diamond():
 
 
 def test_longest_path_weight_callable():
-    dag = oracle.build(gen_lcs_structured(2, seed=0))
+    seq = gen_lcs_structured(2, seed=0)
+    dag = oracle.build(seq)
+    frame_kinds = strands_of(seq)[0]
+    assert len(frame_kinds) == dag.n
     unit = oracle.longest_path(dag)
-    heavy = oracle.longest_path(dag, lambda s: 16 if dag.frame_kind[s] == "create" else 1)
+    heavy = oracle.longest_path(dag, lambda s: 16 if frame_kinds[s] == trace.CREATE else 1)
     assert heavy > unit
 
 
@@ -234,6 +238,20 @@ def test_a_queried_dag_charges_each_strand_it_adds_and_an_unqueried_one_none(tmp
 def test_dot_dump():
     dot = oracle.to_dot(oracle.build(seq_of(cr(1, 1), rt(), gt(1))))
     assert dot.startswith("digraph") and '[label="create"]' in dot and "n3" in dot
+
+
+def test_dot_labels_each_strand_with_the_kinds_of_its_edges():
+    # Each label a strand can have: it starts at most one spawn or create edge
+    # and ends at most one join or get edge.
+    seq = seq_of(sp(1), rt(), sy(), sp(2), rt(), sy(), cr(3, 1), rt(), cr(4, 2), rt(),
+                 gt(1), cr(5, 3), rt(), gt(2), sp(6), rt(), sy(), gt(3))
+    lines = oracle.to_dot(oracle.build(seq)).splitlines()
+    kinds = ["spawn", "regular", "regular", "spawn/sync", "regular", "regular", "creator/sync",
+             "regular", "creator", "regular", "regular", "creator/getter", "regular",
+             "regular", "getter/spawn", "regular", "regular", "sync", "getter"]
+    assert lines[1:1 + len(kinds)] == [f'  n{s} [label="{s} {kind}"];'
+                                       for s, kind in enumerate(kinds)]
+    assert "->" in lines[1 + len(kinds)]  # the edges follow
 
 
 def test_reaches_refuses_rows_over_the_budget(monkeypatch):
