@@ -25,6 +25,8 @@ import json
 import os
 import sys
 import time
+from collections.abc import Iterable
+from itertools import chain, islice
 
 from . import engine, trace
 from .errors import InputError, InvariantError, ReaderError, UsageError
@@ -122,13 +124,34 @@ def _load(path: str):
         yield seq
 
 
-def _write(path: str, text: str) -> None:
-    """Write an output file, or standard output for "-"."""
-    if path == "-":
-        print(text, end="", flush=True)
-        return
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(text)
+# Pieces joined into one write: races, or lines of the dot text. A write is
+# then one system call per chunk, not per race, even under PYTHONUNBUFFERED.
+# While it is written, a chunk takes about 4 times its text (its pieces,
+# their join and its encoding), so it is kept to a small share of a report
+# of tens of thousands of races.
+_CHUNK = 1024
+
+
+def _write(path: str, pieces: Iterable[str]) -> None:
+    """Write the text ``pieces`` to an output file, or to standard output for "-".
+
+    They are joined and written ``_CHUNK`` at a time as they are made, so no
+    output is held whole. Standard output is looked up here, at the write,
+    so that ``contextlib.redirect_stdout`` reaches it.
+    """
+    with (contextlib.nullcontext(sys.stdout) if path == "-"
+          else open(path, "w", encoding="utf-8")) as fh:
+        pieces = iter(pieces)
+        while chunk := list(islice(pieces, _CHUNK)):
+            fh.write("".join(chunk))
+        fh.flush()
+
+
+def _peak_rss() -> str:
+    """This process's peak resident set size, from ``getrusage``, in MB."""
+    import resource  # only under --stats
+
+    return f"{resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024:.2f} MB"  # KiB
 
 
 def _cmd_detect(args) -> int:
@@ -145,12 +168,12 @@ def _cmd_detect(args) -> int:
         report = engine.detect(events, args.algo, args.mode)
         end = time.perf_counter()
     if args.dump_dag:  # built by the walk that has accepted the trace
-        _write(args.dump_dag, oracle.to_dot(dag))
+        _write(args.dump_dag, oracle.dot_lines(dag))
     if args.json:
-        print(report.to_json())
+        _write("-", chain(report.json_pieces(), ("\n",)))
     else:
-        for r in report.races:
-            print(f"race {r.kind} at 0x{r.addr:x}: strand {r.prior} vs strand {r.current}")
+        _write("-", (f"race {r.kind} at 0x{r.addr:x}: strand {r.prior} vs strand {r.current}\n"
+                     for r in report.races))
         print(f"{len(report.races)} race(s) found")
         if args.stats:
             for key, val in report.stats._asdict().items():
@@ -161,6 +184,7 @@ def _cmd_detect(args) -> int:
             else:  # the walk reads and parses the trace as it goes
                 print(f"  parse+replay: {end - walk_start:.6f}s")
             print(f"  elapsed: {end - start:.6f}s")
+            print(f"  peak_rss: {_peak_rss()}")
             print(f"  startup_cpu: {startup_cpu:.6f}s")
     return EXIT_RACES if report.races else EXIT_OK
 
@@ -200,7 +224,7 @@ def _cmd_gen(args) -> int:
             seq = lcs(args.n, seed=args.seed, inject_race=args.inject_race)
     except UsageError as exc:
         raise InputError(str(exc)) from exc
-    _write(args.out, trace.serialize(seq))
+    _write(args.out, (trace.serialize(seq),))
     if args.out == "-":
         print(f"wrote {len(seq)} events to standard output", file=sys.stderr)
     else:

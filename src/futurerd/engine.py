@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import json
 import sys
-from collections.abc import Iterable
+from collections.abc import Iterable, Iterator
 from typing import NamedTuple
 
 from .errors import InputError, InvariantError, UsageError
@@ -76,20 +76,25 @@ class DetectReport(NamedTuple):
             "stats": self.stats._asdict(),
         }
 
-    def to_json(self) -> str:
-        """``to_json_dict()`` as compact JSON, byte for byte.
+    def json_pieces(self) -> Iterator[str]:
+        """The text of ``to_json()`` in order: its head, one piece per race, then the stats.
 
-        The race list can hold tens of thousands of entries, so it is
-        rendered with f-strings rather than one dict per race. Race kinds
-        are the shadow's ASCII constants, which JSON writes unescaped.
+        A writer that writes the pieces as they come (``cli._write``) never
+        holds the report whole, which on tens of thousands of races is
+        larger than the race list. A race is rendered with one f-string
+        rather than one dict. Race kinds are the shadow's ASCII constants,
+        which JSON writes unescaped.
         """
-        races = ",".join([
-            f'{{"addr":{r.addr},"kind":"{r.kind}","prior":{r.prior},"current":{r.current}}}'
-            for r in self.races
-        ])
-        stats = json.dumps(self.stats._asdict(), separators=(",", ":"))
-        return (f'{{"algo":{json.dumps(self.algo)},"mode":{json.dumps(self.mode)},'
-                f'"races":[{races}],"stats":{stats}}}')
+        yield f'{{"algo":{json.dumps(self.algo)},"mode":{json.dumps(self.mode)},"races":['
+        sep = ""
+        for r in self.races:
+            yield f'{sep}{{"addr":{r.addr},"kind":"{r.kind}","prior":{r.prior},"current":{r.current}}}'
+            sep = ","
+        yield f'],"stats":{json.dumps(self.stats._asdict(), separators=(",", ":"))}}}'
+
+    def to_json(self) -> str:
+        """``to_json_dict()`` as compact JSON, byte for byte: ``json_pieces()`` joined."""
+        return "".join(self.json_pieces())
 
 
 class Divergence(NamedTuple):

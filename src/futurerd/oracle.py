@@ -205,21 +205,28 @@ def longest_path(dag: OracleDag, weights=None) -> int:
     return best
 
 
-def to_dot(dag: OracleDag) -> str:
-    """GraphViz text of the dag. A strand's label is its id and its kinds, read
-    off its edges: ``spawn``/``creator`` if it starts a spawn/create edge and
-    ``sync``/``getter`` if it ends a join/get edge, sorted, or else ``regular``."""
+def dot_lines(dag: OracleDag) -> Iterator[str]:
+    """The lines of ``to_dot(dag)``, each with its line end, made as they are iterated.
+
+    A strand's label is its id and its kinds, read off its edges:
+    ``spawn``/``creator`` if it starts a spawn/create edge and
+    ``sync``/``getter`` if it ends a join/get edge, sorted, or else ``regular``.
+    """
     kinds: dict[int, list[str]] = {}
     for u, v, kind in dag.edges():
         if kind == SPAWN_EDGE or kind == CREATE_EDGE:
             kinds.setdefault(u, []).append("spawn" if kind == SPAWN_EDGE else "creator")
         elif kind != CONTINUE_EDGE:
             kinds.setdefault(v, []).append("sync" if kind == JOIN_EDGE else "getter")
-    lines = ["digraph strands {"]
+    yield "digraph strands {\n"
     for s in range(dag.n):
         label = "/".join(sorted(kinds.get(s, ["regular"])))
-        lines.append(f'  n{s} [label="{s} {label}"];')
+        yield f'  n{s} [label="{s} {label}"];\n'
     for u, v, kind in dag.edges():
-        lines.append(f'  n{u} -> n{v} [label="{kind}"];')
-    lines += ["}", ""]  # the last line end, without copying the text to add it
-    return "\n".join(lines)
+        yield f'  n{u} -> n{v} [label="{kind}"];\n'
+    yield "}\n"
+
+
+def to_dot(dag: OracleDag) -> str:
+    """GraphViz text of the dag: ``dot_lines(dag)`` joined."""
+    return "".join(dot_lines(dag))

@@ -1,3 +1,4 @@
+import contextlib
 import errno
 import gc
 import io
@@ -83,6 +84,11 @@ def _timings(text):
     return secs
 
 
+def _peak_rss_mb(text):
+    """The ``peak_rss`` line of ``detect --stats``, in MB."""
+    return float(re.search(r"^  peak_rss: (\d+\.\d\d) MB$", text, re.M)[1])
+
+
 def _command_env() -> dict:
     """This process's environment, with the package under test first on the path."""
     src = str(Path(futurerd.__file__).parent.parent)
@@ -97,17 +103,22 @@ def test_detect_stats_prints_the_phase_timings(tmp_path, capsys):
     # A forked reader parses the trace while the walk reads it: the reader's
     # CPU seconds, and the walk's wall seconds, waits on the reader included.
     # startup_cpu is this process's CPU seconds before the command began.
+    # peak_rss is this process's peak resident set, the walk's and the output's.
     assert run(argv + ["--stats"]) == cli.EXIT_RACES
-    secs = _timings(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    secs = _timings(out)
     assert set(secs) == {"parse_cpu", "replay", "elapsed", "startup_cpu"}
     assert min(secs.values()) >= 0
     assert secs["elapsed"] >= secs["replay"]
+    assert _peak_rss_mb(out) > 0
     # Without os.fork, the walk parses the trace itself: one timing covers both.
     with pytest.MonkeyPatch.context() as m:
         m.delattr(os, "fork")
         assert run(argv + ["--stats"]) == cli.EXIT_RACES
-    secs = _timings(capsys.readouterr().out)
+    out = capsys.readouterr().out
+    secs = _timings(out)
     assert set(secs) == {"parse+replay", "elapsed", "startup_cpu"}
+    assert _peak_rss_mb(out) > 0
     assert min(secs.values()) >= 0
     assert secs["elapsed"] >= secs["parse+replay"]
     # --dump-dag builds the dag inside the one walk, so the forked reader
@@ -281,6 +292,88 @@ def test_detect_streams_a_file_in_memory_independent_of_its_length(tmp_path, cap
         assert f'"t1_events":{n},' in capsys.readouterr().out
     assert max(peaks.values()) < 1 << 20, peaks
     assert peaks[200_000] < 1.5 * peaks[20_000], peaks
+
+
+def _racy_words(n):
+    """A trace of ``n`` write-write races: a child and its continuation write ``n`` words."""
+    words = [wr(4 * i) for i in range(n)]
+    return seq_of(sp(1), *words, rt(), *words, sy())
+
+
+def _dot_of(lines):
+    """A trace whose dot text has ``lines`` lines: 3 for the empty trace, 4 more
+    per future created and never gotten, 7 per spawn, ret and sync."""
+    creates = next(a for a in range(7) if (lines - 3 - 4 * a) % 7 == 0)
+    events = [ev for h in range(creates) for ev in (cr(1, h), rt())]
+    events += [sp(1), rt(), sy()] * ((lines - 3 - 4 * creates) // 7)
+    return seq_of(*events)
+
+
+def _detect_child(path, *flags):
+    """``detect --algo plus --mode general`` on ``path`` in a fresh, unbuffered process."""
+    return subprocess.run([sys.executable, "-m", "futurerd.cli", "detect", "--algo", "plus",
+                           "--mode", "general", "--trace", str(path), *flags],
+                          capture_output=True, env={**_command_env(), "PYTHONUNBUFFERED": "1"},
+                          timeout=60)
+
+
+@pytest.mark.parametrize("n", [0, 1, 4096, 4097, cli._CHUNK - 3, cli._CHUNK - 2])
+def test_streamed_reports_are_the_text_of_the_whole_report(n, tmp_path, capsys):
+    # The JSON report is n + 3 pieces (head, races, stats, line end) and the
+    # race lines n: around a whole number of chunks, in-process and in a child.
+    path = tmp_path / "races.jsonl"
+    trace.dump(_racy_words(n), path)
+    report = engine.detect(trace.load(path), "plus", "general")
+    assert len(report.races) == n
+    human = "".join(f"race {r.kind} at 0x{r.addr:x}: strand {r.prior} vs strand {r.current}\n"
+                    for r in report.races) + f"{n} race(s) found\n"
+    code = cli.EXIT_RACES if n else cli.EXIT_OK
+    for flags, expected in ((["--json"], report.to_json() + "\n"), ([], human)):
+        assert run(["detect", "--algo", "plus", "--mode", "general", "--trace", str(path),
+                    *flags]) == code
+        assert capsys.readouterr() == (expected, "")
+        proc = _detect_child(path, *flags)
+        assert (proc.returncode, proc.stdout.decode(), proc.stderr) == (code, expected, b"")
+
+
+@pytest.mark.parametrize("lines", [cli._CHUNK, cli._CHUNK + 1, 4096, 4097])
+def test_a_streamed_dot_file_is_the_whole_dot_text(lines, tmp_path, capsys):
+    path, dot = tmp_path / "t.jsonl", tmp_path / "t.dot"
+    trace.dump(_dot_of(lines), path)
+    expected = oracle.to_dot(oracle.build(trace.load(path)))
+    assert len(expected.splitlines()) == lines
+    assert run(["detect", "--algo", "plus", "--mode", "general", "--trace", str(path),
+                "--dump-dag", str(dot)]) == cli.EXIT_OK
+    assert dot.read_text() == expected
+    dot.unlink()
+    assert _detect_child(path, "--dump-dag", str(dot)).returncode == cli.EXIT_OK
+    assert dot.read_text() == expected
+
+
+@pytest.mark.parametrize("flags", [["--json"], []])
+def test_the_output_phase_holds_no_whole_report(flags, tmp_path, monkeypatch):
+    # After the walk, writing a 20,001-race report takes less memory than a
+    # quarter of its text: it is written a chunk at a time, never joined whole.
+    path, out = tmp_path / "races.jsonl", tmp_path / "report.txt"
+    trace.dump(_racy_words(20_001), path)
+    real, after_walk = engine.detect, []
+
+    def detect(*args):
+        report = real(*args)
+        after_walk.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        return report
+
+    monkeypatch.setattr(engine, "detect", detect)
+    tracemalloc.start()
+    try:
+        with open(out, "w", encoding="utf-8") as fh, contextlib.redirect_stdout(fh):
+            assert run(["detect", "--algo", "plus", "--mode", "general", "--trace", str(path),
+                        *flags]) == cli.EXIT_RACES
+        output_peak = tracemalloc.get_traced_memory()[1] - after_walk[0]
+    finally:
+        tracemalloc.stop()
+    assert output_peak < out.stat().st_size / 4, (output_peak, out.stat().st_size)
 
 
 def test_no_file_stays_open_after_an_early_stop_or_an_error(tmp_path, capsys, monkeypatch):
@@ -966,7 +1059,8 @@ def test_futurerd_log_info_reaches_stderr_from_the_cli(tmp_path):
 
 
 # Modules that only other commands, a crash, a reader error or FUTURERD_LOG use.
-_NOT_FOR_DETECT = ("futurerd.oracle", "futurerd.generators", "dataclasses", "logging", "pickle")
+_NOT_FOR_DETECT = ("futurerd.oracle", "futurerd.generators", "dataclasses", "logging", "pickle",
+                   "resource")
 
 
 @pytest.mark.parametrize("algo, mode, gen", [("plus", "general", gen_lcs_general),
