@@ -176,7 +176,7 @@ def _cmd_detect(args) -> int:
                      for r in report.races))
         print(f"{len(report.races)} race(s) found")
         if args.stats:
-            for key, val in report.stats._asdict().items():
+            for key, val in chain(report.stats._asdict().items(), report.sizes.items()):
                 print(f"  {key}: {val}")
             if isinstance(seq, trace.ReaderTrace):  # the reader's CPU, beside the walk
                 print(f"  parse_cpu: {seq.parse_s:.6f}s")

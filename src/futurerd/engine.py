@@ -58,12 +58,16 @@ class Stats(NamedTuple):
 
 
 class DetectReport(NamedTuple):
-    """What ``detect`` found: the races in first-occurrence order, and the counts."""
+    """What ``detect`` found: the races in first-occurrence order, and the counts.
+
+    ``sizes`` are what the run's data structures held at its end, by name,
+    for ``detect --stats``; the JSON report leaves them out."""
 
     algo: str
     mode: str
     races: list[RaceReport]
     stats: Stats
+    sizes: dict[str, int]
 
     def to_json_dict(self) -> dict:
         return {
@@ -200,7 +204,9 @@ def detect(seq: Iterable[tuple], algo: str, mode: str) -> DetectReport:
         )
     _log_info("detect algo=%s mode=%s strands=%d races=%d",
               algo, mode, c.strands, len(shadow.races))
-    return DetectReport(algo=algo, mode=mode, races=list(shadow.races.values()), stats=stats)
+    sizes = {"shadow_words": shadow.cells_touched, "shadow_pages": shadow.pages}
+    return DetectReport(algo=algo, mode=mode, races=list(shadow.races.values()), stats=stats,
+                        sizes=sizes)
 
 
 class _Stop(Exception):

@@ -211,16 +211,20 @@ def dot_lines(dag: OracleDag) -> Iterator[str]:
     A strand's label is its id and its kinds, read off its edges:
     ``spawn``/``creator`` if it starts a spawn/create edge and
     ``sync``/``getter`` if it ends a join/get edge, sorted, or else ``regular``.
+    A strand starts its own out-edges; of the edges it ends, the one join or
+    get edge that a sync or get makes is marked in one byte per strand.
     """
-    kinds: dict[int, list[str]] = {}
-    for u, v, kind in dag.edges():
-        if kind == SPAWN_EDGE or kind == CREATE_EDGE:
-            kinds.setdefault(u, []).append("spawn" if kind == SPAWN_EDGE else "creator")
-        elif kind != CONTINUE_EDGE:
-            kinds.setdefault(v, []).append("sync" if kind == JOIN_EDGE else "getter")
+    ends = bytearray(dag.n)  # 1: the strand ends a join edge, 2: a get edge
+    for _, v, kind in dag.edges():
+        if kind == JOIN_EDGE or kind == GET_EDGE:
+            ends[v] = 1 if kind == JOIN_EDGE else 2
     yield "digraph strands {\n"
-    for s in range(dag.n):
-        label = "/".join(sorted(kinds.get(s, ["regular"])))
+    for s, adj in enumerate(dag.out):
+        kinds = ["spawn" if kind == SPAWN_EDGE else "creator"
+                 for _, kind in adj if kind == SPAWN_EDGE or kind == CREATE_EDGE]
+        if ends[s]:
+            kinds.append("sync" if ends[s] == 1 else "getter")
+        label = "/".join(sorted(kinds)) if kinds else "regular"
         yield f'  n{s} [label="{s} {label}"];\n'
     for u, v, kind in dag.edges():
         yield f'  n{u} -> n{v} [label="{kind}"];\n'

@@ -20,7 +20,7 @@ from futurerd import cli, engine, gen_lcs_general, gen_lcs_structured, gen_rando
 from futurerd.errors import InvariantError, UsageError
 from futurerd.multibags_plus import MultiBagsPlus
 from futurerd.shadow import WRITE_WRITE, RaceReport, ShadowTable
-from helpers import cr, gt, rt, seq_of, sp, sy, wr
+from helpers import cr, gt, rd, rt, seq_of, sp, sy, wr
 
 
 def run(args):
@@ -134,6 +134,24 @@ def test_detect_stats_prints_the_phase_timings(tmp_path, capsys):
     run(argv + ["--json", "--stats"])
     assert capsys.readouterr().out == first and "parse" not in first and "load" not in first
     assert "startup" not in first
+
+
+def test_detect_stats_prints_the_shadow_sizes(tmp_path, capsys):
+    # 200 adjacent words fill most of one 1,024-word block, which gets a
+    # page; 3 words far apart stay in the shadow's dict.
+    dense = [wr(4096 + 4 * i) for i in range(200)]
+    scattered = [rd(1 << 30), wr(1 << 34), rd(1 << 40)]
+    path = tmp_path / "t.jsonl"
+    path.write_text(trace.serialize(seq_of(*dense, *scattered, rd(4096))))
+    argv = ["detect", "--algo", "multibags", "--mode", "structured", "--trace", str(path)]
+    assert run(argv + ["--stats"]) == cli.EXIT_OK
+    out = capsys.readouterr().out
+    assert "\n  shadow_words: 203\n  shadow_pages: 1\n" in out
+    # The JSON report leaves the sizes out, with --stats or without.
+    assert run(argv + ["--json", "--stats"]) == cli.EXIT_OK
+    with_stats = capsys.readouterr().out
+    assert run(argv + ["--json"]) == cli.EXIT_OK
+    assert capsys.readouterr().out == with_stats and "shadow" not in with_stats
 
 
 def test_unreadable_trace_exits_2_without_a_traceback(tmp_path, capsys):

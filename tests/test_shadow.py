@@ -3,11 +3,30 @@ import sys
 import tracemalloc
 
 from futurerd import oracle
-from futurerd.shadow import ShadowTable
+from futurerd.shadow import _PAGE_MIN, _PAGE_WORDS, ShadowTable
 from helpers import cr, gt, rt, seq_of, sp, sy, wr
 
 ALWAYS = lambda u: True
 NEVER = lambda u: False
+
+
+def every_cell(t):
+    """word -> cell, for every word the table holds, in its dict or in a page."""
+    cells = dict(t._cells)
+    for block, page in t._pages.items():
+        cells.update((block * _PAGE_WORDS + i, c) for i, c in enumerate(page) if c is not None)
+    return cells
+
+
+def traced_bytes(fill):
+    """(bytes that ``fill()`` leaves allocated, its result), by tracemalloc."""
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        kept = fill()
+        return tracemalloc.get_traced_memory()[0] - before, kept
+    finally:
+        tracemalloc.stop()
 
 
 def test_read_of_untouched_word():
@@ -137,15 +156,6 @@ def test_a_word_written_and_not_read_since_keeps_no_reader_list():
     n = 2000
     addrs = [4 * i for i in range(1 << 16, (1 << 16) + n)]
 
-    def traced_bytes(fill):
-        tracemalloc.start()
-        try:
-            before = tracemalloc.get_traced_memory()[0]
-            kept = fill()
-            return tracemalloc.get_traced_memory()[0] - before, kept
-        finally:
-            tracemalloc.stop()
-
     def fill_table():
         t = ShadowTable()
         for a in addrs:
@@ -156,7 +166,9 @@ def test_a_word_written_and_not_read_since_keeps_no_reader_list():
     plain, _ = traced_bytes(lambda: {a >> 2: 2 for a in addrs})
     table, t = traced_bytes(fill_table)
     assert t.cells_touched == n and t.queries == n
-    assert all(type(cell) is int for cell in t._cells.values())  # the bare writer strand
+    cells = every_cell(t)  # dense words: most of them are in pages
+    assert sorted(cells) == [a >> 2 for a in addrs] and t.pages > 0
+    assert all(type(cell) is int for cell in cells.values())  # the bare writer strand
     assert table - plain < n * sys.getsizeof([]) // 2, (table, plain)
 
 
@@ -270,3 +282,93 @@ def test_shadow_matches_the_two_dict_rule_on_random_accesses():
         assert list(tables[0].races) == list(dict.fromkeys(filter(None, got[1]))), seed
         assert tables[0].queries == tables[1].queries == asked[0] == asked[1], seed
         assert tables[0].cells_touched == len(tables[1].writer.keys() | tables[1].readers.keys())
+
+
+def test_shadow_matches_the_two_dict_rule_across_pages():
+    # The model test above draws at most 5 words, so no block gets a page.
+    # Here four dense blocks and 200 scattered words: 60 words of each block
+    # are read first, so they hold reader lists when their block is paged.
+    for seed in range(4):
+        rng = random.Random(seed)
+        base = rng.randrange(1, 1 << 20) * _PAGE_WORDS
+        blocks = [base + b * _PAGE_WORDS for b in (0, 1, 5, 9)]
+        scattered = [rng.randrange(1 << 34) for _ in range(200)]
+        listed = [w + i for w in blocks for i in rng.sample(range(_PAGE_WORDS), 60)]
+        answers = [rng.random() < 0.6 for _ in range(997)]
+        tables = (ShadowTable(), TwoDictShadow())
+        got = ([], [])
+        asked = [0, 0]  # each table takes the same answers in the order it asks
+
+        def access(word, strand, write):
+            addr = 4 * word + rng.randrange(4)  # any byte of the word
+            for i, t in enumerate(tables):
+                def precedes(u, i=i):
+                    asked[i] += 1
+                    return answers[asked[i] % len(answers)]
+                if write:
+                    got[i].extend(t.on_write(addr, strand, precedes))
+                else:
+                    got[i].append(t.on_read(addr, strand, precedes))
+
+        for word in rng.sample(listed + scattered, len(listed) + len(scattered)):
+            access(word, rng.randrange(6), rng.random() < 0.2)
+        assert tables[0].pages == 0
+        assert sum(type(c) is list for c in every_cell(tables[0]).values()) > 100
+        for w in blocks[:2]:  # fill two blocks in address order: each gets a page
+            for word in range(w, w + _PAGE_WORDS):
+                access(word, rng.randrange(6), rng.random() < 0.5)
+        assert tables[0].pages == 2
+        words = blocks[:2] * 4 + listed + scattered
+        for _ in range(3000):
+            w = rng.choice(words)
+            word = w + rng.randrange(_PAGE_WORDS) if w in blocks else w
+            access(word, rng.randrange(6), rng.random() < 0.4)
+        assert [r and r.key() for r in got[0]] == got[1], seed
+        assert list(tables[0].races) == list(dict.fromkeys(filter(None, got[1]))), seed
+        assert tables[0].queries == tables[1].queries == asked[0] == asked[1], seed
+        model = tables[1].writer.keys() | tables[1].readers.keys()
+        assert tables[0].cells_touched == len(model) == len(every_cell(tables[0])), seed
+        assert every_cell(tables[0]).keys() == model, seed
+
+
+def test_a_page_costs_no_more_than_the_dict_entries_of_page_min_words():
+    # A dict entry and its key int, averaged over one doubling of the dict
+    # (a dict holds from a third to two thirds of its slots as it grows).
+    per_word = []
+    for n in range(6_000, 12_000, 500):
+        used, _ = traced_bytes(lambda: {w: 1 for w in range(1 << 20, (1 << 20) + n)})
+        per_word.append(used / n)
+    page, _ = traced_bytes(lambda: [None] * _PAGE_WORDS)
+    assert page <= _PAGE_MIN * sum(per_word) / len(per_word), (page, per_word)
+
+
+def test_a_dense_run_of_words_costs_about_8_bytes_a_word():
+    n = 64 * _PAGE_WORDS
+    used, t = traced_bytes(lambda: _written(range(1 << 20, (1 << 20) + n)))
+    assert t.cells_touched == n and t.pages == 64
+    assert used < 8.5 * n, used  # a reference to the shared strand int per word, in 64 pages
+    # Reader lists cost what they cost in the dict: a list per read word.
+    lists, t = traced_bytes(lambda: _written(range(1 << 20, (1 << 20) + n), read=True))
+    assert t.pages == 64 and lists < used + n * (sys.getsizeof([1, 2]) + 8), (lists, used)
+
+
+def test_scattered_words_make_no_page():
+    rng = random.Random(5)
+    # 200 words a 4 MiB region apart, and 32-word clusters in 600 regions
+    words = ([r << 20 for r in rng.sample(range(1 << 20), 200)]
+             + [(r << 20) + i for r in rng.sample(range(1 << 20), 600) for i in range(32)])
+    rng.shuffle(words)
+    used, t = traced_bytes(lambda: _written(words))
+    plain, _ = traced_bytes(lambda: {4 * w >> 2: 1 for w in words})  # a fresh key int a word
+    assert t.pages == 0 and t.cells_touched == len(words)
+    assert used < plain * 1.05, (used, plain)
+
+
+def _written(words, read=False):
+    """A table in which strand 1 wrote each word, and then strand 2 read it if ``read``."""
+    t = ShadowTable()
+    for w in words:
+        t.on_write(4 * w, 1, ALWAYS)
+        if read:
+            t.on_read(4 * w, 2, ALWAYS)
+    return t
